@@ -10,84 +10,55 @@ drift of the time-dependent mixture so replay can also be run as an SDE.
 """
 
 from .dynamics import (
-    PathSlice,
-    Trajectory,
-    drift,
-    drift_with_stats,
-    fp_residual,
-    integrate_sde,
-    movie_frames,
-    path_slice,
-    poisson_psi_grad,
-    psi_potential,
-    sample_bulk_points,
-    shape_current,
+    PathSlice, Trajectory, drift_with_stats, fp_residual, integrate_sde, movie_frames,
+    path_slice, poisson_psi_grad, psi_potential, sample_bulk_points, shape_current,
 )
 from .errors import ConfigError, NumericalError
 from .gm import (
-    DENSITY_FLOOR,
-    GaussianMixture,
-    Moments,
-    convex_combine,
-    validate,
-    validate_arrays,
+    DENSITY_FLOOR, GaussianMixture, Moments, convex_combine, mixture_moments, stack_mixtures,
+    validate, validate_arrays,
 )
 from .harness import (
-    RunConfig,
-    RunResult,
-    SweepResult,
-    capacity_diagnostics,
-    build_final_state,
-    export,
-    fifo_baseline,
-    restore_state,
-    resume_run,
-    run_experiment,
-    snapshot_state,
-    sweep,
+    RunConfig, RunResult, SweepResult, build_final_state, capacity_diagnostics, daily_states,
+    export, fifo_baseline, restore_state, resume_run, run_experiment, snapshot_state,
+    stream_targets, sweep,
 )
 from .metrics import (
-    AgeCurve,
-    ForgettingRecord,
-    age_curve,
-    amnesia_baseline,
-    channel_shares,
-    day_records,
-    decomposed_forgetting,
-    forgetting_matrix,
-    half_life,
-    match_components,
-    normalized_forgetting,
-    raw_forgetting,
+    AgeCurve, ForgettingRecord, age_curve, channel_shares, day_records, decomposed_forgetting,
+    half_life, match_components, moment_gap, score_recall,
 )
 from .protocol import (
-    AugmentedGrid,
-    MemoryState,
-    ProtocolGrid,
-    RebinMatrix,
-    add,
-    compress,
-    eval_at,
-    incorporate,
-    init_protocol,
-    memory_footprint,
-    new_memory,
-    readout_time,
-    rebin_matrix,
-    replay,
-    smooth,
-    smooth_via_matrix,
+    MemoryState, ProtocolGrid, add, eval_at, incorporate, init_protocol, memory_footprint,
+    new_memory, readout_time, rebin_indices, rebin_matrix, replay, replay_all, smooth,
 )
 from .streams import (
-    StreamConfig,
-    class_prior,
-    default_prior,
-    generate,
-    load_gm_file,
-    make_config,
-    save_gm_file,
+    StreamConfig, class_prior, default_prior, generate, load_gm_file, make_config, save_gm_file,
     synthetic_class_mixture,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # gm
+    "DENSITY_FLOOR", "GaussianMixture", "Moments", "convex_combine", "mixture_moments",
+    "stack_mixtures", "validate", "validate_arrays",
+    # protocol
+    "MemoryState", "ProtocolGrid", "add", "eval_at", "incorporate", "init_protocol",
+    "memory_footprint", "new_memory", "readout_time", "rebin_indices", "rebin_matrix",
+    "replay", "replay_all", "smooth",
+    # metrics
+    "AgeCurve", "ForgettingRecord", "age_curve", "channel_shares", "day_records",
+    "decomposed_forgetting", "half_life", "match_components", "moment_gap", "score_recall",
+    # streams
+    "StreamConfig", "class_prior", "default_prior", "generate", "load_gm_file", "make_config",
+    "save_gm_file", "synthetic_class_mixture",
+    # dynamics
+    "PathSlice", "Trajectory", "drift_with_stats", "fp_residual", "integrate_sde",
+    "movie_frames", "path_slice", "poisson_psi_grad", "psi_potential", "sample_bulk_points",
+    "shape_current",
+    # harness
+    "RunConfig", "RunResult", "SweepResult", "build_final_state", "capacity_diagnostics",
+    "daily_states", "export", "fifo_baseline", "restore_state", "resume_run",
+    "run_experiment", "snapshot_state", "stream_targets", "sweep",
+    # errors
+    "ConfigError", "NumericalError",
+]
 __version__ = "0.1.0"

@@ -19,17 +19,18 @@ from .harness import (
     SUMMARY_KEYS,
     RunConfig,
     build_final_state,
+    daily_states,
     export,
     fifo_baseline,
-    resolve_prior,
     restore_state,
     resume_run,
     run_experiment,
     snapshot_state,
+    stream_targets,
     sweep,
 )
-from .protocol import eval_at, incorporate, new_memory
-from .streams import generate, make_config
+from .protocol import eval_at
+from .streams import make_config
 
 
 def _fmt(value) -> str:
@@ -230,12 +231,11 @@ def cmd_fifo(args) -> int:
 
 def cmd_snapshot(args) -> int:
     cfg = load_run_config(args.config, args)
-    targets = generate(cfg.stream)
+    targets = stream_targets(cfg)
     if not 1 <= args.day <= len(targets):
         raise ConfigError(f"--day must lie in [1, {len(targets)}], got {args.day}")
-    state = new_memory(resolve_prior(cfg, targets[0]), targets[0], cfg.L)
-    for target in targets[1 : args.day]:
-        state = incorporate(state, target)
+    for state in daily_states(cfg, targets[: args.day]):
+        pass
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"snapshot_day{state.day:04d}.json")
     snapshot_state(state, path)

@@ -87,13 +87,8 @@ def path_slice(grid: ProtocolGrid, t: float) -> PathSlice:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
     segs = grid.L
     j = min(int(t * segs), segs - 1)
-    lo, hi = grid.nodes[j], grid.nodes[j + 1]
-    return PathSlice(
-        eval_at(grid, t),
-        (hi.weights - lo.weights) * segs,
-        (hi.means - lo.means) * segs,
-        (hi.covs - lo.covs) * segs,
-    )
+    rates = ((a[j + 1] - a[j]) * segs for a in (grid.weights, grid.means, grid.covs))
+    return PathSlice(eval_at(grid, t), *rates)
 
 
 def _slice_parts(sl: PathSlice, pts: np.ndarray):
@@ -240,10 +235,6 @@ def drift_with_stats(sl: PathSlice, x) -> tuple[np.ndarray, int]:
         clamped = int(np.count_nonzero(dens < DENSITY_FLOOR))
         out -= poisson_psi_grad(sl, pts) / np.maximum(dens, DENSITY_FLOOR)[:, None]
     return (out[0] if single else out), clamped
-
-
-def drift(sl: PathSlice, x) -> np.ndarray:
-    return drift_with_stats(sl, x)[0]
 
 
 def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:

@@ -1,10 +1,10 @@
 """Gaussian mixture state type and componentwise parameter operations.
 
 A mixture is the unit of memory throughout this package: protocol grids
-store one mixture per node, and every grid update reduces to convex
-combinations of node parameters (weights, means, covariances taken
-componentwise). Instances are immutable after construction and safe to
-share between threads.
+store the parameters of one mixture per node, stacked, and every grid
+update reduces to convex combinations of node parameters (weights, means,
+covariances taken componentwise). Instances are immutable after
+construction and safe to share between threads.
 """
 from __future__ import annotations
 
@@ -171,13 +171,8 @@ class GaussianMixture:
 
     @cached_property
     def _moments(self) -> Moments:
-        mean = self.weights @ self.means
-        second = np.einsum(
-            "k,kij->ij", self.weights, self.covs + np.einsum("ki,kj->kij", self.means, self.means)
-        )
-        cov = second - np.outer(mean, mean)
-        cov = 0.5 * (cov + cov.T)
-        return Moments(_frozen(mean), _frozen(cov))
+        mom = mixture_moments(self.weights, self.means, self.covs)
+        return Moments(_frozen(mom.mean), _frozen(mom.cov))
 
     def sample(self, n: int, seed) -> np.ndarray:
         """Draw n points; deterministic for a fixed seed."""
@@ -208,6 +203,23 @@ class GaussianMixture:
             )
         except KeyError as exc:
             raise ValueError(f"mixture dict missing key {exc}") from exc
+
+
+def stack_mixtures(mixtures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights (n, K), means (n, K, d) and covs (n, K, d, d) of n same-shape mixtures."""
+    return tuple(np.stack([getattr(g, f) for g in mixtures]) for f in ("weights", "means", "covs"))
+
+
+def mixture_moments(weights, means, covs) -> Moments:
+    """Overall mean and covariance of mixtures stacked along any leading axes.
+
+    Law of total covariance: Sigma = sum_k w_k (S_k + m_k m_k^T) - mu mu^T.
+    """
+    mean = np.einsum("...k,...kd->...d", weights, means)
+    outer = means[..., :, None] * means[..., None, :]
+    second = np.einsum("...k,...kij->...ij", weights, covs + outer)
+    cov = second - mean[..., :, None] * mean[..., None, :]
+    return Moments(mean, 0.5 * (cov + np.swapaxes(cov, -1, -2)))
 
 
 def validate_arrays(weights, means, covs) -> str | None:
@@ -250,8 +262,7 @@ def validate(gm: GaussianMixture) -> str | None:
 def convex_combine(a: GaussianMixture, b: GaussianMixture, alpha: float) -> GaussianMixture:
     """Componentwise convex combination (1 - alpha) * a + alpha * b.
 
-    The endpoints return the input objects themselves, which makes node
-    lookups at grid times bit-exact.
+    The endpoints return the input objects themselves.
     """
     if a.k != b.k or a.d != b.d:
         raise ValueError(

@@ -1,21 +1,23 @@
 """Experiment harness: run a curriculum, collect records, sweep, export.
 
-The forgetting matrix is built incrementally: after each day's update,
-every stored day is replayed against the live grid. Exports are plain CSV
-and JSON with full double precision, so repeated runs of the same config
-are byte-identical.
+One state iterator drives every run: it yields the memory after each day
+of the configured stream. The forgetting matrix is built incrementally:
+after each day's update, every stored day is replayed against the live
+grid. Exports are plain CSV and JSON with full double precision, so
+repeated runs of the same config are byte-identical.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .gm import GaussianMixture, validate
+from .gm import GaussianMixture, stack_mixtures, validate
 from .metrics import (
     AgeCurve,
     ForgettingRecord,
@@ -24,8 +26,8 @@ from .metrics import (
     channel_shares,
     day_records,
     half_life,
-    moment_gap,
     records_csv_lines,
+    score_recall,
 )
 from .protocol import (
     MemoryState,
@@ -90,44 +92,60 @@ def resolve_prior(cfg: RunConfig, first_target: GaussianMixture) -> GaussianMixt
     return prior
 
 
-def _summarize(cfg: RunConfig, records, curve: AgeCurve, hl: int | None) -> dict:
-    shares = channel_shares(records)
-    summary = {
-        "half_life": hl,
-        "theta": cfg.theta,
-        "max_Fbar": float(curve.values.max()) if curve.values.size else None,
-        "mean_share": shares[0] if shares else None,
-        "cov_share": shares[1] if shares else None,
-        "weight_share": shares[2] if shares else None,
-    }
-    # Per-run capacity diagnostic; lives beside (not inside) the exported summary.
-    summary["t_star"] = math.exp(-hl / cfg.L) if hl is not None else None
-    return summary
+def stream_targets(cfg: RunConfig) -> list[GaussianMixture]:
+    """The configured stream's daily targets; day m is at index m - 1."""
+    targets = generate(cfg.stream)
+    if not targets:
+        raise ConfigError("stream is empty")
+    return targets
+
+
+def daily_states(
+    cfg: RunConfig, targets, state: MemoryState | None = None
+) -> Iterator[MemoryState]:
+    """The memory after each day of the stream.
+
+    From scratch this starts with day 1; from a given state it continues
+    with the day after it.
+    """
+    if state is None:
+        state = new_memory(resolve_prior(cfg, targets[0]), targets[0], cfg.L)
+        yield state
+    for target in targets[state.day:]:
+        state = incorporate(state, target)
+        yield state
 
 
 def run_experiment(cfg: RunConfig) -> RunResult:
     """Run the daily recursion over the configured stream and score recall."""
-    targets = generate(cfg.stream)
-    if not targets:
-        raise ConfigError("stream is empty")
-    prior = resolve_prior(cfg, targets[0])
-    prior_moments = prior.overall_moments()
-    state = new_memory(prior, targets[0], cfg.L)
+    targets = stream_targets(cfg)
     records: list[ForgettingRecord] = []
     try:
-        records.extend(day_records(state, prior_moments=prior_moments))
-        _maybe_snapshot(cfg, state)
-        for target in targets[1:]:
-            state = incorporate(state, target)
-            records.extend(day_records(state, prior_moments=prior_moments))
+        for state in daily_states(cfg, targets):
+            records.extend(day_records(state, targets=targets))
             _maybe_snapshot(cfg, state)
     except Exception:
         if cfg.outputs:
             _flush_partial(cfg, records)
         raise
+    return _result(cfg, records, state)
+
+
+def _result(cfg: RunConfig, records, state: MemoryState) -> RunResult:
     curve = age_curve(records)
     hl = half_life(curve, cfg.theta)
-    return RunResult(cfg, records, curve, hl, _summarize(cfg, records, curve, hl), state)
+    shares = channel_shares(records) or (None, None, None)
+    summary = {
+        "half_life": hl,
+        "theta": cfg.theta,
+        "max_Fbar": float(curve.values.max()) if curve.values.size else None,
+        "mean_share": shares[0],
+        "cov_share": shares[1],
+        "weight_share": shares[2],
+        # Per-run capacity diagnostic; lives beside (not inside) the exported summary.
+        "t_star": math.exp(-hl / cfg.L) if hl is not None else None,
+    }
+    return RunResult(cfg, records, curve, hl, summary, state)
 
 
 def _maybe_snapshot(cfg: RunConfig, state: MemoryState) -> None:
@@ -145,12 +163,8 @@ def _flush_partial(cfg: RunConfig, records) -> None:
 
 def build_final_state(cfg: RunConfig) -> MemoryState:
     """Run the recursion only (no metrics); used by movie and drift checks."""
-    targets = generate(cfg.stream)
-    if not targets:
-        raise ConfigError("stream is empty")
-    state = new_memory(resolve_prior(cfg, targets[0]), targets[0], cfg.L)
-    for target in targets[1:]:
-        state = incorporate(state, target)
+    for state in daily_states(cfg, stream_targets(cfg)):
+        pass
     return state
 
 
@@ -230,32 +244,18 @@ def capacity_diagnostics(lengths, half_lives) -> dict:
 
 def fifo_baseline(cfg: RunConfig) -> RunResult:
     """Sliding-window reference: perfect recall for L days, then the prior."""
-    targets = generate(cfg.stream)
-    if not targets:
-        raise ConfigError("stream is empty")
+    targets = stream_targets(cfg)
     prior = resolve_prior(cfg, targets[0])
-    prior_moments = prior.overall_moments()
-    decompose = targets[0].k > 1
+    pool = stack_mixtures([*targets, prior])  # day m at row m - 1, the prior last
     records = []
-    n_days = len(targets)
-    orig_moments = [g.overall_moments() for g in targets]
-    for n in range(1, n_days + 1):
-        for m in range(1, n + 1):
-            recalled = targets[m - 1] if n - m < cfg.L else prior
-            f_raw = moment_gap(recalled.overall_moments(), orig_moments[m - 1])
-            baseline = moment_gap(prior_moments, orig_moments[m - 1])
-            f_norm = f_raw / baseline if baseline > 0.0 else None
-            if decompose:
-                from .metrics import decomposed_forgetting
-
-                f_mean, f_cov, f_weight = decomposed_forgetting(recalled, targets[m - 1])
-            else:
-                f_mean = f_cov = f_weight = None
-            records.append(ForgettingRecord(m, n, f_raw, f_norm, f_mean, f_cov, f_weight))
-    curve = age_curve(records)
-    hl = half_life(curve, cfg.theta)
-    state = new_memory(prior, targets[0], cfg.L)
-    return RunResult(cfg, records, curve, hl, _summarize(cfg, records, curve, hl), state)
+    for n in range(1, len(targets) + 1):
+        days = np.arange(n)
+        rows = np.where(n - 1 - days < cfg.L, days, len(targets))
+        recalled = [a[rows] for a in pool]
+        records.extend(
+            score_recall(n, recalled, targets[:n], prior.overall_moments(), prior.k > 1)
+        )
+    return _result(cfg, records, new_memory(prior, targets[0], cfg.L))
 
 
 def export(result: RunResult, fmt: str, path: str) -> list[str]:
@@ -293,13 +293,13 @@ def snapshot_state(state: MemoryState, path: str) -> None:
         fh.write("\n")
 
 
-def restore_state(path: str, originals=()) -> MemoryState:
+def restore_state(path: str) -> MemoryState:
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return state_from_snapshot(data, tuple(originals))
+    return state_from_snapshot(data)
 
 
 def resume_run(cfg: RunConfig, state: MemoryState) -> RunResult:
@@ -307,19 +307,19 @@ def resume_run(cfg: RunConfig, state: MemoryState) -> RunResult:
 
     The target history is regenerated from the config (streams are pure
     functions of it), so earlier days can be scored even though snapshots
-    do not carry them. Records cover days after the snapshot.
+    do not carry them. Records cover days after the snapshot. The
+    snapshot must have been made under the same L and prior.
     """
-    targets = generate(cfg.stream)
+    targets = stream_targets(cfg)
     if state.day > len(targets):
         raise ConfigError(
             f"snapshot is at day {state.day} but the stream has {len(targets)} days"
         )
-    state = replace(state, originals=tuple(targets[: state.day]))
-    prior_moments = state.prior.overall_moments()
+    if state.grid.L != cfg.L:
+        raise ConfigError(f"snapshot was made with L = {state.grid.L}, config has L = {cfg.L}")
+    if state.prior.to_dict() != resolve_prior(cfg, targets[0]).to_dict():
+        raise ConfigError("snapshot prior differs from the prior this config resolves to")
     records: list[ForgettingRecord] = []
-    for target in targets[state.day:]:
-        state = incorporate(state, target)
-        records.extend(day_records(state, prior_moments=prior_moments))
-    curve = age_curve(records)
-    hl = half_life(curve, cfg.theta)
-    return RunResult(cfg, records, curve, hl, _summarize(cfg, records, curve, hl), state)
+    for state in daily_states(cfg, targets, state):
+        records.extend(day_records(state, targets=targets))
+    return _result(cfg, records, state)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .gm import GaussianMixture, Moments
-from .protocol import MemoryState, replay
+from .gm import GaussianMixture, Moments, mixture_moments, stack_mixtures
+from .protocol import MemoryState, replay_all
 
 RECORD_CSV_HEADER = "m,n,age,F_raw,F_norm,F_mean,F_cov,F_weight"
 AGE_CURVE_CSV_HEADER = "age,F_bar,count"
@@ -51,27 +51,12 @@ class AgeCurve:
     skipped: int = 0
 
 
-def moment_gap(a: Moments, b: Moments) -> float:
+def moment_gap(a: Moments, b: Moments) -> float | np.ndarray:
+    """||mu_a - mu_b||^2 + ||S_a - S_b||_F^2, batched over any leading axes."""
     dm = a.mean - b.mean
     ds = a.cov - b.cov
-    return float(dm @ dm + (ds * ds).sum())
-
-
-def raw_forgetting(replayed: GaussianMixture, original: GaussianMixture) -> float:
-    if replayed.d != original.d:
-        raise ValueError(f"dimension mismatch: {replayed.d} vs {original.d}")
-    return moment_gap(replayed.overall_moments(), original.overall_moments())
-
-
-def amnesia_baseline(prior: GaussianMixture, original: GaussianMixture) -> float:
-    """Raw forgetting an agent with no memory of the day would incur."""
-    return raw_forgetting(prior, original)
-
-
-def normalized_forgetting(f_raw: float, baseline: float) -> float:
-    if baseline <= 0.0:
-        raise ValueError("baseline is zero; normalized forgetting is undefined")
-    return f_raw / baseline
+    gap = np.einsum("...d,...d->...", dm, dm) + (ds * ds).sum(axis=(-2, -1))
+    return float(gap) if np.ndim(gap) == 0 else gap
 
 
 def match_components(a: GaussianMixture, b: GaussianMixture) -> np.ndarray:
@@ -113,38 +98,46 @@ def decomposed_forgetting(
     return f_mean, f_cov, f_weight
 
 
-def day_records(
-    state: MemoryState,
-    decompose: bool | None = None,
-    prior_moments: Moments | None = None,
+def score_recall(
+    n: int, recalled, targets, prior_moments: Moments, decompose: bool
 ) -> list[ForgettingRecord]:
-    """Records (m, n) for the current day n and every stored day m <= n."""
+    """Records (m, n) for days m = 1, 2, ... recalled on day n.
+
+    ``recalled`` holds the stacked (weights, means, covs) recalled for
+    those days and ``targets`` their original mixtures, in day order.
+    Overall moments and raw gaps are computed for all days at once; the
+    amnesia baseline is the gap between the prior and each target.
+    """
+    weights, means, covs = recalled
+    if len(targets) != len(weights):
+        raise ValueError(f"{len(weights)} recalled days but {len(targets)} targets")
+    orig = mixture_moments(*stack_mixtures(targets))
+    f_raw = moment_gap(mixture_moments(weights, means, covs), orig).tolist()
+    baseline = moment_gap(prior_moments, orig).tolist()
+    records = []
+    for i, original in enumerate(targets):
+        f_norm = f_raw[i] / baseline[i] if baseline[i] > 0.0 else None
+        channels = (None, None, None)
+        if decompose:
+            rep = GaussianMixture(weights[i], means[i], covs[i])
+            channels = decomposed_forgetting(rep, original)
+        records.append(ForgettingRecord(i + 1, n, f_raw[i], f_norm, *channels))
+    return records
+
+
+def day_records(
+    state: MemoryState, targets, decompose: bool | None = None
+) -> list[ForgettingRecord]:
+    """Records (m, n) for the current day n and every stored day m <= n.
+
+    ``targets`` are the daily targets the memory has seen, day m at index
+    m - 1; every stored day is replayed in one batch.
+    """
     if decompose is None:
         decompose = state.grid.k > 1
-    if prior_moments is None:
-        prior_moments = state.prior.overall_moments()
-    records = []
-    for m in range(1, state.day + 1):
-        original = state.originals[m - 1]
-        rep = replay(state, m)
-        orig_moments = original.overall_moments()
-        f_raw = moment_gap(rep.overall_moments(), orig_moments)
-        baseline = moment_gap(prior_moments, orig_moments)
-        f_norm = f_raw / baseline if baseline > 0.0 else None
-        if decompose:
-            f_mean, f_cov, f_weight = decomposed_forgetting(rep, original)
-        else:
-            f_mean = f_cov = f_weight = None
-        records.append(ForgettingRecord(m, state.day, f_raw, f_norm, f_mean, f_cov, f_weight))
-    return records
-
-
-def forgetting_matrix(states) -> list[ForgettingRecord]:
-    """All (m, n) records over an iterable of daily states."""
-    records: list[ForgettingRecord] = []
-    for state in states:
-        records.extend(day_records(state))
-    return records
+    return score_recall(
+        state.day, replay_all(state), targets[: state.day], state.prior.overall_moments(), decompose
+    )
 
 
 def age_curve(records) -> AgeCurve:

@@ -62,10 +62,6 @@ def _centre(cfg: StreamConfig, m: int) -> np.ndarray:
     return c
 
 
-def circular_mean(cfg: StreamConfig, m: int) -> np.ndarray:
-    return _centre(cfg, m)
-
-
 def linear_mean(cfg: StreamConfig, m: int) -> np.ndarray:
     # Same per-day speed as the circular default, 2 pi R / P, along axis 0.
     c = np.zeros(cfg.d)
@@ -82,7 +78,7 @@ def circular_stream(cfg: StreamConfig) -> list[GaussianMixture]:
     """Single Gaussian whose mean walks a circle of radius R with period P."""
     if cfg.d < 2:
         raise ValueError("circular stream needs d >= 2")
-    return [_single_target(circular_mean(cfg, m), cfg.cov_scale) for m in range(1, cfg.n_days + 1)]
+    return [_single_target(_centre(cfg, m), cfg.cov_scale) for m in range(1, cfg.n_days + 1)]
 
 
 def linear_stream(cfg: StreamConfig) -> list[GaussianMixture]:

@@ -15,15 +15,7 @@ from casmem.dynamics import fp_residual, integrate_sde, path_slice, psi_potentia
 from casmem.gm import GaussianMixture
 from casmem.harness import RunConfig, build_final_state, fifo_baseline, run_experiment, sweep
 from casmem.metrics import channel_shares, match_components
-from casmem.protocol import (
-    add,
-    compress,
-    incorporate,
-    new_memory,
-    rebin_matrix,
-    smooth,
-    smooth_via_matrix,
-)
+from casmem.protocol import add, incorporate, new_memory, rebin_matrix, smooth
 from casmem.streams import (
     class_prior,
     default_prior,
@@ -202,7 +194,7 @@ def test_criterion_12_rotating_dominance_decomposition():
     # shifted day n - P.
     L, P, n_days = cfg.L, int(cfg.stream.P), cfg.stream.n_days
     first = 100
-    W = rebin_matrix(L).W
+    W = rebin_matrix(L)
     ramp = np.ones(L + 1)
     ramp[0] = 0.0
     for _ in range(first - 1):
@@ -366,21 +358,20 @@ def test_criterion_15_oracle_equivalences():
         state = new_memory(default_prior(3, 2), targets[0], L)
         for t in targets[1:6]:
             state = incorporate(state, t)
-        aug = add(compress(state.grid), targets[6])
-        for x, y in zip(smooth(aug, L).nodes, smooth_via_matrix(aug, L).nodes):
-            smooth_gap = max(
-                smooth_gap,
-                float(np.abs(x.weights - y.weights).max()),
-                float(np.abs(x.means - y.means).max()),
-                float(np.abs(x.covs - y.covs).max()),
-            )
+        aug = add(state.grid, targets[6])
+        direct = smooth(aug, L)
+        W = rebin_matrix(L)
+        for x, y in ((direct.weights, aug.weights), (direct.means, aug.means),
+                     (direct.covs, aug.covs)):
+            stacked = y.reshape(L + 2, -1)
+            smooth_gap = max(smooth_gap, float(np.abs(x.reshape(L + 1, -1) - W @ stacked).max()))
 
     # compression: relabelled times evaluate to the same mixtures
     state = new_memory(default_prior(3, 2), targets[0], 10)
     for t in targets[1:6]:
         state = incorporate(state, t)
     grid = state.grid
-    aug = add(compress(grid), targets[6])
+    aug = add(grid, targets[6])
     shrink = grid.L / (grid.L + 1.0)
     compress_gap = 0.0
     for s in np.linspace(0.0, 1.0, 101):

@@ -6,7 +6,6 @@ import casmem.dynamics as dyn
 from casmem.dynamics import (
     PathSlice,
     _adaptive_integral,
-    drift,
     drift_with_stats,
     fp_residual,
     integrate_sde,
@@ -41,15 +40,14 @@ def test_path_slice_rates_are_segment_differences():
     grid = small_grid(n_days=6, L=3)
     segs = grid.L
     sl = path_slice(grid, 0.4)  # inside segment 1
-    lo, hi = grid.nodes[1], grid.nodes[2]
-    assert np.allclose(sl.mean_rates, (hi.means - lo.means) * segs)
-    assert np.allclose(sl.cov_rates, (hi.covs - lo.covs) * segs)
-    assert np.allclose(sl.weight_rates, (hi.weights - lo.weights) * segs)
+    assert np.allclose(sl.mean_rates, (grid.means[2] - grid.means[1]) * segs)
+    assert np.allclose(sl.cov_rates, (grid.covs[2] - grid.covs[1]) * segs)
+    assert np.allclose(sl.weight_rates, (grid.weights[2] - grid.weights[1]) * segs)
     # rates are constant within a segment, and t = 1 takes the left limit
     sl2 = path_slice(grid, 0.55)
     assert np.allclose(sl.mean_rates, sl2.mean_rates)
     end = path_slice(grid, 1.0)
-    assert np.allclose(end.mean_rates, (grid.nodes[3].means - grid.nodes[2].means) * segs)
+    assert np.allclose(end.mean_rates, (grid.means[3] - grid.means[2]) * segs)
     with pytest.raises(ValueError):
         path_slice(grid, 1.2)
 
@@ -129,8 +127,9 @@ def test_drift_reduces_to_half_score_when_frozen():
     vel, clamped = drift_with_stats(sl, pts)
     assert clamped == 0
     assert np.allclose(vel, 0.5 * gm.score(pts), atol=1e-12)
-    assert np.allclose(drift(sl, pts), vel)
-    assert drift(sl, pts[0]).shape == (2,)
+    single, clamped = drift_with_stats(sl, pts[0])
+    assert single.shape == (2,) and clamped == 0
+    assert np.allclose(single, vel[0])
 
 
 def test_adaptive_integral_converges_and_stalls():
@@ -191,7 +190,7 @@ def test_integrate_sde_stationary_mixture():
         np.array([[-1.0, 0.0], [1.0, 0.5]]),
         np.stack([0.4 * np.eye(2), 0.6 * np.eye(2)]),
     )
-    grid = ProtocolGrid((gm, gm, gm))
+    grid = ProtocolGrid.from_nodes((gm, gm, gm))
     trajs = integrate_sde(grid, n_paths=1500, steps=150, seed=5)
     terminal = np.stack([t.states[-1] for t in trajs])
     mom = gm.overall_moments()
@@ -234,8 +233,10 @@ def test_movie_frames_endpoints():
     grid = small_grid("circular", n_days=6, L=3)
     frames = movie_frames(grid, 7)
     assert len(frames) == 7
-    assert frames[0] is grid.nodes[0]
-    assert frames[-1] is grid.nodes[-1]
+    for frame, j in ((frames[0], 0), (frames[-1], -1)):
+        assert np.array_equal(frame.weights, grid.weights[j])
+        assert np.array_equal(frame.means, grid.means[j])
+        assert np.array_equal(frame.covs, grid.covs[j])
     with pytest.raises(ValueError):
         movie_frames(grid, 1)
 

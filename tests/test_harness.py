@@ -227,9 +227,8 @@ def test_snapshot_restore_resume_bisimulation(tmp_path):
         assert rec.n > 10
         ref = full_rows[(rec.m, rec.n)]
         assert rec.F_raw == ref.F_raw and rec.F_norm == ref.F_norm
-    for a, b in zip(resumed.final_state.grid.nodes, full.final_state.grid.nodes):
-        assert np.array_equal(a.means, b.means)
-        assert np.array_equal(a.covs, b.covs)
+    assert np.array_equal(resumed.final_state.grid.means, full.final_state.grid.means)
+    assert np.array_equal(resumed.final_state.grid.covs, full.final_state.grid.covs)
 
 
 def test_restore_rejects_garbage(tmp_path):
@@ -383,3 +382,24 @@ def test_cli_snapshot_restore_round_trip(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text(json.dumps({"schema_version": 42}))
     assert cli_main(["restore", "--config", cfg, "--state", str(garbled)]) == 2
+
+
+def test_cli_restore_refuses_other_config(tmp_path, capsys):
+    # a snapshot resumed under another L or prior would report that config's
+    # numbers for a different memory, so restore refuses it
+    cfg = write_cfg(tmp_path, L=10, stream={"kind": "circular", "n_days": 40})
+    state_dir = tmp_path / "state"
+    assert cli_main(["snapshot", "--config", cfg, "--day", "10", "--out", str(state_dir)]) == 0
+    snap = str(state_dir / "snapshot_day0010.json")
+    capsys.readouterr()
+    assert cli_main(["restore", "--config", cfg, "--state", snap]) == 0
+    capsys.readouterr()
+    other_L = write_cfg(tmp_path, "L20.json", L=20, stream={"kind": "circular", "n_days": 40})
+    assert cli_main(["restore", "--config", other_L, "--state", snap]) == 2
+    assert "L = 10" in capsys.readouterr().err
+    point = {"kind": "point", "x0": [0.0, 0.0], "var": 0.5}
+    other_prior = write_cfg(
+        tmp_path, "prior.json", L=10, prior=point, stream={"kind": "circular", "n_days": 40}
+    )
+    assert cli_main(["restore", "--config", other_prior, "--state", snap]) == 2
+    assert "prior" in capsys.readouterr().err

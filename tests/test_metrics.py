@@ -10,20 +10,17 @@ from casmem.metrics import (
     ForgettingRecord,
     age_curve,
     age_curve_csv_lines,
-    amnesia_baseline,
     channel_shares,
     day_records,
     decomposed_forgetting,
-    forgetting_matrix,
     half_life,
     match_components,
     moment_gap,
-    normalized_forgetting,
-    raw_forgetting,
     records_csv_lines,
 )
+from casmem.harness import RunConfig, run_experiment
 from casmem.protocol import incorporate, new_memory
-from casmem.streams import default_prior
+from casmem.streams import default_prior, make_config
 
 
 def random_mixture(rng, k=3, d=2, spread=2.0):
@@ -62,20 +59,40 @@ def test_moment_gap_is_a_squared_distance():
     assert moment_gap(m1, m2) == moment_gap(m2, m1)
 
 
-def test_raw_forgetting_and_baseline():
+def test_moment_gap_between_mixtures():
     rng = np.random.default_rng(0)
     gm = random_mixture(rng)
-    assert raw_forgetting(gm, gm) == 0.0
-    prior = default_prior(gm.k, gm.d)
-    assert amnesia_baseline(prior, gm) == raw_forgetting(prior, gm)
+    assert moment_gap(gm.overall_moments(), gm.overall_moments()) == 0.0
+    prior = default_prior(gm.k, gm.d).overall_moments()
+    assert moment_gap(prior, gm.overall_moments()) == moment_gap(gm.overall_moments(), prior)
     with pytest.raises(ValueError):
-        raw_forgetting(gm, random_mixture(rng, d=3))
+        moment_gap(gm.overall_moments(), random_mixture(rng, d=3).overall_moments())
+    # batched over leading axes, one gap per pair
+    others = [random_mixture(rng) for _ in range(3)]
+    batch = Moments(
+        np.stack([o.overall_moments().mean for o in others]),
+        np.stack([o.overall_moments().cov for o in others]),
+    )
+    got = moment_gap(batch, gm.overall_moments())
+    assert got.shape == (3,)
+    for g, o in zip(got, others):
+        assert g == pytest.approx(moment_gap(o.overall_moments(), gm.overall_moments()), rel=1e-14)
 
 
-def test_normalized_forgetting_guards_zero_baseline():
-    assert normalized_forgetting(0.5, 2.0) == 0.25
-    with pytest.raises(ValueError):
-        normalized_forgetting(0.5, 0.0)
+def test_day_records_guard_zero_baseline():
+    # a day whose target is the prior has amnesia baseline 0: F_norm is None
+    rng = np.random.default_rng(8)
+    prior = default_prior(2, 2)
+    targets = [random_mixture(rng, k=2), prior, random_mixture(rng, k=2)]
+    state = new_memory(prior, targets[0], 3)
+    for t in targets[1:]:
+        state = incorporate(state, t)
+    recs = day_records(state, targets)
+    assert recs[1].F_norm is None
+    for rec in (recs[0], recs[2]):
+        baseline = moment_gap(prior.overall_moments(), targets[rec.m - 1].overall_moments())
+        assert rec.F_norm == pytest.approx(rec.F_raw / baseline, rel=1e-14)
+    assert age_curve(recs).skipped == 1
 
 
 def test_match_components_equals_brute_force():
@@ -137,17 +154,15 @@ def run_small_state(n_days=6, k=2, d=2, L=4):
     prior = default_prior(k, d)
     targets = [random_mixture(rng, k=k, d=d) for _ in range(n_days)]
     state = new_memory(prior, targets[0], L)
-    states = [state]
     for t in targets[1:]:
         state = incorporate(state, t)
-        states.append(state)
-    return states
+    return state, targets
 
 
 def test_day_records_shapes_and_flags():
-    states = run_small_state()
-    recs = day_records(states[-1])
-    n = states[-1].day
+    state, targets = run_small_state()
+    recs = day_records(state, targets)
+    n = state.day
     assert len(recs) == n
     assert [r.m for r in recs] == list(range(1, n + 1))
     assert all(r.n == n for r in recs)
@@ -156,14 +171,8 @@ def test_day_records_shapes_and_flags():
     assert recs[-1].F_raw == pytest.approx(0.0, abs=1e-20)
     # multi-component run: decompositions filled in
     assert all(r.F_mean is not None for r in recs)
-    single = day_records(states[-1], decompose=False)
+    single = day_records(state, targets, decompose=False)
     assert all(r.F_mean is None for r in single)
-
-
-def test_forgetting_matrix_counts():
-    states = run_small_state(n_days=5)
-    recs = forgetting_matrix(states)
-    assert len(recs) == 5 * 6 // 2
 
 
 def test_age_curve_aggregation_and_half_life():
@@ -185,8 +194,7 @@ def test_age_curve_aggregation_and_half_life():
 
 
 def test_records_csv_schema_and_ordering():
-    states = run_small_state(n_days=4)
-    recs = forgetting_matrix(states)
+    recs = run_experiment(RunConfig(stream=make_config("triangle", n_days=4), L=4)).records
     lines = records_csv_lines(recs)
     assert lines[0] == RECORD_CSV_HEADER == "m,n,age,F_raw,F_norm,F_mean,F_cov,F_weight"
     assert len(lines) == len(recs) + 1
@@ -202,8 +210,7 @@ def test_records_csv_schema_and_ordering():
 
 
 def test_age_curve_csv_schema():
-    states = run_small_state(n_days=4)
-    curve = age_curve(forgetting_matrix(states))
+    curve = age_curve(run_experiment(RunConfig(stream=make_config("triangle", n_days=4))).records)
     lines = age_curve_csv_lines(curve)
     assert lines[0] == AGE_CURVE_CSV_HEADER == "age,F_bar,count"
     assert len(lines) == len(curve.ages) + 1

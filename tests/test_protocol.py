@@ -4,8 +4,8 @@ import pytest
 from casmem.gm import GaussianMixture
 from casmem.protocol import (
     MemoryState,
+    ProtocolGrid,
     add,
-    compress,
     eval_at,
     incorporate,
     init_protocol,
@@ -15,8 +15,8 @@ from casmem.protocol import (
     rebin_indices,
     rebin_matrix,
     replay,
+    replay_all,
     smooth,
-    smooth_via_matrix,
     snapshot_dict,
     state_from_snapshot,
 )
@@ -49,15 +49,22 @@ def max_param_gap(a, b):
     return float(np.abs(params_of(a) - params_of(b)).max())
 
 
+def same_params(a, b):
+    return np.array_equal(params_of(a), params_of(b))
+
+
+def node(grid, j):
+    return GaussianMixture(grid.weights[j], grid.means[j], grid.covs[j])
+
+
 def test_init_protocol_ramp():
     prior, t1 = standard_prior(), day_target(1)
     grid = init_protocol(prior, t1, L=5)
-    assert grid.L == 5 and len(grid.nodes) == 6
-    assert grid.nodes[0] is prior
-    assert grid.nodes[-1] is t1
+    assert grid.L == 5 and grid.means.shape[0] == 6
+    assert same_params(node(grid, 0), prior)
+    assert same_params(node(grid, -1), t1)
     # interior nodes are the exact parameter lerp
-    mid = grid.nodes[2]
-    assert np.allclose(mid.means, 0.6 * prior.means + 0.4 * t1.means)
+    assert np.allclose(grid.means[2], 0.6 * prior.means + 0.4 * t1.means)
     with pytest.raises(ValueError):
         init_protocol(prior, day_target(1, k=3), L=5)
     with pytest.raises(ValueError):
@@ -66,9 +73,9 @@ def test_init_protocol_ramp():
 
 def test_eval_at_endpoints_and_domain():
     grid = init_protocol(standard_prior(), day_target(1), L=4)
-    assert eval_at(grid, 0.0) is grid.nodes[0]
-    assert eval_at(grid, 1.0) is grid.nodes[-1]
-    assert eval_at(grid, 0.5) is grid.nodes[2]
+    assert same_params(eval_at(grid, 0.0), node(grid, 0))
+    assert same_params(eval_at(grid, 1.0), node(grid, -1))
+    assert same_params(eval_at(grid, 0.5), node(grid, 2))
     with pytest.raises(ValueError):
         eval_at(grid, -0.01)
     with pytest.raises(ValueError):
@@ -84,7 +91,7 @@ def test_compress_relabel_is_lossless():
     for m in range(2, 5):
         state = incorporate(state, day_target(m))
     grid = state.grid
-    aug = add(compress(grid), day_target(9))
+    aug = add(grid, day_target(9))
     shrink = L / (L + 1.0)
     worst = 0.0
     for s in np.linspace(0.0, 1.0, 201):
@@ -95,11 +102,11 @@ def test_compress_relabel_is_lossless():
 def test_add_appends_target_at_one():
     grid = init_protocol(standard_prior(), day_target(1), L=4)
     target = day_target(2)
-    aug = add(compress(grid), target)
-    assert len(aug.nodes) == grid.L + 2
-    assert aug.eval_at(1.0) is target
+    aug = add(grid, target)
+    assert aug.L + 1 == grid.L + 2
+    assert same_params(aug.eval_at(1.0), target)
     with pytest.raises(ValueError):
-        add(compress(grid), day_target(2, d=3))
+        add(grid, day_target(2, d=3))
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 7, 10, 16])
@@ -109,7 +116,7 @@ def test_rebin_indices_partition_of_unity(L):
     assert idx[0] == (0, 0.0)
     k_last, a_last = idx[-1]
     assert k_last == L and a_last == 1.0
-    W = rebin_matrix(L).W
+    W = rebin_matrix(L)
     assert W.shape == (L + 1, L + 2)
     assert np.allclose(W.sum(axis=1), 1.0, atol=1e-15)
     assert np.count_nonzero(W > 0, axis=1).max() <= 2
@@ -123,10 +130,18 @@ def test_smooth_direct_equals_matrix(L):
     state = new_memory(standard_prior(), day_target(1), L)
     for m in range(2, 6):
         state = incorporate(state, day_target(m))
-    aug = add(compress(state.grid), day_target(6))
+    aug = add(state.grid, day_target(6))
     a = smooth(aug, L)
-    b = smooth_via_matrix(aug, L)
-    worst = max(max_param_gap(x, y) for x, y in zip(a.nodes, b.nodes))
+    W = rebin_matrix(L)
+    b = ProtocolGrid(
+        np.einsum("ja,ak->jk", W, aug.weights),
+        np.einsum("ja,akd->jkd", W, aug.means),
+        np.einsum("ja,akde->jkde", W, aug.covs),
+    )
+    worst = max(
+        float(np.abs(x - y).max())
+        for x, y in ((a.weights, b.weights), (a.means, b.means), (a.covs, b.covs))
+    )
     assert worst <= 1e-14
     with pytest.raises(ValueError):
         smooth(aug, L + 1)
@@ -137,7 +152,7 @@ def test_same_day_replay_is_exact():
     for m in range(2, 10):
         target = day_target(m)
         state = incorporate(state, target)
-        assert replay(state, m) is target
+        assert same_params(replay(state, m), target)
 
 
 def test_readout_times_contract_geometrically():
@@ -149,8 +164,10 @@ def test_readout_times_contract_geometrically():
     state = new_memory(standard_prior(), day_target(1), L)
     for m in range(2, 8):
         state = incorporate(state, day_target(m))
+    # the batched replay reads every day at the same readout time as replay
+    w, means, covs = replay_all(state)
     for m in range(1, 8):
-        assert state.readout[m] == pytest.approx(readout_time(L, state.day - m), abs=1e-15)
+        assert same_params(GaussianMixture(w[m - 1], means[m - 1], covs[m - 1]), replay(state, m))
     with pytest.raises(KeyError):
         replay(state, 99)
 
@@ -191,15 +208,14 @@ def test_recursion_matches_reference_arrays():
         # node 0 is the prior on every day, not only on day 1: old recall
         # interpolates toward it, which is why recall past the horizon is
         # amnesia rather than some earlier day's content
-        assert np.array_equal(params_of(state.grid.nodes[0]), params_of(prior))
+        assert same_params(node(state.grid, 0), prior)
     w, m, c = reference_recursion(prior, targets, L)
     assert np.array_equal(w[0], prior.weights)
     assert np.array_equal(m[0], prior.means)
     assert np.array_equal(c[0], prior.covs)
-    for j, node in enumerate(state.grid.nodes):
-        assert np.allclose(node.weights, w[j], atol=1e-12)
-        assert np.allclose(node.means, m[j], atol=1e-12)
-        assert np.allclose(node.covs, c[j], atol=1e-12)
+    assert np.allclose(state.grid.weights, w, atol=1e-12)
+    assert np.allclose(state.grid.means, m, atol=1e-12)
+    assert np.allclose(state.grid.covs, c, atol=1e-12)
 
 
 def test_memory_footprint_formula():
@@ -207,7 +223,8 @@ def test_memory_footprint_formula():
     assert memory_footprint(10, 1, 2) == 11 * 7
     # footprint counts exactly the scalars stored per grid node
     state = new_memory(standard_prior(k=3, d=4), day_target(1, k=3, d=4), L=6)
-    stored = sum(g.weights.size + g.means.size + g.covs.size for g in state.grid.nodes)
+    grid = state.grid
+    stored = grid.weights.size + grid.means.size + grid.covs.size
     assert stored == memory_footprint(6, 3, 4)
 
 
@@ -217,13 +234,15 @@ def test_snapshot_round_trip_and_count_audit():
     for m in range(2, 7):
         state = incorporate(state, day_target(m))
     snap = snapshot_dict(state)
-    back = state_from_snapshot(snap, originals=state.originals)
-    assert back.day == state.day
-    assert back.readout == state.readout
-    for a, b in zip(back.grid.nodes, state.grid.nodes):
-        assert max_param_gap(a, b) == 0.0
-    assert max_param_gap(back.prior, state.prior) == 0.0
-    # count audit: serialized reals = grid footprint + prior + readout table
+    # a schema-v1 snapshot also carries a readout table, which is ignored
+    v1 = dict(snap, schema_version=1, readout={str(m): 1.0 for m in range(1, state.day + 1)})
+    for back in (state_from_snapshot(snap), state_from_snapshot(v1)):
+        assert back.day == state.day
+        for a, b in ((back.grid.weights, state.grid.weights), (back.grid.means, state.grid.means),
+                     (back.grid.covs, state.grid.covs)):
+            assert np.array_equal(a, b)
+        assert max_param_gap(back.prior, state.prior) == 0.0
+    # count audit: serialized reals = grid footprint + prior
     k, d = state.grid.k, state.grid.d
     node_reals = sum(
         len(g["weights"]) + np.asarray(g["means"]).size + np.asarray(g["covs"]).size
@@ -234,9 +253,8 @@ def test_snapshot_round_trip_and_count_audit():
         + np.asarray(snap["prior"]["means"]).size
         + np.asarray(snap["prior"]["covs"]).size
     )
-    total = node_reals + prior_reals + len(snap["readout"])
     assert node_reals == memory_footprint(L, k, d)
-    assert total == memory_footprint(L, k, d) + k * (d * d + d + 1) + state.day
+    assert node_reals + prior_reals == memory_footprint(L, k, d) + k * (d * d + d + 1)
 
 
 def test_snapshot_rejects_bad_schema():
@@ -265,7 +283,7 @@ def test_resume_bisimulation():
     half = new_memory(prior, targets[0], L)
     for target in targets[1:cut]:
         half = incorporate(half, target)
-    resumed = state_from_snapshot(snapshot_dict(half), originals=tuple(targets[:cut]))
+    resumed = state_from_snapshot(snapshot_dict(half))
     for target in targets[cut:]:
         resumed = incorporate(resumed, target)
 
