@@ -15,8 +15,8 @@ from .dynamics import (
 )
 from .errors import ConfigError, NumericalError
 from .gm import (
-    DENSITY_FLOOR, GaussianMixture, Moments, convex_combine, mixture_moments, stack_mixtures,
-    validate, validate_arrays,
+    DENSITY_FLOOR, GaussianMixture, Moments, mixture_moments, stack_mixtures, validate,
+    validate_arrays,
 )
 from .harness import (
     RunConfig, RunResult, SweepResult, build_final_state, capacity_diagnostics, daily_states,
@@ -38,8 +38,8 @@ from .streams import (
 
 __all__ = [
     # gm
-    "DENSITY_FLOOR", "GaussianMixture", "Moments", "convex_combine", "mixture_moments",
-    "stack_mixtures", "validate", "validate_arrays",
+    "DENSITY_FLOOR", "GaussianMixture", "Moments", "mixture_moments", "stack_mixtures",
+    "validate", "validate_arrays",
     # protocol
     "MemoryState", "ProtocolGrid", "add", "eval_at", "incorporate", "init_protocol",
     "memory_footprint", "new_memory", "readout_time", "rebin_indices", "rebin_matrix",

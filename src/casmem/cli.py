@@ -17,6 +17,7 @@ from .dynamics import fp_residual, integrate_sde, movie_frames, sample_bulk_poin
 from .errors import ConfigError, NumericalError
 from .harness import (
     SUMMARY_KEYS,
+    SWEEP_COLUMNS,
     RunConfig,
     build_final_state,
     daily_states,
@@ -37,8 +38,11 @@ def _fmt(value) -> str:
     return "" if value is None else repr(value)
 
 
+CONFIG_KEYS = ("stream", "L", "theta", "prior", "snapshot_every", "seed")
+
+
 def load_run_config(path: str, args: argparse.Namespace) -> RunConfig:
-    """Build a RunConfig from the JSON file plus flag overrides."""
+    """Build a RunConfig from the JSON file plus flag overrides; unknown keys are refused."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -48,6 +52,9 @@ def load_run_config(path: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "stream" not in data:
         raise ConfigError(f"{path}: expected an object with a 'stream' section")
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys {unknown}")
     stream_data = dict(data["stream"])
     kind = stream_data.pop("kind", None)
     if kind is None:
@@ -127,25 +134,10 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("no sweep values given")
     result = sweep(cfg, args.axis, values)
-    header = "axis,value,half_life,max_Fbar,mean_share,cov_share,weight_share,t_star"
-    lines = [header]
+    lines = [",".join(SWEEP_COLUMNS)]
     for row in result.rows:
-        lines.append(
-            ",".join(
-                [row["axis"], repr(row["value"])]
-                + [
-                    _fmt(row[key])
-                    for key in (
-                        "half_life",
-                        "max_Fbar",
-                        "mean_share",
-                        "cov_share",
-                        "weight_share",
-                        "t_star",
-                    )
-                ]
-            )
-        )
+        values = [row["axis"], repr(row["value"])] + [_fmt(row[k]) for k in SWEEP_COLUMNS[2:]]
+        lines.append(",".join(values))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "sweep.csv"), "w") as fh:

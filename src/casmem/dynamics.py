@@ -92,23 +92,18 @@ def path_slice(grid: ProtocolGrid, t: float) -> PathSlice:
 
 
 def _slice_parts(sl: PathSlice, pts: np.ndarray):
-    """Responsibilities, solves and component velocities shared by the drift terms."""
-    gm = sl.gm
-    logg, siy = gm._eval_parts(pts)
-    lw = gm._log_weights()[None, :] + logg
-    lw = lw - lw.max(axis=1, keepdims=True)
-    r = np.exp(lw)
-    r /= r.sum(axis=1, keepdims=True)
+    """Log density, responsibilities, solves and component velocities shared by the drift terms."""
+    logd, r, siy = sl.gm._evaluate(pts)
     vel = sl.mean_rates[None, :, :] + 0.5 * np.einsum("kde,nke->nkd", sl.cov_rates, siy)
-    return logg, siy, r, vel
+    return logd, r, siy, vel
 
 
 def shape_current(sl: PathSlice, x) -> np.ndarray:
     """Probability current of the moving components, sum_k pi_k g_k (mdot_k
     + Sigmadot_k Sigma_k^{-1} (x - m_k) / 2)."""
     pts, single = _as_points(x, sl.gm.d)
-    logg, _, _, vel = _slice_parts(sl, pts)
-    out = np.einsum("nk,nkd->nd", sl.gm.weights[None, :] * np.exp(logg), vel)
+    logd, r, _, vel = _slice_parts(sl, pts)
+    out = np.einsum("nk,nkd->nd", np.exp(logd)[:, None] * r, vel)
     return out[0] if single else out
 
 
@@ -227,11 +222,11 @@ def drift_with_stats(sl: PathSlice, x) -> tuple[np.ndarray, int]:
     Poisson term needs the division, clamped at the floor in far tails.
     """
     pts, single = _as_points(x, sl.gm.d)
-    _, siy, r, vel = _slice_parts(sl, pts)
+    logd, r, siy, vel = _slice_parts(sl, pts)
     out = np.einsum("nk,nkd->nd", r, vel) - 0.5 * np.einsum("nk,nki->ni", r, siy)
     clamped = 0
     if np.abs(sl.weight_rates).sum() > WEIGHT_RATE_TOL:
-        dens = np.asarray(sl.gm.density(pts))
+        dens = np.exp(logd)
         clamped = int(np.count_nonzero(dens < DENSITY_FLOOR))
         out -= poisson_psi_grad(sl, pts) / np.maximum(dens, DENSITY_FLOOR)[:, None]
     return (out[0] if single else out), clamped

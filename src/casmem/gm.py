@@ -114,9 +114,15 @@ class GaussianMixture:
         siy = np.einsum("kji,nkj->nki", self._inv_chols, z)
         return logg, siy
 
-    def _log_weights(self) -> np.ndarray:
+    def _evaluate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Log density (n,), responsibilities (n, K) and solves (n, K, d) in one log-space pass."""
+        logg, siy = self._eval_parts(pts)
         with np.errstate(divide="ignore"):
-            return np.log(self.weights)
+            lw = np.log(self.weights)[None, :] + logg
+        peak = lw.max(axis=1, keepdims=True)
+        r = np.exp(lw - peak)
+        total = r.sum(axis=1, keepdims=True)
+        return (peak + np.log(total))[:, 0], r / total, siy
 
     def component_log_density(self, x) -> np.ndarray:
         pts, single = _as_points(x, self.d)
@@ -125,16 +131,12 @@ class GaussianMixture:
 
     def log_density(self, x) -> np.ndarray | float:
         pts, single = _as_points(x, self.d)
-        logg, _ = self._eval_parts(pts)
-        lw = self._log_weights()[None, :] + logg
-        peak = lw.max(axis=1)
-        out = peak + np.log(np.exp(lw - peak[:, None]).sum(axis=1))
+        out = self._evaluate(pts)[0]
         return float(out[0]) if single else out
 
     def density(self, x) -> np.ndarray | float:
         """Mixture density; underflows smoothly to 0.0 far from all components."""
-        out = np.exp(self.log_density(x))
-        return out
+        return np.exp(self.log_density(x))
 
     def responsibilities(self, x) -> np.ndarray:
         """Posterior component probabilities, computed in log space.
@@ -143,11 +145,7 @@ class GaussianMixture:
         density itself underflows.
         """
         pts, single = _as_points(x, self.d)
-        logg, _ = self._eval_parts(pts)
-        lw = self._log_weights()[None, :] + logg
-        lw = lw - lw.max(axis=1, keepdims=True)
-        r = np.exp(lw)
-        r /= r.sum(axis=1, keepdims=True)
+        r = self._evaluate(pts)[1]
         return r[0] if single else r
 
     def score(self, x) -> np.ndarray:
@@ -157,11 +155,7 @@ class GaussianMixture:
         and the result stays finite wherever the quadratic forms do.
         """
         pts, single = _as_points(x, self.d)
-        logg, siy = self._eval_parts(pts)
-        lw = self._log_weights()[None, :] + logg
-        lw = lw - lw.max(axis=1, keepdims=True)
-        r = np.exp(lw)
-        r /= r.sum(axis=1, keepdims=True)
+        _, r, siy = self._evaluate(pts)
         s = -np.einsum("nk,nki->ni", r, siy)
         return s[0] if single else s
 
@@ -257,26 +251,3 @@ def validate_arrays(weights, means, covs) -> str | None:
 def validate(gm: GaussianMixture) -> str | None:
     """Check the probabilistic invariants of a mixture; None means valid."""
     return validate_arrays(gm.weights, gm.means, gm.covs)
-
-
-def convex_combine(a: GaussianMixture, b: GaussianMixture, alpha: float) -> GaussianMixture:
-    """Componentwise convex combination (1 - alpha) * a + alpha * b.
-
-    The endpoints return the input objects themselves.
-    """
-    if a.k != b.k or a.d != b.d:
-        raise ValueError(
-            f"mixture shape mismatch: ({a.k}, {a.d}) vs ({b.k}, {b.d})"
-        )
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if alpha == 0.0:
-        return a
-    if alpha == 1.0:
-        return b
-    beta = 1.0 - alpha
-    return GaussianMixture(
-        beta * a.weights + alpha * b.weights,
-        beta * a.means + alpha * b.means,
-        beta * a.covs + alpha * b.covs,
-    )

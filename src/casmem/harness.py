@@ -39,6 +39,9 @@ from .protocol import (
 from .streams import StreamConfig, default_prior, generate, make_config
 
 SUMMARY_KEYS = ("half_life", "theta", "max_Fbar", "mean_share", "cov_share", "weight_share")
+SWEEP_COLUMNS = (
+    "axis", "value", "half_life", "max_Fbar", "mean_share", "cov_share", "weight_share", "t_star"
+)
 
 
 @dataclass(frozen=True)
@@ -119,10 +122,11 @@ def daily_states(
 def run_experiment(cfg: RunConfig) -> RunResult:
     """Run the daily recursion over the configured stream and score recall."""
     targets = stream_targets(cfg)
+    stacked = stack_mixtures(targets)
     records: list[ForgettingRecord] = []
     try:
         for state in daily_states(cfg, targets):
-            records.extend(day_records(state, targets=targets))
+            records.extend(day_records(state, targets=stacked))
             _maybe_snapshot(cfg, state)
     except Exception:
         if cfg.outputs:
@@ -206,19 +210,8 @@ def sweep(cfg: RunConfig, axis: str, values) -> SweepResult:
     """Independent runs along one config axis; fits capacity when axis is L."""
     rows = []
     for value in values:
-        result = run_experiment(_apply_axis(cfg, axis, value))
-        rows.append(
-            {
-                "axis": axis,
-                "value": value,
-                "half_life": result.half_life,
-                "max_Fbar": result.summary["max_Fbar"],
-                "mean_share": result.summary["mean_share"],
-                "cov_share": result.summary["cov_share"],
-                "weight_share": result.summary["weight_share"],
-                "t_star": result.summary["t_star"],
-            }
-        )
+        summary = run_experiment(_apply_axis(cfg, axis, value)).summary
+        rows.append({"axis": axis, "value": value, **{k: summary[k] for k in SWEEP_COLUMNS[2:]}})
     fit = None
     if axis == "L":
         usable = [(r["value"], r["half_life"]) for r in rows if r["half_life"] is not None]
@@ -252,9 +245,7 @@ def fifo_baseline(cfg: RunConfig) -> RunResult:
         days = np.arange(n)
         rows = np.where(n - 1 - days < cfg.L, days, len(targets))
         recalled = [a[rows] for a in pool]
-        records.extend(
-            score_recall(n, recalled, targets[:n], prior.overall_moments(), prior.k > 1)
-        )
+        records.extend(score_recall(recalled, [a[:n] for a in pool], prior.overall_moments()))
     return _result(cfg, records, new_memory(prior, targets[0], cfg.L))
 
 
@@ -319,7 +310,8 @@ def resume_run(cfg: RunConfig, state: MemoryState) -> RunResult:
         raise ConfigError(f"snapshot was made with L = {state.grid.L}, config has L = {cfg.L}")
     if state.prior.to_dict() != resolve_prior(cfg, targets[0]).to_dict():
         raise ConfigError("snapshot prior differs from the prior this config resolves to")
+    stacked = stack_mixtures(targets)
     records: list[ForgettingRecord] = []
     for state in daily_states(cfg, targets, state):
-        records.extend(day_records(state, targets=targets))
+        records.extend(day_records(state, targets=stacked))
     return _result(cfg, records, state)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .gm import GaussianMixture, Moments, mixture_moments, stack_mixtures
+from .gm import Moments, mixture_moments
 from .protocol import MemoryState, replay_all
 
 RECORD_CSV_HEADER = "m,n,age,F_raw,F_norm,F_mean,F_cov,F_weight"
@@ -59,85 +59,86 @@ def moment_gap(a: Moments, b: Moments) -> float | np.ndarray:
     return float(gap) if np.ndim(gap) == 0 else gap
 
 
-def match_components(a: GaussianMixture, b: GaussianMixture) -> np.ndarray:
-    """Permutation sigma minimizing sum_k ||m_k^a - m_sigma(k)^b||^2.
+def match_components(a_means, b_means) -> np.ndarray:
+    """Permutations sigma minimizing sum_k ||a_k - b_sigma(k)||^2, batched.
 
-    Solved exactly by the assignment method; when the identity ties the
-    optimum (identical mixtures in particular) it is returned.
+    ``a_means`` and ``b_means`` are (..., K, d) component means; the result
+    is (..., K). Each pair is solved exactly by the assignment method; when
+    the identity ties the optimum (identical mixtures in particular) it is
+    returned.
     """
-    if a.k != b.k or a.d != b.d:
-        raise ValueError(f"mixture shape mismatch: ({a.k}, {a.d}) vs ({b.k}, {b.d})")
-    diff = a.means[:, None, :] - b.means[None, :, :]
-    cost = np.einsum("ijd,ijd->ij", diff, diff)
-    rows, cols = linear_sum_assignment(cost)
-    perm = cols[np.argsort(rows)]
-    identity = np.arange(a.k)
-    if cost[identity, identity].sum() <= cost[identity, perm].sum():
-        return identity
-    return perm
+    a, b = np.asarray(a_means, dtype=float), np.asarray(b_means, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"component means shape mismatch: {a.shape} vs {b.shape}")
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    cost = np.einsum("...ijd,...ijd->...ij", diff, diff)
+    perm = np.empty(cost.shape[:-1], dtype=np.intp)
+    for i in np.ndindex(cost.shape[:-2]):
+        perm[i] = linear_sum_assignment(cost[i])[1]
+    identity = np.arange(a.shape[-2])
+    chosen = np.take_along_axis(cost, perm[..., None], axis=-1)[..., 0]
+    tie = cost[..., identity, identity].sum(axis=-1) <= chosen.sum(axis=-1)
+    return np.where(tie[..., None], identity, perm)
 
 
-def decomposed_forgetting(
-    replayed: GaussianMixture, original: GaussianMixture
-) -> tuple[float, float, float]:
+def decomposed_forgetting(replayed, original) -> tuple:
     """Channel split (F_mean, F_cov, F_weight) under the optimal matching.
 
-    Component gaps are weighted by max of the two matched weights, so a
-    component cannot hide its error by losing weight. The three channels
-    are reported on their own scale; their sum is not the overall-moment
-    raw forgetting except in the single-component case.
+    ``replayed`` and ``original`` are (weights, means, covs) triples of
+    shapes (..., K), (..., K, d) and (..., K, d, d); each channel has the
+    leading shape. Component gaps are weighted by max of the two matched
+    weights, so a component cannot hide its error by losing weight. The
+    three channels are reported on their own scale; their sum is not the
+    overall-moment raw forgetting except in the single-component case.
     """
-    perm = match_components(replayed, original)
-    w_bar = np.maximum(replayed.weights, original.weights[perm])
-    dm = replayed.means - original.means[perm]
-    f_mean = float(w_bar @ np.einsum("kd,kd->k", dm, dm))
-    ds = replayed.covs - original.covs[perm]
-    f_cov = float(w_bar @ np.einsum("kde,kde->k", ds, ds))
-    dw = replayed.weights - original.weights[perm]
-    f_weight = float(dw @ dw)
-    return f_mean, f_cov, f_weight
+    r_w, r_m, r_c = replayed
+    o_w, o_m, o_c = original
+    perm = match_components(r_m, o_m)
+    o_w = np.take_along_axis(o_w, perm, axis=-1)
+    o_m = np.take_along_axis(o_m, perm[..., None], axis=-2)
+    o_c = np.take_along_axis(o_c, perm[..., None, None], axis=-3)
+    w_bar = np.maximum(r_w, o_w)
+    dm = r_m - o_m
+    f_mean = np.einsum("...k,...k->...", w_bar, np.einsum("...kd,...kd->...k", dm, dm))
+    ds = r_c - o_c
+    f_cov = np.einsum("...k,...k->...", w_bar, np.einsum("...kde,...kde->...k", ds, ds))
+    dw = r_w - o_w
+    return f_mean, f_cov, np.einsum("...k,...k->...", dw, dw)
 
 
-def score_recall(
-    n: int, recalled, targets, prior_moments: Moments, decompose: bool
-) -> list[ForgettingRecord]:
-    """Records (m, n) for days m = 1, 2, ... recalled on day n.
+def score_recall(recalled, targets, prior_moments: Moments) -> list[ForgettingRecord]:
+    """Records (m, n) for days m = 1, ..., n recalled on day n.
 
-    ``recalled`` holds the stacked (weights, means, covs) recalled for
-    those days and ``targets`` their original mixtures, in day order.
-    Overall moments and raw gaps are computed for all days at once; the
-    amnesia baseline is the gap between the prior and each target.
+    ``recalled`` and ``targets`` are stacked (weights, means, covs) triples
+    of the recalled and the original mixtures of those days, in day order,
+    so n is their leading length. Every day is scored at once: overall
+    moments and raw gaps, the amnesia baseline (the gap between the prior
+    and each target) and, for K > 1 components, the channel split.
     """
-    weights, means, covs = recalled
-    if len(targets) != len(weights):
-        raise ValueError(f"{len(weights)} recalled days but {len(targets)} targets")
-    orig = mixture_moments(*stack_mixtures(targets))
-    f_raw = moment_gap(mixture_moments(weights, means, covs), orig).tolist()
+    n, k = targets[0].shape
+    if len(recalled[0]) != n:
+        raise ValueError(f"{len(recalled[0])} recalled days but {n} targets")
+    orig = mixture_moments(*targets)
+    f_raw = moment_gap(mixture_moments(*recalled), orig).tolist()
     baseline = moment_gap(prior_moments, orig).tolist()
+    channels = [(None, None, None)] * n
+    if k > 1:
+        channels = zip(*(f.tolist() for f in decomposed_forgetting(recalled, targets)))
     records = []
-    for i, original in enumerate(targets):
+    for i, ch in enumerate(channels):
         f_norm = f_raw[i] / baseline[i] if baseline[i] > 0.0 else None
-        channels = (None, None, None)
-        if decompose:
-            rep = GaussianMixture(weights[i], means[i], covs[i])
-            channels = decomposed_forgetting(rep, original)
-        records.append(ForgettingRecord(i + 1, n, f_raw[i], f_norm, *channels))
+        records.append(ForgettingRecord(i + 1, n, f_raw[i], f_norm, *ch))
     return records
 
 
-def day_records(
-    state: MemoryState, targets, decompose: bool | None = None
-) -> list[ForgettingRecord]:
+def day_records(state: MemoryState, targets) -> list[ForgettingRecord]:
     """Records (m, n) for the current day n and every stored day m <= n.
 
-    ``targets`` are the daily targets the memory has seen, day m at index
-    m - 1; every stored day is replayed in one batch.
+    ``targets`` are the stacked (weights, means, covs) of the run's daily
+    targets, day m at row m - 1; every stored day is replayed in one batch.
     """
-    if decompose is None:
-        decompose = state.grid.k > 1
-    return score_recall(
-        state.day, replay_all(state), targets[: state.day], state.prior.overall_moments(), decompose
-    )
+    days = tuple(a[: state.day] for a in targets)
+    return score_recall(replay_all(state), days, state.prior.overall_moments())
 
 
 def age_curve(records) -> AgeCurve:

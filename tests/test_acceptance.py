@@ -341,7 +341,7 @@ def test_criterion_15_oracle_equivalences():
         b = GaussianMixture(
             np.full(k, 1.0 / k), rng.normal(0.0, 2.0, (k, 2)), np.tile(np.eye(2), (k, 1, 1))
         )
-        perm = match_components(a, b)
+        perm = match_components(a.means, b.means)
         cost = float(np.sum((a.means - b.means[perm]) ** 2))
         best = min(
             float(np.sum((a.means - b.means[list(p)]) ** 2))

@@ -4,7 +4,6 @@ import pytest
 from casmem.gm import (
     GaussianMixture,
     Moments,
-    convex_combine,
     validate,
     validate_arrays,
 )
@@ -147,26 +146,3 @@ def test_serialization_round_trip():
     assert np.array_equal(back.weights, gm.weights)
     assert np.array_equal(back.means, gm.means)
     assert np.array_equal(back.covs, gm.covs)
-
-
-@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
-def test_convex_combine_interpolates_parameters(alpha):
-    rng = np.random.default_rng(11)
-    a = random_mixture(rng, k=3, d=2)
-    b = random_mixture(rng, k=3, d=2)
-    c = convex_combine(a, b, alpha)
-    assert np.allclose(c.weights, (1 - alpha) * a.weights + alpha * b.weights)
-    assert np.allclose(c.means, (1 - alpha) * a.means + alpha * b.means)
-    assert np.allclose(c.covs, (1 - alpha) * a.covs + alpha * b.covs)
-
-
-def test_convex_combine_endpoints_are_bit_exact():
-    rng = np.random.default_rng(12)
-    a = random_mixture(rng)
-    b = random_mixture(rng)
-    assert convex_combine(a, b, 0.0) is a
-    assert convex_combine(a, b, 1.0) is b
-    with pytest.raises(ValueError):
-        convex_combine(a, b, 1.5)
-    with pytest.raises(ValueError):
-        convex_combine(a, random_mixture(rng, k=2), 0.5)

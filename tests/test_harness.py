@@ -284,6 +284,13 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert cli_main(["run", "--config", bad_theta]) == 2
 
 
+def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
+    misspelt = write_cfg(tmp_path, snapshot_evry=3)
+    assert cli_main(["run", "--config", misspelt]) == 2
+    assert "snapshot_evry" in capsys.readouterr().err
+    assert cli_main(["sweep", "--config", misspelt, "--axis", "L", "--values", "3"]) == 2
+
+
 def test_cli_requires_seed_for_random_streams(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from casmem.gm import GaussianMixture, Moments
+from casmem.gm import GaussianMixture, Moments, stack_mixtures
 from casmem.metrics import (
     AGE_CURVE_CSV_HEADER,
     RECORD_CSV_HEADER,
@@ -19,8 +19,8 @@ from casmem.metrics import (
     records_csv_lines,
 )
 from casmem.harness import RunConfig, run_experiment
-from casmem.protocol import incorporate, new_memory
-from casmem.streams import default_prior, make_config
+from casmem.protocol import incorporate, new_memory, replay
+from casmem.streams import default_prior, generate, make_config
 
 
 def random_mixture(rng, k=3, d=2, spread=2.0):
@@ -32,6 +32,10 @@ def random_mixture(rng, k=3, d=2, spread=2.0):
         a = rng.normal(0.0, 0.5, (d, d))
         covs[i] = a @ a.T + 0.4 * np.eye(d)
     return GaussianMixture(w, means, covs)
+
+
+def parts(gm):
+    return gm.weights, gm.means, gm.covs
 
 
 def brute_force_match(a, b):
@@ -87,7 +91,7 @@ def test_day_records_guard_zero_baseline():
     state = new_memory(prior, targets[0], 3)
     for t in targets[1:]:
         state = incorporate(state, t)
-    recs = day_records(state, targets)
+    recs = day_records(state, stack_mixtures(targets))
     assert recs[1].F_norm is None
     for rec in (recs[0], recs[2]):
         baseline = moment_gap(prior.overall_moments(), targets[rec.m - 1].overall_moments())
@@ -97,20 +101,35 @@ def test_day_records_guard_zero_baseline():
 
 def test_match_components_equals_brute_force():
     rng = np.random.default_rng(1)
+    by_k = {}
     for _ in range(60):
         k = int(rng.integers(1, 6))
         a = random_mixture(rng, k=k)
         b = random_mixture(rng, k=k)
-        perm = match_components(a, b)
+        perm = match_components(a.means, b.means)
         _, best_cost = brute_force_match(a, b)
         assert assignment_cost(a, b, perm) == pytest.approx(best_cost, rel=1e-12)
+        by_k.setdefault(k, []).append((a, b, perm, best_cost))
+    # the same pairs stacked per K: every row is its pair's own answer
+    for k, group in by_k.items():
+        batch = match_components(
+            np.stack([a.means for a, _, _, _ in group]), np.stack([b.means for _, b, _, _ in group])
+        )
+        assert batch.shape == (len(group), k)
+        for row, (a, b, perm, best_cost) in zip(batch, group):
+            assert np.array_equal(row, perm)
+            assert assignment_cost(a, b, row) == pytest.approx(best_cost, rel=1e-12)
 
 
 def test_match_prefers_identity_on_ties():
     # identical mixtures: every cost ties at the permutation diagonal,
     # but the identity must win so decompositions stay labeled
     gm = random_mixture(np.random.default_rng(2), k=4)
-    assert np.array_equal(match_components(gm, gm), np.arange(4))
+    assert np.array_equal(match_components(gm.means, gm.means), np.arange(4))
+    # batched, the tie-break is decided row by row
+    swapped = gm.means[[1, 0, 2, 3]]
+    got = match_components(np.stack([gm.means, gm.means]), np.stack([gm.means, swapped]))
+    assert np.array_equal(got, [[0, 1, 2, 3], [1, 0, 2, 3]])
 
 
 def test_match_recovers_planted_permutation():
@@ -118,13 +137,13 @@ def test_match_recovers_planted_permutation():
     a = random_mixture(rng, k=5, spread=6.0)
     perm = rng.permutation(5)
     b = GaussianMixture(a.weights[perm], a.means[perm], a.covs[perm])
-    got = match_components(a, b)
+    got = match_components(a.means, b.means)
     assert np.array_equal(a.means, b.means[got])
 
 
 def test_decomposition_zero_for_identical():
     gm = random_mixture(np.random.default_rng(4))
-    assert decomposed_forgetting(gm, gm) == (0.0, 0.0, 0.0)
+    assert decomposed_forgetting(parts(gm), parts(gm)) == (0.0, 0.0, 0.0)
 
 
 def test_decomposition_is_label_invariant():
@@ -133,19 +152,21 @@ def test_decomposition_is_label_invariant():
     b = random_mixture(rng, k=4, spread=5.0)
     perm = rng.permutation(4)
     b_shuffled = GaussianMixture(b.weights[perm], b.means[perm], b.covs[perm])
-    assert np.allclose(decomposed_forgetting(a, b), decomposed_forgetting(a, b_shuffled))
+    assert np.allclose(
+        decomposed_forgetting(parts(a), parts(b)), decomposed_forgetting(parts(a), parts(b_shuffled))
+    )
 
 
 def test_decomposition_channels_isolate():
     rng = np.random.default_rng(6)
     base = random_mixture(rng, k=3, spread=5.0)
     shift = GaussianMixture(base.weights, base.means + 0.1, base.covs)
-    f_mean, f_cov, f_weight = decomposed_forgetting(shift, base)
+    f_mean, f_cov, f_weight = decomposed_forgetting(parts(shift), parts(base))
     assert f_cov == 0.0 and f_weight == 0.0
     # w_bar weighting: sum_k max(w) * d * 0.01
     assert f_mean == pytest.approx(0.01 * base.d * base.weights.sum())
     scaled = GaussianMixture(base.weights, base.means, 1.1 * base.covs)
-    f_mean, f_cov, f_weight = decomposed_forgetting(scaled, base)
+    f_mean, f_cov, f_weight = decomposed_forgetting(parts(scaled), parts(base))
     assert f_mean == 0.0 and f_weight == 0.0 and f_cov > 0.0
 
 
@@ -161,7 +182,7 @@ def run_small_state(n_days=6, k=2, d=2, L=4):
 
 def test_day_records_shapes_and_flags():
     state, targets = run_small_state()
-    recs = day_records(state, targets)
+    recs = day_records(state, stack_mixtures(targets))
     n = state.day
     assert len(recs) == n
     assert [r.m for r in recs] == list(range(1, n + 1))
@@ -169,10 +190,22 @@ def test_day_records_shapes_and_flags():
     assert all(r.age == r.n - r.m for r in recs)
     # same-day replay is exact, so the newest record has zero raw forgetting
     assert recs[-1].F_raw == pytest.approx(0.0, abs=1e-20)
-    # multi-component run: decompositions filled in
+    # multi-component run: decompositions filled in; single-component: left empty
     assert all(r.F_mean is not None for r in recs)
-    single = day_records(state, targets, decompose=False)
-    assert all(r.F_mean is None for r in single)
+    state, targets = run_small_state(k=1)
+    assert all(r.F_mean is None for r in day_records(state, stack_mixtures(targets)))
+
+
+def test_day_records_channels_equal_single_pair_decomposition():
+    targets = generate(make_config("triangle", n_days=20))
+    stacked = stack_mixtures(targets)
+    state = new_memory(default_prior(3, 2), targets[0], 6)
+    for target in targets[1:]:
+        state = incorporate(state, target)
+        for rec in day_records(state, stacked):
+            want = decomposed_forgetting(parts(replay(state, rec.m)), parts(targets[rec.m - 1]))
+            got = (rec.F_mean, rec.F_cov, rec.F_weight)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_age_curve_aggregation_and_half_life():
