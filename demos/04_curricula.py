@@ -59,9 +59,7 @@ def main():
     print(f"  shares over ages > 10: mean = {mean_s:.3f}, cov = {cov_s:.3f}, "
           f"weight = {weight_s:.3f}  (covariance-dominated)")
 
-    raw = {}
-    for rec in res.records:
-        raw.setdefault(rec.age, []).append(rec.F_raw)
+    ages, f_raws = res.records.age, res.records.F_raw
     prior = res.final_state.prior.overall_moments()
     amnesia = [moment_gap(prior, t.overall_moments()) for t in generate(cfg.stream)]
     L = cfg.L
@@ -69,8 +67,9 @@ def main():
           f"past it recall is interpolated toward the prior")
     print("    age  prior weight  F_raw  amnesia  ratio")
     for a in (5, 15, 24, 30, 35, 45, 60, 90, 120):
-        f_raw = np.mean(raw[a])
-        gap = np.mean(amnesia[: len(raw[a])])
+        at_age = f_raws[ages == a]
+        f_raw = np.mean(at_age)
+        gap = np.mean(amnesia[: len(at_age)])
         weight = max(0.0, 1.0 - L * readout_time(L, a))
         print(f"    {a:>3}  {weight:>12.3f}  {f_raw:>5.3f}  {gap:>7.3f}  {f_raw / gap:>5.3f}")
     print("  (amnesia: mean gap between the prior and the targets of the same days)")

@@ -24,7 +24,7 @@ from .harness import (
     stream_targets, sweep,
 )
 from .metrics import (
-    AgeCurve, ForgettingRecord, age_curve, channel_shares, day_records, decomposed_forgetting,
+    RECORD_DTYPE, AgeCurve, age_curve, channel_shares, day_records, decomposed_forgetting,
     half_life, match_components, moment_gap, score_recall,
 )
 from .protocol import (
@@ -45,7 +45,7 @@ __all__ = [
     "memory_footprint", "new_memory", "readout_time", "rebin_indices", "rebin_matrix",
     "replay", "replay_all", "smooth",
     # metrics
-    "AgeCurve", "ForgettingRecord", "age_curve", "channel_shares", "day_records",
+    "RECORD_DTYPE", "AgeCurve", "age_curve", "channel_shares", "day_records",
     "decomposed_forgetting", "half_life", "match_components", "moment_gap", "score_recall",
     # streams
     "StreamConfig", "class_prior", "default_prior", "generate", "load_gm_file", "make_config",

@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snapshot", help="run to a given day and save the memory state")
     p.add_argument("--config", required=True)
     p.add_argument("--day", type=int, required=True)
-    p.add_argument("--out", required=True, help="snapshot file to write")
+    p.add_argument("--out", required=True, help="directory for the snapshot file")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_snapshot)
 

@@ -12,15 +12,15 @@ import json
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gm import GaussianMixture, stack_mixtures, validate
 from .metrics import (
+    RECORD_DTYPE,
     AgeCurve,
-    ForgettingRecord,
     age_curve,
     age_curve_csv_lines,
     channel_shares,
@@ -57,7 +57,7 @@ class RunConfig:
 @dataclass
 class RunResult:
     config: RunConfig
-    records: list[ForgettingRecord]
+    records: np.recarray
     curve: AgeCurve
     half_life: int | None
     summary: dict
@@ -103,6 +103,11 @@ def stream_targets(cfg: RunConfig) -> list[GaussianMixture]:
     return targets
 
 
+def _stream_fingerprint(stream: StreamConfig) -> dict:
+    """The stream config without n_days: one config's streams agree on their common days."""
+    return {key: value for key, value in asdict(stream).items() if key != "n_days"}
+
+
 def daily_states(
     cfg: RunConfig, targets, state: MemoryState | None = None
 ) -> Iterator[MemoryState]:
@@ -113,6 +118,7 @@ def daily_states(
     """
     if state is None:
         state = new_memory(resolve_prior(cfg, targets[0]), targets[0], cfg.L)
+        state = replace(state, stream=_stream_fingerprint(cfg.stream))
         yield state
     for target in targets[state.day:]:
         state = incorporate(state, target)
@@ -123,19 +129,25 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     """Run the daily recursion over the configured stream and score recall."""
     targets = stream_targets(cfg)
     stacked = stack_mixtures(targets)
-    records: list[ForgettingRecord] = []
+    days = []
     try:
         for state in daily_states(cfg, targets):
-            records.extend(day_records(state, targets=stacked))
+            days.append(day_records(state, targets=stacked))
             _maybe_snapshot(cfg, state)
     except Exception:
         if cfg.outputs:
-            _flush_partial(cfg, records)
+            _flush_partial(cfg, days)
         raise
-    return _result(cfg, records, state)
+    return _result(cfg, days, state)
 
 
-def _result(cfg: RunConfig, records, state: MemoryState) -> RunResult:
+def _concat(days) -> np.recarray:
+    """The per-day record arrays as one, in day order."""
+    return np.concatenate(days or [np.recarray(0, dtype=RECORD_DTYPE)]).view(np.recarray)
+
+
+def _result(cfg: RunConfig, days, state: MemoryState) -> RunResult:
+    records = _concat(days)
     curve = age_curve(records)
     hl = half_life(curve, cfg.theta)
     shares = channel_shares(records) or (None, None, None)
@@ -158,11 +170,11 @@ def _maybe_snapshot(cfg: RunConfig, state: MemoryState) -> None:
         snapshot_state(state, os.path.join(cfg.outputs, f"snapshot_day{state.day:04d}.json"))
 
 
-def _flush_partial(cfg: RunConfig, records) -> None:
+def _flush_partial(cfg: RunConfig, days) -> None:
     os.makedirs(cfg.outputs, exist_ok=True)
     path = os.path.join(cfg.outputs, "records.partial.csv")
     with open(path, "w") as fh:
-        fh.write("\n".join(records_csv_lines(records)) + "\n")
+        fh.write("\n".join(records_csv_lines(_concat(days))) + "\n")
 
 
 def build_final_state(cfg: RunConfig) -> MemoryState:
@@ -240,13 +252,13 @@ def fifo_baseline(cfg: RunConfig) -> RunResult:
     targets = stream_targets(cfg)
     prior = resolve_prior(cfg, targets[0])
     pool = stack_mixtures([*targets, prior])  # day m at row m - 1, the prior last
-    records = []
+    days = []
     for n in range(1, len(targets) + 1):
-        days = np.arange(n)
-        rows = np.where(n - 1 - days < cfg.L, days, len(targets))
+        stored = np.arange(n)
+        rows = np.where(n - 1 - stored < cfg.L, stored, len(targets))
         recalled = [a[rows] for a in pool]
-        records.extend(score_recall(recalled, [a[:n] for a in pool], prior.overall_moments()))
-    return _result(cfg, records, new_memory(prior, targets[0], cfg.L))
+        days.append(score_recall(recalled, [a[:n] for a in pool], prior.overall_moments()))
+    return _result(cfg, days, new_memory(prior, targets[0], cfg.L))
 
 
 def export(result: RunResult, fmt: str, path: str) -> list[str]:
@@ -299,7 +311,8 @@ def resume_run(cfg: RunConfig, state: MemoryState) -> RunResult:
     The target history is regenerated from the config (streams are pure
     functions of it), so earlier days can be scored even though snapshots
     do not carry them. Records cover days after the snapshot. The
-    snapshot must have been made under the same L and prior.
+    snapshot must have been made under the same L, prior and stream config
+    (snapshots of schema v1 and v2 do not record the stream).
     """
     targets = stream_targets(cfg)
     if state.day > len(targets):
@@ -310,8 +323,12 @@ def resume_run(cfg: RunConfig, state: MemoryState) -> RunResult:
         raise ConfigError(f"snapshot was made with L = {state.grid.L}, config has L = {cfg.L}")
     if state.prior.to_dict() != resolve_prior(cfg, targets[0]).to_dict():
         raise ConfigError("snapshot prior differs from the prior this config resolves to")
+    stream = _stream_fingerprint(cfg.stream)
+    if state.stream is not None and state.stream != stream:
+        differs = sorted(k for k in stream | state.stream if stream.get(k) != state.stream.get(k))
+        raise ConfigError(f"snapshot was made from another stream config (differs in {differs})")
     stacked = stack_mixtures(targets)
-    records: list[ForgettingRecord] = []
+    days = []
     for state in daily_states(cfg, targets, state):
-        records.extend(day_records(state, targets=stacked))
-    return _result(cfg, records, state)
+        days.append(day_records(state, targets=stacked))
+    return _result(cfg, days, state)

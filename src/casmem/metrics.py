@@ -9,6 +9,7 @@ misleading.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,28 +18,14 @@ from scipy.optimize import linear_sum_assignment
 from .gm import Moments, mixture_moments
 from .protocol import MemoryState, replay_all
 
-RECORD_CSV_HEADER = "m,n,age,F_raw,F_norm,F_mean,F_cov,F_weight"
+# One row per (m, n) replay comparison; a missing value is NaN: F_norm on a
+# zero-baseline day, and the channel split of a single-component run.
+RECORD_DTYPE = np.dtype(
+    [("m", np.int64), ("n", np.int64), ("age", np.int64)]
+    + [(f, np.float64) for f in ("F_raw", "F_norm", "F_mean", "F_cov", "F_weight")]
+)
+RECORD_CSV_HEADER = ",".join(RECORD_DTYPE.names)
 AGE_CURVE_CSV_HEADER = "age,F_bar,count"
-
-
-@dataclass(frozen=True)
-class ForgettingRecord:
-    """One (m, n) replay comparison; F_norm is None on zero-baseline days.
-
-    The decomposition fields are populated only for multi-component runs.
-    """
-
-    m: int
-    n: int
-    F_raw: float
-    F_norm: float | None
-    F_mean: float | None = None
-    F_cov: float | None = None
-    F_weight: float | None = None
-
-    @property
-    def age(self) -> int:
-        return self.n - self.m
 
 
 @dataclass(frozen=True)
@@ -106,32 +93,35 @@ def decomposed_forgetting(replayed, original) -> tuple:
     return f_mean, f_cov, np.einsum("...k,...k->...", dw, dw)
 
 
-def score_recall(recalled, targets, prior_moments: Moments) -> list[ForgettingRecord]:
+def score_recall(recalled, targets, prior_moments: Moments) -> np.recarray:
     """Records (m, n) for days m = 1, ..., n recalled on day n.
 
     ``recalled`` and ``targets`` are stacked (weights, means, covs) triples
     of the recalled and the original mixtures of those days, in day order,
     so n is their leading length. Every day is scored at once: overall
     moments and raw gaps, the amnesia baseline (the gap between the prior
-    and each target) and, for K > 1 components, the channel split.
+    and each target) and, for K > 1 components, the channel split. The
+    result is one RECORD_DTYPE array in day order: F_norm is NaN where the
+    baseline is 0, the channels are NaN for K = 1.
     """
     n, k = targets[0].shape
     if len(recalled[0]) != n:
         raise ValueError(f"{len(recalled[0])} recalled days but {n} targets")
     orig = mixture_moments(*targets)
-    f_raw = moment_gap(mixture_moments(*recalled), orig).tolist()
-    baseline = moment_gap(prior_moments, orig).tolist()
-    channels = [(None, None, None)] * n
-    if k > 1:
-        channels = zip(*(f.tolist() for f in decomposed_forgetting(recalled, targets)))
-    records = []
-    for i, ch in enumerate(channels):
-        f_norm = f_raw[i] / baseline[i] if baseline[i] > 0.0 else None
-        records.append(ForgettingRecord(i + 1, n, f_raw[i], f_norm, *ch))
-    return records
+    rec = np.recarray(n, dtype=RECORD_DTYPE)
+    rec.m = np.arange(1, n + 1)
+    rec.n = n
+    rec.age = n - rec.m
+    rec.F_raw = moment_gap(mixture_moments(*recalled), orig)
+    baseline = moment_gap(prior_moments, orig)
+    rec.F_norm = np.divide(rec.F_raw, baseline, out=np.full(n, np.nan), where=baseline > 0.0)
+    rec.F_mean, rec.F_cov, rec.F_weight = (
+        decomposed_forgetting(recalled, targets) if k > 1 else (np.nan,) * 3
+    )
+    return rec
 
 
-def day_records(state: MemoryState, targets) -> list[ForgettingRecord]:
+def day_records(state: MemoryState, targets) -> np.recarray:
     """Records (m, n) for the current day n and every stored day m <= n.
 
     ``targets`` are the stacked (weights, means, covs) of the run's daily
@@ -142,21 +132,13 @@ def day_records(state: MemoryState, targets) -> list[ForgettingRecord]:
 
 
 def age_curve(records) -> AgeCurve:
-    """Average F_norm per age; zero-baseline records are skipped and counted."""
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    skipped = 0
-    for rec in records:
-        if rec.F_norm is None:
-            skipped += 1
-            continue
-        a = rec.age
-        sums[a] = sums.get(a, 0.0) + rec.F_norm
-        counts[a] = counts.get(a, 0) + 1
-    ages = np.array(sorted(sums), dtype=int)
-    values = np.array([sums[a] / counts[a] for a in ages], dtype=float)
-    ns = np.array([counts[a] for a in ages], dtype=int)
-    return AgeCurve(ages, values, ns, skipped)
+    """Average F_norm per age; zero-baseline (NaN) records are skipped and counted."""
+    kept = ~np.isnan(records.F_norm)
+    age = records.age[kept]
+    counts = np.bincount(age)
+    sums = np.bincount(age, weights=records.F_norm[kept])
+    ages = np.flatnonzero(counts)
+    return AgeCurve(ages, sums[ages] / counts[ages], counts[ages], int(kept.size - age.size))
 
 
 def half_life(curve: AgeCurve, theta: float = 0.5) -> int | None:
@@ -167,20 +149,15 @@ def half_life(curve: AgeCurve, theta: float = 0.5) -> int | None:
     return None
 
 
-def _fmt(x: float | None) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+def _fmt(x: float) -> str:
+    return "" if math.isnan(x) else repr(x)
 
 
 def records_csv_lines(records) -> list[str]:
-    """Record rows in the export schema, ordered by (n, m)."""
+    """Record rows in the export schema, ordered by (n, m); NaN is an empty cell."""
     lines = [RECORD_CSV_HEADER]
-    for rec in sorted(records, key=lambda r: (r.n, r.m)):
-        lines.append(
-            f"{rec.m},{rec.n},{rec.age},{_fmt(rec.F_raw)},{_fmt(rec.F_norm)},"
-            f"{_fmt(rec.F_mean)},{_fmt(rec.F_cov)},{_fmt(rec.F_weight)}"
-        )
+    for m, n, age, *fs in records[np.lexsort((records.m, records.n))].tolist():
+        lines.append(",".join([str(m), str(n), str(age), *map(_fmt, fs)]))
     return lines
 
 
@@ -198,21 +175,15 @@ def channel_shares(records, min_age: int = 0) -> tuple[float, float, float] | No
     pairs do not drown out the few old ones; ages below min_age or with a
     zero channel total are left out. None when no decomposition was run.
     """
-    by_age: dict[int, list[float]] = {}
-    for rec in records:
-        if rec.F_mean is None or rec.age < min_age:
-            continue
-        acc = by_age.setdefault(rec.age, [0.0, 0.0, 0.0])
-        acc[0] += rec.F_mean
-        acc[1] += rec.F_cov
-        acc[2] += rec.F_weight
-    shares = [
-        (tm / (tm + tc + tw), tc / (tm + tc + tw), tw / (tm + tc + tw))
-        for tm, tc, tw in by_age.values()
-        if tm + tc + tw > 0.0
-    ]
-    if not shares:
+    kept = ~np.isnan(records.F_mean) & (records.age >= min_age)
+    age = records.age[kept]
+    totals = np.stack(
+        [np.bincount(age, weights=records[f][kept]) for f in ("F_mean", "F_cov", "F_weight")],
+        axis=1,
+    )
+    total = totals[:, 0] + totals[:, 1] + totals[:, 2]
+    shares = totals[total > 0.0] / total[total > 0.0, None]  # ages without records total 0
+    if not len(shares):
         return None
-    arr = np.asarray(shares)
-    means = arr.mean(axis=0)
+    means = shares.mean(axis=0)
     return float(means[0]), float(means[1]), float(means[2])

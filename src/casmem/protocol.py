@@ -25,8 +25,9 @@ import numpy as np
 
 from .gm import GaussianMixture, _frozen, stack_mixtures
 
-SNAPSHOT_SCHEMA_VERSION = 2
-_READABLE_SCHEMAS = (1, 2)  # v1 also carries a readout table, which is ignored
+SNAPSHOT_SCHEMA_VERSION = 3
+# v1 also carries a readout table, which is ignored; v1 and v2 carry no stream
+_READABLE_SCHEMAS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,16 @@ class ProtocolGrid:
 
 @dataclass(frozen=True)
 class MemoryState:
-    """Everything retained between days: the prior, the grid and the day count."""
+    """Everything retained between days: the prior, the grid and the day count.
+
+    ``stream`` is the JSON form of the stream config the days came from,
+    without its length; None where that is unknown.
+    """
 
     prior: GaussianMixture
     grid: ProtocolGrid
     day: int
+    stream: dict | None = None
 
 
 def _lerp_nodes(grid: ProtocolGrid, j, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,7 +169,7 @@ def new_memory(prior: GaussianMixture, target1: GaussianMixture, L: int) -> Memo
 def incorporate(state: MemoryState, target: GaussianMixture) -> MemoryState:
     """One day of the recursion; returns the next state, inputs untouched."""
     grid = smooth(add(state.grid, target), state.grid.L)
-    return MemoryState(state.prior, grid, state.day + 1)
+    return MemoryState(state.prior, grid, state.day + 1, state.stream)
 
 
 def readout_time(L: int, age: int) -> float:
@@ -197,13 +203,14 @@ def memory_footprint(L: int, K: int, d: int) -> int:
 
 
 def snapshot_dict(state: MemoryState) -> dict:
-    """JSON-ready snapshot: the grid nodes and the prior."""
+    """JSON-ready snapshot: the grid nodes, the prior and the stream config."""
     grid = state.grid
     return {
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
         "L": grid.L,
         "day": state.day,
         "prior": state.prior.to_dict(),
+        "stream": state.stream,
         "nodes": [
             {"weights": w.tolist(), "means": m.tolist(), "covs": c.tolist()}
             for w, m, c in zip(grid.weights, grid.means, grid.covs)
@@ -212,7 +219,7 @@ def snapshot_dict(state: MemoryState) -> dict:
 
 
 def state_from_snapshot(data: dict) -> MemoryState:
-    """Rebuild a state from a snapshot dict (schema v2, or v1 minus its readout table)."""
+    """Rebuild a state from a snapshot dict (schema v3, v2, or v1 minus its readout table)."""
     version = data.get("schema_version")
     if version not in _READABLE_SCHEMAS:
         raise ValueError(
@@ -224,4 +231,4 @@ def state_from_snapshot(data: dict) -> MemoryState:
     if len(nodes) != L + 1:
         raise ValueError(f"snapshot carries {len(nodes)} nodes but L = {L}")
     prior = GaussianMixture.from_dict(data["prior"])
-    return MemoryState(prior, ProtocolGrid.from_nodes(nodes), int(data["day"]))
+    return MemoryState(prior, ProtocolGrid.from_nodes(nodes), int(data["day"]), data.get("stream"))

@@ -226,7 +226,7 @@ def test_snapshot_restore_resume_bisimulation(tmp_path):
     for rec in resumed.records:
         assert rec.n > 10
         ref = full_rows[(rec.m, rec.n)]
-        assert rec.F_raw == ref.F_raw and rec.F_norm == ref.F_norm
+        assert np.array_equal(rec.tolist(), ref.tolist(), equal_nan=True)
     assert np.array_equal(resumed.final_state.grid.means, full.final_state.grid.means)
     assert np.array_equal(resumed.final_state.grid.covs, full.final_state.grid.covs)
 
@@ -410,3 +410,16 @@ def test_cli_restore_refuses_other_config(tmp_path, capsys):
     )
     assert cli_main(["restore", "--config", other_prior, "--state", snap]) == 2
     assert "prior" in capsys.readouterr().err
+    # same L and prior, another stream: a P = 50 memory resumed under P = 20
+    p50 = write_cfg(tmp_path, "p50.json", L=10, stream={"kind": "circular", "n_days": 60, "P": 50})
+    p20 = write_cfg(tmp_path, "p20.json", L=10, stream={"kind": "circular", "n_days": 60, "P": 20})
+    assert cli_main(["snapshot", "--config", p50, "--day", "30", "--out", str(state_dir)]) == 0
+    snap = state_dir / "snapshot_day0030.json"
+    capsys.readouterr()
+    assert cli_main(["restore", "--config", p20, "--state", str(snap)]) == 2
+    assert "['P']" in capsys.readouterr().err
+    # a schema-v2 snapshot carries no stream config and still restores
+    v2 = json.loads(snap.read_text())
+    del v2["stream"]
+    snap.write_text(json.dumps(dict(v2, schema_version=2)))
+    assert cli_main(["restore", "--config", p50, "--state", str(snap)]) == 0

@@ -7,7 +7,8 @@ from casmem.gm import GaussianMixture, Moments, stack_mixtures
 from casmem.metrics import (
     AGE_CURVE_CSV_HEADER,
     RECORD_CSV_HEADER,
-    ForgettingRecord,
+    RECORD_DTYPE,
+    AgeCurve,
     age_curve,
     age_curve_csv_lines,
     channel_shares,
@@ -18,7 +19,7 @@ from casmem.metrics import (
     moment_gap,
     records_csv_lines,
 )
-from casmem.harness import RunConfig, run_experiment
+from casmem.harness import RunConfig, resume_run, run_experiment
 from casmem.protocol import incorporate, new_memory, replay
 from casmem.streams import default_prior, generate, make_config
 
@@ -55,6 +56,49 @@ def assignment_cost(a, b, perm):
     return sum(float(np.sum((a.means[i] - b.means[p]) ** 2)) for i, p in enumerate(perm))
 
 
+def record_array(*rows):
+    """Records from (m, n, F_raw, F_norm[, F_mean, F_cov, F_weight]) rows; NaN where left out."""
+    nan = float("nan")
+    full = [(m, n, n - m, *fs, *[nan] * (5 - len(fs))) for m, n, *fs in rows]
+    return np.rec.array(full, dtype=RECORD_DTYPE)
+
+
+def reference_age_curve(records):
+    """Per-record loop over a dict of ages: the reference for age_curve."""
+    sums, counts, skipped = {}, {}, 0
+    for rec in records:
+        if np.isnan(rec.F_norm):
+            skipped += 1
+            continue
+        a = int(rec.age)
+        sums[a] = sums.get(a, 0.0) + float(rec.F_norm)
+        counts[a] = counts.get(a, 0) + 1
+    ages = np.array(sorted(sums), dtype=int)
+    values = np.array([sums[a] / counts[a] for a in ages], dtype=float)
+    return AgeCurve(ages, values, np.array([counts[a] for a in ages], dtype=int), skipped)
+
+
+def reference_channel_shares(records, min_age=0):
+    """Per-record loop over a dict of ages: the reference for channel_shares."""
+    by_age = {}
+    for rec in records:
+        if np.isnan(rec.F_mean) or rec.age < min_age:
+            continue
+        acc = by_age.setdefault(int(rec.age), [0.0, 0.0, 0.0])
+        acc[0] += float(rec.F_mean)
+        acc[1] += float(rec.F_cov)
+        acc[2] += float(rec.F_weight)
+    shares = [
+        (tm / (tm + tc + tw), tc / (tm + tc + tw), tw / (tm + tc + tw))
+        for tm, tc, tw in by_age.values()
+        if tm + tc + tw > 0.0
+    ]
+    if not shares:
+        return None
+    means = np.asarray(shares).mean(axis=0)
+    return float(means[0]), float(means[1]), float(means[2])
+
+
 def test_moment_gap_is_a_squared_distance():
     m1 = Moments(np.array([1.0, 0.0]), np.eye(2))
     m2 = Moments(np.array([0.0, 0.0]), 2.0 * np.eye(2))
@@ -84,7 +128,7 @@ def test_moment_gap_between_mixtures():
 
 
 def test_day_records_guard_zero_baseline():
-    # a day whose target is the prior has amnesia baseline 0: F_norm is None
+    # a day whose target is the prior has amnesia baseline 0: F_norm is NaN
     rng = np.random.default_rng(8)
     prior = default_prior(2, 2)
     targets = [random_mixture(rng, k=2), prior, random_mixture(rng, k=2)]
@@ -92,7 +136,7 @@ def test_day_records_guard_zero_baseline():
     for t in targets[1:]:
         state = incorporate(state, t)
     recs = day_records(state, stack_mixtures(targets))
-    assert recs[1].F_norm is None
+    assert np.isnan(recs[1].F_norm)
     for rec in (recs[0], recs[2]):
         baseline = moment_gap(prior.overall_moments(), targets[rec.m - 1].overall_moments())
         assert rec.F_norm == pytest.approx(rec.F_raw / baseline, rel=1e-14)
@@ -190,10 +234,12 @@ def test_day_records_shapes_and_flags():
     assert all(r.age == r.n - r.m for r in recs)
     # same-day replay is exact, so the newest record has zero raw forgetting
     assert recs[-1].F_raw == pytest.approx(0.0, abs=1e-20)
-    # multi-component run: decompositions filled in; single-component: left empty
-    assert all(r.F_mean is not None for r in recs)
+    # multi-component run: decompositions filled in; single-component: NaN
+    assert not np.isnan(recs.F_mean).any()
     state, targets = run_small_state(k=1)
-    assert all(r.F_mean is None for r in day_records(state, stack_mixtures(targets)))
+    single = day_records(state, stack_mixtures(targets))
+    for field in ("F_mean", "F_cov", "F_weight"):
+        assert np.isnan(single[field]).all()
 
 
 def test_day_records_channels_equal_single_pair_decomposition():
@@ -209,12 +255,12 @@ def test_day_records_channels_equal_single_pair_decomposition():
 
 
 def test_age_curve_aggregation_and_half_life():
-    recs = [
-        ForgettingRecord(1, 2, 0.4, 0.2),
-        ForgettingRecord(2, 3, 0.4, 0.4),
-        ForgettingRecord(1, 3, 0.9, 0.8),
-        ForgettingRecord(3, 3, 0.0, None),  # zero-baseline day: skipped
-    ]
+    recs = record_array(
+        (1, 2, 0.4, 0.2),
+        (2, 3, 0.4, 0.4),
+        (1, 3, 0.9, 0.8),
+        (3, 3, 0.0, np.nan),  # zero-baseline day: skipped
+    )
     curve = age_curve(recs)
     assert curve.skipped == 1
     assert list(curve.ages) == [1, 2]
@@ -250,14 +296,46 @@ def test_age_curve_csv_schema():
 
 
 def test_channel_shares_average_and_min_age():
-    recs = [
-        ForgettingRecord(1, 2, 1.0, 0.5, F_mean=3.0, F_cov=1.0, F_weight=0.0),
-        ForgettingRecord(1, 3, 1.0, 0.5, F_mean=0.0, F_cov=1.0, F_weight=1.0),
-    ]
+    recs = record_array(
+        (1, 2, 1.0, 0.5, 3.0, 1.0, 0.0),
+        (1, 3, 1.0, 0.5, 0.0, 1.0, 1.0),
+    )
     shares = channel_shares(recs)
     # per-age shares (0.75,0.25,0) and (0,0.5,0.5), then averaged
     assert shares[0] == pytest.approx(0.375)
     assert shares[1] == pytest.approx(0.375)
     assert shares[2] == pytest.approx(0.25)
     assert channel_shares(recs, min_age=2)[0] == pytest.approx(0.0)
-    assert channel_shares([ForgettingRecord(1, 2, 1.0, 0.5)]) is None
+    assert channel_shares(record_array((1, 2, 1.0, 0.5))) is None
+
+
+def assert_aggregations_equal_reference(records, shares_rel=None):
+    got, want = age_curve(records), reference_age_curve(records)
+    assert np.array_equal(got.ages, want.ages) and np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.values, want.values) and got.skipped == want.skipped
+    for min_age in (0, 11):
+        got, want = channel_shares(records, min_age), reference_channel_shares(records, min_age)
+        assert got == (want if shares_rel is None else pytest.approx(want, rel=shares_rel))
+
+
+def test_aggregations_equal_reference_loops():
+    cfg = RunConfig(stream=make_config("triangle", n_days=60), L=8)
+    assert_aggregations_equal_reference(run_experiment(cfg).records)
+    # a target equal to the prior has a zero baseline on every later day
+    targets = generate(make_config("triangle", n_days=30))
+    targets[9] = default_prior(3, 2)
+    stacked = stack_mixtures(targets)
+    state = new_memory(targets[9], targets[0], 6)
+    days = [day_records(state, stacked)]
+    for target in targets[1:]:
+        state = incorporate(state, target)
+        days.append(day_records(state, stacked))
+    records = np.concatenate(days).view(np.recarray)
+    assert np.isnan(records.F_norm).sum() == 21
+    assert_aggregations_equal_reference(records)
+    # A resumed run's first day brings ages 20..0 in descending order. The
+    # reference averages shares over ages in first-seen order, channel_shares
+    # in ascending order, so the 60-term mean may differ by rounding.
+    day_20 = run_experiment(RunConfig(stream=make_config("triangle", n_days=20), L=8))
+    resumed = resume_run(cfg, day_20.final_state).records
+    assert_aggregations_equal_reference(resumed, shares_rel=60 * np.finfo(float).eps)

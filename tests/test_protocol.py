@@ -234,9 +234,10 @@ def test_snapshot_round_trip_and_count_audit():
     for m in range(2, 7):
         state = incorporate(state, day_target(m))
     snap = snapshot_dict(state)
-    # a schema-v1 snapshot also carries a readout table, which is ignored
-    v1 = dict(snap, schema_version=1, readout={str(m): 1.0 for m in range(1, state.day + 1)})
-    for back in (state_from_snapshot(snap), state_from_snapshot(v1)):
+    # schema v2 has no stream config; v1 also carries a readout table, which is ignored
+    v2 = {key: value for key, value in snap.items() if key != "stream"} | {"schema_version": 2}
+    v1 = dict(v2, schema_version=1, readout={str(m): 1.0 for m in range(1, state.day + 1)})
+    for back in map(state_from_snapshot, (snap, v2, v1)):
         assert back.day == state.day
         for a, b in ((back.grid.weights, state.grid.weights), (back.grid.means, state.grid.means),
                      (back.grid.covs, state.grid.covs)):
