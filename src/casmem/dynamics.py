@@ -36,8 +36,12 @@ WEIGHT_RATE_TOL = 1e-12
 QUAD_REL_TOL = 1e-8
 QUAD_MAX_PANELS = 200
 
-_GL_FINE = leggauss(15)
-_GL_COARSE = leggauss(7)
+# The 15- and 7-point Gauss-Legendre rules on [-1, 1] as one node vector
+# and a (2, 22) weight matrix; each row is zero on the other rule's nodes.
+(_FINE_X, _FINE_W), (_COARSE_X, _COARSE_W) = leggauss(15), leggauss(7)
+_GL_NODES = np.concatenate([_FINE_X, _COARSE_X])
+_GL_WEIGHTS = np.zeros((2, len(_GL_NODES)))
+_GL_WEIGHTS[0, : len(_FINE_W)], _GL_WEIGHTS[1, len(_FINE_W) :] = _FINE_W, _COARSE_W
 
 
 @dataclass(frozen=True)
@@ -110,21 +114,20 @@ def shape_current(sl: PathSlice, x) -> np.ndarray:
 def _adaptive_integral(f, tol: float, max_panels: int) -> np.ndarray:
     """Integrate a batch of columns over u in [0, 1] with shared panels.
 
-    ``f(u)`` maps quadrature nodes (q,) to integrand values (q, B). All
-    columns are refined together on a common panel set, so differences
-    of nearby columns (finite-difference stencils) see the same
-    quadrature error and it cancels. Panels split at the largest
-    15-vs-7-point discrepancy until the pooled error estimate drops
-    below ``tol`` relative to the largest column.
+    ``f(u, w)`` takes the 22 nodes u (q,) of a panel's 15- and 7-point
+    Gauss-Legendre rules and their weights w (2, q), each row zero on the
+    other rule's nodes, and returns the two weighted sums (2, B), fine
+    rule first: one call per panel. All columns are refined together on
+    a common panel set, so differences of nearby columns
+    (finite-difference stencils) see the same quadrature error and it
+    cancels. Panels split at the largest 15-vs-7-point discrepancy until
+    the pooled error estimate drops below ``tol`` relative to the largest
+    column.
     """
-    xf, wf = _GL_FINE
-    xc, wc = _GL_COARSE
 
     def evaluate(a: float, b: float):
         half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        fine = half * (wf[:, None] * f(mid + half * xf)).sum(axis=0)
-        coarse = half * (wc[:, None] * f(mid + half * xc)).sum(axis=0)
+        fine, coarse = f(0.5 * (a + b) + half * _GL_NODES, half * _GL_WEIGHTS)
         return a, b, fine, float(np.abs(fine - coarse).max())
 
     panels = [evaluate(0.0, 1.0)]
@@ -151,7 +154,10 @@ def _psi_terms(sl: PathSlice, pts: np.ndarray, with_potential: bool):
 
     Maps s = lam_max u / (1 - u) onto the unit interval and integrates
     in the eigenbasis of each active component; the gradient rotates
-    back afterwards.
+    back afterwards. Only the kernel and the denominators depend on the
+    node, so the weights fold into them first: the gradient's weighted
+    sum is z * ((w kernel) @ (1 / den)), one matmul per rule, and no
+    (q, n, d) node tensor is built.
     """
     gm = sl.gm
     n, d = pts.shape
@@ -160,22 +166,23 @@ def _psi_terms(sl: PathSlice, pts: np.ndarray, with_potential: bool):
     if with_potential and d <= 2:
         raise ValueError("the potential integral diverges for d <= 2; use the gradient")
     norm = (2.0 * np.pi) ** (-0.5 * d)
-    for k in np.nonzero(np.abs(sl.weight_rates) > 0.0)[0]:
-        lam, q_basis = np.linalg.eigh(gm.covs[k])
+    active = np.nonzero(np.abs(sl.weight_rates) > 0.0)[0]
+    lams, bases = np.linalg.eigh(gm.covs[active])
+    for k, lam, q_basis in zip(active, lams, bases):
         z = (pts - gm.means[k]) @ q_basis
+        zz = z * z
         lmax = float(lam[-1])
 
-        def integrand(u: np.ndarray) -> np.ndarray:
+        def integrand(u: np.ndarray, w: np.ndarray) -> np.ndarray:
             s = lmax * u / (1.0 - u)
             jac = lmax / (1.0 - u) ** 2
             den = lam[None, :] + 2.0 * s[:, None]
-            quad = np.einsum("nd,qd->qn", z * z, 1.0 / den)
-            kernel = np.exp(-0.5 * quad - 0.5 * np.log(den).sum(axis=1)[:, None])
-            kernel *= jac[:, None]
-            vec = kernel[:, :, None] * (z[None, :, :] / den[:, None, :])
-            out = vec.reshape(len(u), n * d)
+            inv = 1.0 / den
+            kernel = np.exp(-0.5 * (zz @ inv.T) - 0.5 * np.log(den).sum(axis=1)) * jac
+            weighted = w[:, None, :] * kernel
+            out = (z * (weighted @ inv)).reshape(2, n * d)
             if with_potential:
-                out = np.concatenate([out, kernel], axis=1)
+                out = np.concatenate([out, weighted.sum(axis=2)], axis=1)
             return out
 
         total = _adaptive_integral(integrand, QUAD_REL_TOL, QUAD_MAX_PANELS)
@@ -274,7 +281,11 @@ def integrate_sde(
     """Euler-Maruyama replay paths from t = 0 to t = 1, unit diffusion.
 
     Path i draws its start point and noise from the i-th spawn of the
-    seed, so any single trajectory reproduces regardless of n_paths.
+    seed, and repeat calls with the same n_paths reproduce bit for bit.
+    On constant-weight grids a single trajectory also reproduces
+    regardless of n_paths. When the weights move, the Poisson quadrature
+    pools its error test over the alive batch, so the panels, and with
+    them each path's drift, depend on the siblings at quadrature accuracy.
     Paths that leave the representable range are cut at the first
     non-finite state and NaN-filled from there.
     """

@@ -132,14 +132,89 @@ def test_drift_reduces_to_half_score_when_frozen():
     assert np.allclose(single, vel[0])
 
 
+def counted(g, calls):
+    """An f(u, w) for _adaptive_integral that weights g's node values and logs each call."""
+
+    def f(u, w):
+        assert u.shape == (22,) and w.shape == (2, 22)
+        calls.append((u.min(), u.max()))
+        return w @ g(u)
+
+    return f
+
+
 def test_adaptive_integral_converges_and_stalls():
-    # smooth integrand: int_0^1 exp(u) du
-    got = _adaptive_integral(lambda u: np.exp(u)[:, None], 1e-10, 50)
+    calls = []
+    # smooth integrand: int_0^1 exp(u) du, resolved on the first panel
+    got = _adaptive_integral(counted(lambda u: np.exp(u)[:, None], calls), 1e-10, 50)
     assert got[0] == pytest.approx(np.e - 1.0, rel=1e-12)
-    # a moving spike cannot be resolved with a too-small panel budget
+    assert len(calls) == 1
+    # a moving spike cannot be resolved with a too-small panel budget; the
+    # budget of 3 allows two splits, so 1 + 2 + 2 panels are evaluated
     spike = lambda u: (1.0 / (1e-8 + (u - 0.7312) ** 2))[:, None]
+    calls.clear()
     with pytest.raises(NumericalError):
-        _adaptive_integral(spike, 1e-12, 3)
+        _adaptive_integral(counted(spike, calls), 1e-12, 3)
+    assert len(calls) == 5
+    # a resolvable peak: one call per panel, never the same panel twice
+    peak = lambda u: (1.0 / (1e-3 + (u - 0.7312) ** 2))[:, None]
+    calls.clear()
+    got = _adaptive_integral(counted(peak, calls), 1e-10, 200)
+    a = np.sqrt(1e-3)
+    expect = (np.arctan(0.2688 / a) + np.arctan(0.7312 / a)) / a
+    assert got[0] == pytest.approx(expect, rel=1e-9)
+    assert len(calls) > 1 and len(calls) % 2 == 1 and len(set(calls)) == len(calls)
+
+
+def reference_psi_terms(sl, pts, with_potential):
+    """The node-tensor quadrature: kernel * z / den at every node, weighted afterwards.
+
+    Runs on the same panel scheme as _psi_terms, but builds the (q, n, d)
+    values node by node and only then applies the rule weights.
+    """
+    gm = sl.gm
+    n, d = pts.shape
+    grad, pot = np.zeros((n, d)), np.zeros(n)
+    norm = (2.0 * np.pi) ** (-0.5 * d)
+    for k in np.nonzero(np.abs(sl.weight_rates) > 0.0)[0]:
+        lam, q_basis = np.linalg.eigh(gm.covs[k])
+        z = (pts - gm.means[k]) @ q_basis
+        lmax = float(lam[-1])
+
+        def per_node(u):
+            s = lmax * u / (1.0 - u)
+            jac = lmax / (1.0 - u) ** 2
+            den = lam[None, :] + 2.0 * s[:, None]
+            quad = np.einsum("nd,qd->qn", z * z, 1.0 / den)
+            kernel = np.exp(-0.5 * quad - 0.5 * np.log(den).sum(axis=1)[:, None])
+            kernel *= jac[:, None]
+            out = (kernel[:, :, None] * (z[None, :, :] / den[:, None, :])).reshape(len(u), n * d)
+            return np.concatenate([out, kernel], axis=1) if with_potential else out
+
+        total = _adaptive_integral(
+            lambda u, w: w @ per_node(u), dyn.QUAD_REL_TOL, dyn.QUAD_MAX_PANELS
+        )
+        rate = float(sl.weight_rates[k])
+        grad += rate * norm * total[: n * d].reshape(n, d) @ q_basis.T
+        if with_potential:
+            pot -= rate * norm * total[n * d :]
+    return grad, pot
+
+
+@pytest.mark.parametrize("d, L, n_days, with_potential", [(12, 10, 100, False), (3, 4, 8, True)])
+def test_psi_terms_match_node_tensor_reference(d, L, n_days, with_potential):
+    grid = small_grid("rotating_dominance", n_days=n_days, L=L, d=d)
+    for t in (0.37, 0.81):
+        sl = path_slice(grid, t)
+        assert np.abs(sl.weight_rates).sum() > 1e-6
+        bulk = sample_bulk_points(sl.gm, 30, seed=7)
+        for pts in (bulk, 4.0 * bulk):
+            ref = reference_psi_terms(sl, pts, with_potential=False)[0]
+            err = np.abs(poisson_psi_grad(sl, pts) - ref).max(axis=0)
+            assert np.all(err <= 1e-13 * np.abs(ref).max(axis=0))
+            if with_potential:
+                ref = reference_psi_terms(sl, pts, with_potential=True)[1]
+                assert np.abs(psi_potential(sl, pts) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_fp_residual_is_small_on_a_real_grid():
@@ -180,6 +255,18 @@ def test_integrate_sde_is_deterministic_per_path():
     assert a[0].diverged_at is None
     different = integrate_sde(grid, n_paths=1, steps=30, seed=10)[0]
     assert not np.array_equal(different.states, solo.states)
+    # moving weights: the quadrature pools its error test over the alive
+    # batch, so a path's panels depend on its siblings; repeats are still
+    # exact, and a lone path agrees with its batch to quadrature accuracy
+    rot = small_grid("rotating_dominance", n_days=8, L=4, d=3)
+    batch = integrate_sde(rot, n_paths=6, steps=30, seed=9)
+    again = integrate_sde(rot, n_paths=6, steps=30, seed=9)
+    for x, y in zip(batch, again):
+        assert x.diverged_at == y.diverged_at
+        assert np.array_equal(x.states, y.states, equal_nan=True)
+    lone = integrate_sde(rot, n_paths=1, steps=30, seed=9)[0]
+    assert lone.diverged_at == batch[0].diverged_at
+    assert np.allclose(lone.states, batch[0].states, rtol=0.0, atol=1e-6, equal_nan=True)
 
 
 def test_integrate_sde_stationary_mixture():
