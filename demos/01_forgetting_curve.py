@@ -41,7 +41,7 @@ def main():
     print("that is confusion: the readout blends the probed day with its "
           "neighbours, and half a period away the blend points the wrong way")
 
-    files = export(result, "csv", OUT) + export(result, "json", OUT)
+    files = export(result, OUT)
     print()
     print("wrote " + ", ".join(os.path.relpath(f) for f in files))
 

@@ -20,8 +20,7 @@ from .gm import (
 )
 from .harness import (
     RunConfig, RunResult, SweepResult, build_final_state, capacity_diagnostics, daily_states,
-    export, fifo_baseline, restore_state, resume_run, run_experiment, snapshot_state,
-    stream_targets, sweep,
+    export, fifo_baseline, restore_state, run_experiment, snapshot_state, stream_targets, sweep,
 )
 from .metrics import (
     RECORD_DTYPE, AgeCurve, age_curve, channel_shares, day_records, decomposed_forgetting,
@@ -56,8 +55,8 @@ __all__ = [
     "shape_current",
     # harness
     "RunConfig", "RunResult", "SweepResult", "build_final_state", "capacity_diagnostics",
-    "daily_states", "export", "fifo_baseline", "restore_state", "resume_run",
-    "run_experiment", "snapshot_state", "stream_targets", "sweep",
+    "daily_states", "export", "fifo_baseline", "restore_state", "run_experiment",
+    "snapshot_state", "stream_targets", "sweep",
     # errors
     "ConfigError", "NumericalError",
 ]

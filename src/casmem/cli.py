@@ -24,7 +24,6 @@ from .harness import (
     export,
     fifo_baseline,
     restore_state,
-    resume_run,
     run_experiment,
     snapshot_state,
     stream_targets,
@@ -99,21 +98,18 @@ def load_run_config(path: str, args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _print_summary(summary: dict) -> None:
-    print(json.dumps({key: summary[key] for key in SUMMARY_KEYS}))
-
-
-def _export_all(result, out: str) -> None:
-    export(result, "csv", out)
-    export(result, "json", out)
-
-
 def cmd_run(args) -> int:
+    """run, fifo and restore: score one run, export it under --out, print its summary."""
     cfg = load_run_config(args.config, args)
-    result = run_experiment(cfg)
+    if args.command == "fifo":
+        result = fifo_baseline(cfg)
+    elif args.command == "restore":
+        result = run_experiment(cfg, restore_state(args.state))
+    else:
+        result = run_experiment(cfg)
     if args.out:
-        _export_all(result, args.out)
-    _print_summary(result.summary)
+        export(result, args.out)
+    print(json.dumps({key: result.summary[key] for key in SUMMARY_KEYS}))
     return 0
 
 
@@ -212,15 +208,6 @@ def cmd_drift_check(args) -> int:
     return 0
 
 
-def cmd_fifo(args) -> int:
-    cfg = load_run_config(args.config, args)
-    result = fifo_baseline(cfg)
-    if args.out:
-        _export_all(result, args.out)
-    _print_summary(result.summary)
-    return 0
-
-
 def cmd_snapshot(args) -> int:
     cfg = load_run_config(args.config, args)
     targets = stream_targets(cfg)
@@ -232,16 +219,6 @@ def cmd_snapshot(args) -> int:
     path = os.path.join(args.out, f"snapshot_day{state.day:04d}.json")
     snapshot_state(state, path)
     print(json.dumps({"day": state.day, "path": path}))
-    return 0
-
-
-def cmd_restore(args) -> int:
-    cfg = load_run_config(args.config, args)
-    state = restore_state(args.state)
-    result = resume_run(cfg, state)
-    if args.out:
-        _export_all(result, args.out)
-    _print_summary(result.summary)
     return 0
 
 
@@ -285,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fifo", help="sliding-window baseline for the same config")
     common(p)
     p.add_argument("--L", type=int, default=None, help="window length override")
-    p.set_defaults(func=cmd_fifo)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("snapshot", help="run to a given day and save the memory state")
     p.add_argument("--config", required=True)
@@ -299,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="snapshot file")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_restore)
+    p.set_defaults(func=cmd_run)
     return parser
 
 

@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericalError
 from .gm import DENSITY_FLOOR, GaussianMixture, _as_points, _frozen
-from .protocol import ProtocolGrid, eval_at
+from .protocol import ProtocolGrid, _segment, eval_at
 
 # Weight rates below this (summed over components) switch the Poisson
 # term off entirely; constant-weight curricula produce exact zeros.
@@ -89,9 +89,8 @@ def path_slice(grid: ProtocolGrid, t: float) -> PathSlice:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    segs = grid.L
-    j = min(int(t * segs), segs - 1)
-    rates = ((a[j + 1] - a[j]) * segs for a in (grid.weights, grid.means, grid.covs))
+    j, _ = _segment(t, grid.L)
+    rates = ((a[j + 1] - a[j]) * grid.L for a in (grid.weights, grid.means, grid.covs))
     return PathSlice(eval_at(grid, t), *rates)
 
 
@@ -254,8 +253,7 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
     n, d = pts.shape
     dt = 1e-5
     h = 1e-4
-    segs = grid.L
-    if not dt < t < 1.0 - dt or int((t - dt) * segs) != min(int((t + dt) * segs), segs - 1):
+    if not dt < t < 1.0 - dt or _segment(t - dt, grid.L)[0] != _segment(t + dt, grid.L)[0]:
         raise ValueError(f"t = {t!r} is not inside a segment interior at time step {dt}")
     dpdt = (eval_at(grid, t + dt).density(pts) - eval_at(grid, t - dt).density(pts)) / (2.0 * dt)
 

@@ -125,13 +125,22 @@ def daily_states(
         yield state
 
 
-def run_experiment(cfg: RunConfig) -> RunResult:
-    """Run the daily recursion over the configured stream and score recall."""
+def run_experiment(cfg: RunConfig, state: MemoryState | None = None) -> RunResult:
+    """Run the daily recursion over the configured stream and score recall.
+
+    From scratch the run starts with the stream's first day. From a
+    restored state it continues with the day after it, and its records
+    cover those days only; the target history is regenerated from the
+    config (streams are pure functions of it), so earlier days are
+    scored although snapshots do not carry them.
+    """
     targets = stream_targets(cfg)
+    if state is not None:
+        _check_resumable(cfg, targets, state)
     stacked = stack_mixtures(targets)
     days = []
     try:
-        for state in daily_states(cfg, targets):
+        for state in daily_states(cfg, targets, state):
             days.append(day_records(state, targets=stacked))
             _maybe_snapshot(cfg, state)
     except Exception:
@@ -139,6 +148,26 @@ def run_experiment(cfg: RunConfig) -> RunResult:
             _flush_partial(cfg, days)
         raise
     return _result(cfg, days, state)
+
+
+def _check_resumable(cfg: RunConfig, targets, state: MemoryState) -> None:
+    """Refuse a state made under another L, prior or stream config, or past the stream's end.
+
+    Snapshots of schema v1 and v2 do not record the stream, so only the
+    day, L and prior of those are checked.
+    """
+    if state.day > len(targets):
+        raise ConfigError(
+            f"snapshot is at day {state.day} but the stream has {len(targets)} days"
+        )
+    if state.grid.L != cfg.L:
+        raise ConfigError(f"snapshot was made with L = {state.grid.L}, config has L = {cfg.L}")
+    if state.prior.to_dict() != resolve_prior(cfg, targets[0]).to_dict():
+        raise ConfigError("snapshot prior differs from the prior this config resolves to")
+    stream = _stream_fingerprint(cfg.stream)
+    if state.stream is not None and state.stream != stream:
+        differs = sorted(k for k in stream | state.stream if stream.get(k) != state.stream.get(k))
+        raise ConfigError(f"snapshot was made from another stream config (differs in {differs})")
 
 
 def _concat(days) -> np.recarray:
@@ -261,32 +290,25 @@ def fifo_baseline(cfg: RunConfig) -> RunResult:
     return _result(cfg, days, new_memory(prior, targets[0], cfg.L))
 
 
-def export(result: RunResult, fmt: str, path: str) -> list[str]:
-    """Write records/age-curve CSVs or the summary JSON under path.
+def export(result: RunResult, path: str) -> list[str]:
+    """Write records.csv, age_curve.csv and summary.json under path.
 
     Returns the files written. Floats go through repr, which round-trips
     exactly at double precision.
     """
     os.makedirs(path, exist_ok=True)
+    summary = {key: result.summary[key] for key in SUMMARY_KEYS}
+    contents = {
+        "records.csv": "\n".join(records_csv_lines(result.records)) + "\n",
+        "age_curve.csv": "\n".join(age_curve_csv_lines(result.curve)) + "\n",
+        "summary.json": json.dumps(summary, indent=2) + "\n",
+    }
     written = []
-    if fmt == "csv":
-        rec_path = os.path.join(path, "records.csv")
-        with open(rec_path, "w") as fh:
-            fh.write("\n".join(records_csv_lines(result.records)) + "\n")
-        written.append(rec_path)
-        curve_path = os.path.join(path, "age_curve.csv")
-        with open(curve_path, "w") as fh:
-            fh.write("\n".join(age_curve_csv_lines(result.curve)) + "\n")
-        written.append(curve_path)
-    elif fmt == "json":
-        summary_path = os.path.join(path, "summary.json")
-        summary = {key: result.summary[key] for key in SUMMARY_KEYS}
-        with open(summary_path, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        written.append(summary_path)
-    else:
-        raise ConfigError(f"unknown export format {fmt!r} (csv or json)")
+    for name, text in contents.items():
+        file_path = os.path.join(path, name)
+        with open(file_path, "w") as fh:
+            fh.write(text)
+        written.append(file_path)
     return written
 
 
@@ -303,32 +325,3 @@ def restore_state(path: str) -> MemoryState:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     return state_from_snapshot(data)
-
-
-def resume_run(cfg: RunConfig, state: MemoryState) -> RunResult:
-    """Continue a restored state to the end of the configured stream.
-
-    The target history is regenerated from the config (streams are pure
-    functions of it), so earlier days can be scored even though snapshots
-    do not carry them. Records cover days after the snapshot. The
-    snapshot must have been made under the same L, prior and stream config
-    (snapshots of schema v1 and v2 do not record the stream).
-    """
-    targets = stream_targets(cfg)
-    if state.day > len(targets):
-        raise ConfigError(
-            f"snapshot is at day {state.day} but the stream has {len(targets)} days"
-        )
-    if state.grid.L != cfg.L:
-        raise ConfigError(f"snapshot was made with L = {state.grid.L}, config has L = {cfg.L}")
-    if state.prior.to_dict() != resolve_prior(cfg, targets[0]).to_dict():
-        raise ConfigError("snapshot prior differs from the prior this config resolves to")
-    stream = _stream_fingerprint(cfg.stream)
-    if state.stream is not None and state.stream != stream:
-        differs = sorted(k for k in stream | state.stream if stream.get(k) != state.stream.get(k))
-        raise ConfigError(f"snapshot was made from another stream config (differs in {differs})")
-    stacked = stack_mixtures(targets)
-    days = []
-    for state in daily_states(cfg, targets, state):
-        days.append(day_records(state, targets=stacked))
-    return _result(cfg, days, state)

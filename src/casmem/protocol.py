@@ -97,12 +97,23 @@ def _lerp_nodes(grid: ProtocolGrid, j, alpha) -> tuple[np.ndarray, np.ndarray, n
     return lerp(grid.weights), lerp(grid.means), lerp(grid.covs)
 
 
+def _segment(t, L: int):
+    """Segment j holding time t in [0, 1] and the position t * L - j within it.
+
+    Segments are right-continuous and the last one is closed at t = 1.
+    t is a number or an array; the density and the drift's rates are
+    read on the segment this returns.
+    """
+    u = t * L
+    j = np.minimum(u.astype(int), L - 1) if isinstance(u, np.ndarray) else min(int(u), L - 1)
+    return j, u - j
+
+
 def eval_at(grid: ProtocolGrid, t: float) -> GaussianMixture:
     """Interpolate node parameters at time t in [0, 1]."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    j = min(int(t * grid.L), grid.L - 1)
-    return GaussianMixture(*_lerp_nodes(grid, j, t * grid.L - j))
+    return GaussianMixture(*_lerp_nodes(grid, *_segment(t, grid.L)))
 
 
 def init_protocol(prior: GaussianMixture, target1: GaussianMixture, L: int) -> ProtocolGrid:
@@ -185,9 +196,8 @@ def replay_all(state: MemoryState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     One gather-and-lerp at the readout times, located as eval_at locates one.
     """
     L, n = state.grid.L, state.day
-    u = np.array([readout_time(L, n - m) for m in range(1, n + 1)]) * L
-    j = np.minimum(u.astype(int), L - 1)
-    return _lerp_nodes(state.grid, j, u - j)
+    times = np.array([readout_time(L, n - m) for m in range(1, n + 1)])
+    return _lerp_nodes(state.grid, *_segment(times, L))
 
 
 def replay(state: MemoryState, m: int) -> GaussianMixture:

@@ -12,7 +12,6 @@ import numpy as np
 
 from .gm import GaussianMixture, validate_arrays
 
-RING_KINDS = ("triangle", "crowding")
 KINDS = ("circular", "linear", "triangle", "crowding", "embedded", "split_merge",
          "rotating_dominance", "file")
 

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,11 @@ from casmem.harness import (
     fifo_baseline,
     resolve_prior,
     restore_state,
-    resume_run,
     run_experiment,
     snapshot_state,
     sweep,
 )
-from casmem.metrics import RECORD_CSV_HEADER
+from casmem.metrics import RECORD_CSV_HEADER, records_csv_lines
 from casmem.streams import default_prior, generate, make_config
 
 
@@ -91,16 +91,14 @@ def test_run_is_deterministic_and_exports_are_byte_identical(tmp_path):
     cfg = small_cfg(n_days=12)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        res = run_experiment(cfg)
-        export(res, "csv", str(out))
-        export(res, "json", str(out))
+        export(run_experiment(cfg), str(out))
     for name in ("records.csv", "age_curve.csv", "summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_export_schemas(tmp_path):
     res = run_experiment(small_cfg(n_days=10))
-    written = export(res, "csv", str(tmp_path)) + export(res, "json", str(tmp_path))
+    written = export(res, str(tmp_path))
     assert [os.path.basename(w) for w in written] == [
         "records.csv",
         "age_curve.csv",
@@ -118,8 +116,6 @@ def test_export_schemas(tmp_path):
         "cov_share",
         "weight_share",
     ]
-    with pytest.raises(ConfigError):
-        export(res, "parquet", str(tmp_path))
 
 
 def test_partial_flush_on_midrun_failure(tmp_path, monkeypatch):
@@ -220,7 +216,7 @@ def test_snapshot_restore_resume_bisimulation(tmp_path):
     mid_state = build_final_state(mid)
     path = tmp_path / "state.json"
     snapshot_state(mid_state, str(path))
-    resumed = resume_run(cfg, restore_state(str(path)))
+    resumed = run_experiment(cfg, restore_state(str(path)))
     assert resumed.final_state.day == 18
     full_rows = {(r.m, r.n): r for r in full.records}
     for rec in resumed.records:
@@ -231,6 +227,48 @@ def test_snapshot_restore_resume_bisimulation(tmp_path):
     assert np.array_equal(resumed.final_state.grid.covs, full.final_state.grid.covs)
 
 
+def snapshot_file(cfg, day, path):
+    """Run cfg's stream to the given day and save the state as a snapshot file."""
+    short = replace(cfg, stream=replace(cfg.stream, n_days=day), outputs=None)
+    snapshot_state(build_final_state(short), str(path))
+    return str(path)
+
+
+def test_resumed_run_writes_the_periodic_snapshots_of_a_straight_run(tmp_path):
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    cfg = small_cfg(kind="triangle", n_days=30, L=6, snapshot_every=7)
+    run_experiment(replace(cfg, outputs=str(straight)))
+    state = restore_state(snapshot_file(cfg, 12, tmp_path / "day12.json"))
+    run_experiment(replace(cfg, outputs=str(resumed)), state)
+    names = sorted(p.name for p in resumed.glob("snapshot_day*.json"))
+    assert names == ["snapshot_day0014.json", "snapshot_day0021.json", "snapshot_day0028.json"]
+    for name in names:
+        assert (resumed / name).read_bytes() == (straight / name).read_bytes()
+
+
+def test_partial_flush_on_resumed_midrun_failure(tmp_path, monkeypatch):
+    cfg = small_cfg(n_days=16)
+    full = records_csv_lines(run_experiment(cfg).records)
+    state = restore_state(snapshot_file(cfg, 10, tmp_path / "day10.json"))
+    real = harness.day_records
+    calls = {"n": 0}
+
+    def failing(state, **kw):
+        calls["n"] += 1
+        if calls["n"] > 3:
+            raise RuntimeError("disk full")
+        return real(state, **kw)
+
+    monkeypatch.setattr(harness, "day_records", failing)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError):
+        run_experiment(replace(cfg, outputs=str(out)), state)
+    partial = (out / "records.partial.csv").read_text().splitlines()
+    # days 11, 12 and 13 were scored before the failure
+    assert partial == full[:1] + [line for line in full[1:] if line.split(",")[1] in ("11", "12", "13")]
+    assert len(partial) == 1 + 11 + 12 + 13
+
+
 def test_restore_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -239,7 +277,7 @@ def test_restore_rejects_garbage(tmp_path):
     cfg = small_cfg(n_days=5)
     state = build_final_state(small_cfg(n_days=8))
     with pytest.raises(ConfigError):
-        resume_run(cfg, state)  # snapshot is past the end of the stream
+        run_experiment(cfg, state)  # snapshot is past the end of the stream
 
 
 # ---------------------------------------------------------------- CLI

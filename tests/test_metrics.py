@@ -19,7 +19,7 @@ from casmem.metrics import (
     moment_gap,
     records_csv_lines,
 )
-from casmem.harness import RunConfig, resume_run, run_experiment
+from casmem.harness import RunConfig, run_experiment
 from casmem.protocol import incorporate, new_memory, replay
 from casmem.streams import default_prior, generate, make_config
 
@@ -337,5 +337,5 @@ def test_aggregations_equal_reference_loops():
     # reference averages shares over ages in first-seen order, channel_shares
     # in ascending order, so the 60-term mean may differ by rounding.
     day_20 = run_experiment(RunConfig(stream=make_config("triangle", n_days=20), L=8))
-    resumed = resume_run(cfg, day_20.final_state).records
+    resumed = run_experiment(cfg, day_20.final_state).records
     assert_aggregations_equal_reference(resumed, shares_rel=60 * np.finfo(float).eps)
