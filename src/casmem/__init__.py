@@ -28,7 +28,8 @@ from .metrics import (
 )
 from .protocol import (
     MemoryState, ProtocolGrid, add, eval_at, incorporate, init_protocol, memory_footprint,
-    new_memory, readout_time, rebin_indices, rebin_matrix, replay, replay_all, smooth,
+    new_memory, readout_time, rebin_indices, rebin_matrix, replay, replay_all, replay_block,
+    smooth, stored_pairs,
 )
 from .streams import (
     StreamConfig, class_prior, default_prior, generate, load_gm_file, make_config, save_gm_file,
@@ -42,7 +43,7 @@ __all__ = [
     # protocol
     "MemoryState", "ProtocolGrid", "add", "eval_at", "incorporate", "init_protocol",
     "memory_footprint", "new_memory", "readout_time", "rebin_indices", "rebin_matrix",
-    "replay", "replay_all", "smooth",
+    "replay", "replay_all", "replay_block", "smooth", "stored_pairs",
     # metrics
     "RECORD_DTYPE", "AgeCurve", "age_curve", "channel_shares", "day_records",
     "decomposed_forgetting", "half_life", "match_components", "moment_gap", "score_recall",

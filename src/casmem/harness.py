@@ -2,8 +2,9 @@
 
 One state iterator drives every run: it yields the memory after each day
 of the configured stream. The forgetting matrix is built incrementally:
-after each day's update, every stored day is replayed against the live
-grid. Exports are plain CSV and JSON with full double precision, so
+the states are collected into blocks of consecutive days, and each block
+is replayed and scored in one batch, every stored day of every state in
+it. Exports are plain CSV and JSON with full double precision, so
 repeated runs of the same config are byte-identical.
 """
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .protocol import (
     new_memory,
     snapshot_dict,
     state_from_snapshot,
+    stored_pairs,
 )
 from .streams import StreamConfig, default_prior, generate, make_config
 
@@ -42,6 +44,10 @@ SUMMARY_KEYS = ("half_life", "theta", "max_Fbar", "mean_share", "cov_share", "we
 SWEEP_COLUMNS = (
     "axis", "value", "half_life", "max_Fbar", "mean_share", "cov_share", "weight_share", "t_star"
 )
+# A block of days is scored once its stored (m, n) pairs reach this many.
+# Larger blocks spend less time per pair on NumPy call overhead, but the
+# scorer's temporaries grow with the block: a few MB at K = 8 and d = 2.
+BLOCK_PAIRS = 1024
 
 
 @dataclass(frozen=True)
@@ -133,21 +139,43 @@ def run_experiment(cfg: RunConfig, state: MemoryState | None = None) -> RunResul
     cover those days only; the target history is regenerated from the
     config (streams are pure functions of it), so earlier days are
     scored although snapshots do not carry them.
+
+    States are scored in blocks of consecutive days (see BLOCK_PAIRS).
+    If the run fails and ``cfg.outputs`` is set, the states not yet
+    scored are scored, and ``records.partial.csv`` gets the records of
+    every day whose state was made before the failure; when the failure
+    is in scoring a block, that block's days are left out.
     """
     targets = stream_targets(cfg)
     if state is not None:
         _check_resumable(cfg, targets, state)
     stacked = stack_mixtures(targets)
-    days = []
+    blocks, pending = [], []
     try:
         for state in daily_states(cfg, targets, state):
-            days.append(day_records(state, targets=stacked))
+            pending.append(state)
             _maybe_snapshot(cfg, state)
+            if sum(s.day for s in pending) >= BLOCK_PAIRS:
+                _score_pending(pending, blocks, stacked)
+        _score_pending(pending, blocks, stacked)
     except Exception:
         if cfg.outputs:
-            _flush_partial(cfg, days)
+            _score_pending(pending, blocks, stacked)
+            _flush_partial(cfg, blocks)
         raise
-    return _result(cfg, days, state)
+    return _result(cfg, blocks, state)
+
+
+def _score_pending(pending: list, blocks: list, stacked) -> None:
+    """Score the pending states as one block onto ``blocks``.
+
+    ``pending`` is emptied before scoring, so a block whose scoring fails
+    is not scored again by the failure flush.
+    """
+    block = pending[:]
+    pending.clear()
+    if block:
+        blocks.append(day_records(block, stacked))
 
 
 def _check_resumable(cfg: RunConfig, targets, state: MemoryState) -> None:
@@ -170,13 +198,13 @@ def _check_resumable(cfg: RunConfig, targets, state: MemoryState) -> None:
         raise ConfigError(f"snapshot was made from another stream config (differs in {differs})")
 
 
-def _concat(days) -> np.recarray:
-    """The per-day record arrays as one, in day order."""
-    return np.concatenate(days or [np.recarray(0, dtype=RECORD_DTYPE)]).view(np.recarray)
+def _concat(blocks) -> np.recarray:
+    """The per-block record arrays as one, in day order."""
+    return np.concatenate(blocks or [np.recarray(0, dtype=RECORD_DTYPE)]).view(np.recarray)
 
 
-def _result(cfg: RunConfig, days, state: MemoryState) -> RunResult:
-    records = _concat(days)
+def _result(cfg: RunConfig, blocks, state: MemoryState) -> RunResult:
+    records = _concat(blocks)
     curve = age_curve(records)
     hl = half_life(curve, cfg.theta)
     shares = channel_shares(records) or (None, None, None)
@@ -199,11 +227,11 @@ def _maybe_snapshot(cfg: RunConfig, state: MemoryState) -> None:
         snapshot_state(state, os.path.join(cfg.outputs, f"snapshot_day{state.day:04d}.json"))
 
 
-def _flush_partial(cfg: RunConfig, days) -> None:
+def _flush_partial(cfg: RunConfig, blocks) -> None:
     os.makedirs(cfg.outputs, exist_ok=True)
     path = os.path.join(cfg.outputs, "records.partial.csv")
     with open(path, "w") as fh:
-        fh.write("\n".join(records_csv_lines(_concat(days))) + "\n")
+        fh.write("\n".join(records_csv_lines(_concat(blocks))) + "\n")
 
 
 def build_final_state(cfg: RunConfig) -> MemoryState:
@@ -281,13 +309,15 @@ def fifo_baseline(cfg: RunConfig) -> RunResult:
     targets = stream_targets(cfg)
     prior = resolve_prior(cfg, targets[0])
     pool = stack_mixtures([*targets, prior])  # day m at row m - 1, the prior last
-    days = []
-    for n in range(1, len(targets) + 1):
-        stored = np.arange(n)
-        rows = np.where(n - 1 - stored < cfg.L, stored, len(targets))
+    all_m, all_n = stored_pairs(np.arange(1, len(targets) + 1))
+    blocks = []
+    for start in range(0, len(all_m), BLOCK_PAIRS):
+        m, n = all_m[start : start + BLOCK_PAIRS], all_n[start : start + BLOCK_PAIRS]
+        rows = np.where(n - m < cfg.L, m - 1, len(targets))
         recalled = [a[rows] for a in pool]
-        days.append(score_recall(recalled, [a[:n] for a in pool], prior.overall_moments()))
-    return _result(cfg, days, new_memory(prior, targets[0], cfg.L))
+        originals = [a[m - 1] for a in pool]
+        blocks.append(score_recall(recalled, originals, prior.overall_moments(), m, n))
+    return _result(cfg, blocks, new_memory(prior, targets[0], cfg.L))
 
 
 def export(result: RunResult, path: str) -> list[str]:

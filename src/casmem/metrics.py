@@ -9,14 +9,16 @@ misleading.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .gm import Moments, mixture_moments
-from .protocol import MemoryState, replay_all
+from .protocol import replay_block
 
 # One row per (m, n) replay comparison; a missing value is NaN: F_norm on a
 # zero-baseline day, and the channel split of a single-component run.
@@ -26,6 +28,9 @@ RECORD_DTYPE = np.dtype(
 )
 RECORD_CSV_HEADER = ",".join(RECORD_DTYPE.names)
 AGE_CURVE_CSV_HEADER = "age,F_bar,count"
+# Largest K matched by scoring all K! permutations; above it the assignment
+# method runs once per pair (720 permutations at K = 6, 40,320 at K = 8).
+MAX_TABLE_K = 6
 
 
 @dataclass(frozen=True)
@@ -46,19 +51,37 @@ def moment_gap(a: Moments, b: Moments) -> float | np.ndarray:
     return float(gap) if np.ndim(gap) == 0 else gap
 
 
+@cache
+def _permutation_table(k: int) -> np.ndarray:
+    """All k! permutations of range(k) as a read-only (k!, k) array, lexicographic, identity first."""
+    table = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
 def match_components(a_means, b_means) -> np.ndarray:
     """Permutations sigma minimizing sum_k ||a_k - b_sigma(k)||^2, batched.
 
     ``a_means`` and ``b_means`` are (..., K, d) component means; the result
-    is (..., K). Each pair is solved exactly by the assignment method; when
-    the identity ties the optimum (identical mixtures in particular) it is
-    returned.
+    is (..., K). Each pair is solved exactly. For K <= MAX_TABLE_K every
+    permutation's cost is summed, term k = 0 first, and the first
+    permutation of least cost in lexicographic order wins, so the identity
+    wins every tie it takes part in. Above that the assignment method
+    (Kuhn 1955) solves each pair, and the identity is returned when it ties
+    the optimum (identical mixtures in particular).
     """
     a, b = np.asarray(a_means, dtype=float), np.asarray(b_means, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"component means shape mismatch: {a.shape} vs {b.shape}")
     diff = a[..., :, None, :] - b[..., None, :, :]
     cost = np.einsum("...ijd,...ijd->...ij", diff, diff)
+    k = a.shape[-2]
+    if k <= MAX_TABLE_K:
+        table = _permutation_table(k)
+        total = cost[..., 0, table[:, 0]]
+        for i in range(1, k):
+            total += cost[..., i, table[:, i]]
+        return table[total.argmin(axis=-1)]
     perm = np.empty(cost.shape[:-1], dtype=np.intp)
     for i in np.ndindex(cost.shape[:-2]):
         perm[i] = linear_sum_assignment(cost[i])[1]
@@ -93,42 +116,47 @@ def decomposed_forgetting(replayed, original) -> tuple:
     return f_mean, f_cov, np.einsum("...k,...k->...", dw, dw)
 
 
-def score_recall(recalled, targets, prior_moments: Moments) -> np.recarray:
-    """Records (m, n) for days m = 1, ..., n recalled on day n.
+def score_recall(recalled, targets, prior_moments: Moments, m, n) -> np.recarray:
+    """Records of the pairs (m, n): day m recalled on day n.
 
     ``recalled`` and ``targets`` are stacked (weights, means, covs) triples
-    of the recalled and the original mixtures of those days, in day order,
-    so n is their leading length. Every day is scored at once: overall
+    of the recalled and the original mixtures, one row per pair; ``m`` and
+    ``n`` are the pairs' days. Every pair is scored at once: overall
     moments and raw gaps, the amnesia baseline (the gap between the prior
     and each target) and, for K > 1 components, the channel split. The
-    result is one RECORD_DTYPE array in day order: F_norm is NaN where the
-    baseline is 0, the channels are NaN for K = 1.
+    result is one RECORD_DTYPE array in pair order: F_norm is NaN where
+    the baseline is 0, the channels are NaN for K = 1.
     """
-    n, k = targets[0].shape
-    if len(recalled[0]) != n:
-        raise ValueError(f"{len(recalled[0])} recalled days but {n} targets")
+    count, k = targets[0].shape
+    if not len(recalled[0]) == len(m) == len(n) == count:
+        raise ValueError(
+            f"{len(recalled[0])} recalled mixtures, {count} targets, {len(m)} m and {len(n)} n"
+        )
     orig = mixture_moments(*targets)
-    rec = np.recarray(n, dtype=RECORD_DTYPE)
-    rec.m = np.arange(1, n + 1)
+    rec = np.recarray(count, dtype=RECORD_DTYPE)
+    rec.m = m
     rec.n = n
-    rec.age = n - rec.m
+    rec.age = rec.n - rec.m
     rec.F_raw = moment_gap(mixture_moments(*recalled), orig)
     baseline = moment_gap(prior_moments, orig)
-    rec.F_norm = np.divide(rec.F_raw, baseline, out=np.full(n, np.nan), where=baseline > 0.0)
+    rec.F_norm = np.divide(rec.F_raw, baseline, out=np.full(count, np.nan), where=baseline > 0.0)
     rec.F_mean, rec.F_cov, rec.F_weight = (
         decomposed_forgetting(recalled, targets) if k > 1 else (np.nan,) * 3
     )
     return rec
 
 
-def day_records(state: MemoryState, targets) -> np.recarray:
-    """Records (m, n) for the current day n and every stored day m <= n.
+def day_records(states, targets) -> np.recarray:
+    """Records (m, n) of a block of states of one run: every stored day m <= n of each.
 
-    ``targets`` are the stacked (weights, means, covs) of the run's daily
-    targets, day m at row m - 1; every stored day is replayed in one batch.
+    ``states`` are the states after days n, in order; ``targets`` are the
+    stacked (weights, means, covs) of the run's daily targets, day m at
+    row m - 1. The block is replayed in one gather and scored in one
+    score_recall call; records run state by state, in day order.
     """
-    days = tuple(a[: state.day] for a in targets)
-    return score_recall(replay_all(state), days, state.prior.overall_moments())
+    m, n, recalled = replay_block(states)
+    days = tuple(a[m - 1] for a in targets)
+    return score_recall(recalled, days, states[0].prior.overall_moments(), m, n)
 
 
 def age_curve(records) -> AgeCurve:

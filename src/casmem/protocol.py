@@ -87,14 +87,21 @@ class MemoryState:
     stream: dict | None = None
 
 
-def _lerp_nodes(grid: ProtocolGrid, j, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(1 - alpha) * node j + alpha * node j + 1; j and alpha are numbers or arrays of one shape."""
+def _nodes(grid: ProtocolGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return grid.weights, grid.means, grid.covs
+
+
+def _lerp_nodes(nodes, j, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(1 - alpha) * node j + alpha * node j + 1 of stacked (weights, means, covs) nodes.
+
+    j and alpha are numbers or arrays of one shape.
+    """
 
     def lerp(a):
         x = alpha if np.ndim(alpha) == 0 else alpha.reshape(alpha.shape + (1,) * (a.ndim - 1))
         return (1.0 - x) * a[j] + x * a[j + 1]
 
-    return lerp(grid.weights), lerp(grid.means), lerp(grid.covs)
+    return tuple(lerp(a) for a in nodes)
 
 
 def _segment(t, L: int):
@@ -113,14 +120,14 @@ def eval_at(grid: ProtocolGrid, t: float) -> GaussianMixture:
     """Interpolate node parameters at time t in [0, 1]."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    return GaussianMixture(*_lerp_nodes(grid, *_segment(t, grid.L)))
+    return GaussianMixture(*_lerp_nodes(_nodes(grid), *_segment(t, grid.L)))
 
 
 def init_protocol(prior: GaussianMixture, target1: GaussianMixture, L: int) -> ProtocolGrid:
     """Day-1 grid: the linear ramp from the prior (t=0) to the first target (t=1)."""
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    ramp = ProtocolGrid.from_nodes((prior, target1))
+    ramp = stack_mixtures((prior, target1))
     return ProtocolGrid(*_lerp_nodes(ramp, np.zeros(L + 1, dtype=int), np.arange(L + 1) / L))
 
 
@@ -137,30 +144,28 @@ def add(grid: ProtocolGrid, target: GaussianMixture) -> ProtocolGrid:
     )
 
 
-def rebin_indices(L: int) -> list[tuple[int, float]]:
-    """Exact (segment, alpha) pairs locating each new node on the augmented grid.
+def rebin_indices(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact segments k and positions alpha locating each new node on the augmented grid.
 
-    New node j sits at position j (L + 1) / L in augmented-node units; the
+    New node j sits at position j (L + 1) / L in augmented-node units, so
+    k = min(j (L + 1) // L, L) and alpha = (j (L + 1) - k L) / L; the
     arithmetic is done on integers so alpha is an exact rational r / L.
+    Both arrays have L + 1 entries.
     """
-    out = []
-    for j in range(L + 1):
-        num = j * (L + 1)
-        k = num // L
-        if k > L:
-            k = L
-        out.append((k, (num - k * L) / L))
-    return out
+    num = np.arange(L + 1) * (L + 1)
+    k = np.minimum(num // L, L)
+    return k, (num - k * L) / L
 
 
 def rebin_matrix(L: int) -> np.ndarray:
     """Dense (L + 1, L + 2) form of the rebin operator that smooth applies."""
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
+    k, alpha = rebin_indices(L)
     W = np.zeros((L + 1, L + 2))
-    for j, (k, alpha) in enumerate(rebin_indices(L)):
-        W[j, k] = 1.0 - alpha
-        W[j, k + 1] += alpha
+    rows = np.arange(L + 1)
+    W[rows, k] = 1.0 - alpha
+    W[rows, k + 1] += alpha
     return W
 
 
@@ -168,8 +173,7 @@ def smooth(aug: ProtocolGrid, L: int) -> ProtocolGrid:
     """Rebin the augmented L+2-node path onto L + 1 nodes: one gather-and-lerp."""
     if aug.L != L + 1:
         raise ValueError(f"augmented grid has {aug.L + 1} nodes, expected {L + 2}")
-    k, alpha = np.array(rebin_indices(L)).T
-    return ProtocolGrid(*_lerp_nodes(aug, k.astype(int), alpha))
+    return ProtocolGrid(*_lerp_nodes(_nodes(aug), *rebin_indices(L)))
 
 
 def new_memory(prior: GaussianMixture, target1: GaussianMixture, L: int) -> MemoryState:
@@ -190,14 +194,37 @@ def readout_time(L: int, age: int) -> float:
     return (L / (L + 1.0)) ** age
 
 
-def replay_all(state: MemoryState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recalled parameters of every stored day 1..n, stacked in day order.
+def stored_pairs(days) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n) of every stored day m = 1, ..., n after each day n of ``days``, in that order."""
+    n = np.repeat(np.asarray(days, dtype=np.int64), days)
+    starts = np.cumsum(days) - days  # first pair of each day n
+    m = np.arange(1, n.size + 1) - np.repeat(starts, days)
+    return m, n
 
-    One gather-and-lerp at the readout times, located as eval_at locates one.
+
+def replay_block(states) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Recalled parameters of every stored day of every state, with the pairs' m and n.
+
+    Returns (m, n, (weights, means, covs)): pair (m, n) recalls day m
+    from the state after day n, pairs ordered as ``stored_pairs`` orders
+    them. The states share one L. One gather-and-lerp covers every pair,
+    at readout times located as eval_at locates one; readout_time is
+    called once per distinct age.
     """
-    L, n = state.grid.L, state.day
-    times = np.array([readout_time(L, n - m) for m in range(1, n + 1)])
-    return _lerp_nodes(state.grid, *_segment(times, L))
+    L = states[0].grid.L
+    days = [s.day for s in states]
+    m, n = stored_pairs(days)
+    times = np.array([readout_time(L, age) for age in range(max(days))])[n - m]
+    j, alpha = _segment(times, L)
+    # node j of state i is row i (L + 1) + j of the concatenated grids
+    j += np.repeat(np.arange(len(states)) * (L + 1), days)
+    nodes = [np.concatenate(a) for a in zip(*(_nodes(s.grid) for s in states))]
+    return m, n, _lerp_nodes(nodes, j, alpha)
+
+
+def replay_all(state: MemoryState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recalled parameters of every stored day 1..n, stacked in day order."""
+    return replay_block([state])[2]
 
 
 def replay(state: MemoryState, m: int) -> GaussianMixture:

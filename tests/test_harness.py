@@ -120,21 +120,43 @@ def test_export_schemas(tmp_path):
 
 def test_partial_flush_on_midrun_failure(tmp_path, monkeypatch):
     cfg = small_cfg(n_days=10, outputs=str(tmp_path))
-    real = harness.day_records
+    real = harness.incorporate
     calls = {"n": 0}
 
-    def failing(state, **kw):
+    def failing(state, target):
         calls["n"] += 1
-        if calls["n"] > 3:
+        if calls["n"] > 2:  # days 1, 2 and 3 were made; day 4 fails
             raise RuntimeError("disk full")
-        return real(state, **kw)
+        return real(state, target)
 
-    monkeypatch.setattr(harness, "day_records", failing)
+    monkeypatch.setattr(harness, "incorporate", failing)
     with pytest.raises(RuntimeError):
         run_experiment(cfg)
     partial = (tmp_path / "records.partial.csv").read_text().splitlines()
     assert partial[0] == RECORD_CSV_HEADER
     assert len(partial) == 1 + 3 * 4 // 2
+
+
+def test_partial_flush_leaves_out_a_block_whose_scoring_fails(tmp_path, monkeypatch):
+    cfg = small_cfg(n_days=10)
+    full = records_csv_lines(run_experiment(cfg).records)
+    real = harness.day_records
+    calls = {"n": 0}
+
+    def failing(states, targets):
+        calls["n"] += 1
+        if calls["n"] > 1:
+            raise RuntimeError("out of memory")
+        return real(states, targets)
+
+    monkeypatch.setattr(harness, "BLOCK_PAIRS", 10)
+    monkeypatch.setattr(harness, "day_records", failing)
+    with pytest.raises(RuntimeError):
+        run_experiment(replace(cfg, outputs=str(tmp_path)))
+    partial = (tmp_path / "records.partial.csv").read_text().splitlines()
+    # days 1-4 (10 pairs) made the first block; the failed second block is not retried
+    assert calls["n"] == 2
+    assert partial == full[:1] + [line for line in full[1:] if int(line.split(",")[1]) <= 4]
 
 
 def test_periodic_snapshots_written(tmp_path):
@@ -250,21 +272,21 @@ def test_partial_flush_on_resumed_midrun_failure(tmp_path, monkeypatch):
     cfg = small_cfg(n_days=16)
     full = records_csv_lines(run_experiment(cfg).records)
     state = restore_state(snapshot_file(cfg, 10, tmp_path / "day10.json"))
-    real = harness.day_records
+    real = harness.incorporate
     calls = {"n": 0}
 
-    def failing(state, **kw):
+    def failing(state, target):
         calls["n"] += 1
         if calls["n"] > 3:
             raise RuntimeError("disk full")
-        return real(state, **kw)
+        return real(state, target)
 
-    monkeypatch.setattr(harness, "day_records", failing)
+    monkeypatch.setattr(harness, "incorporate", failing)
     out = tmp_path / "out"
     with pytest.raises(RuntimeError):
         run_experiment(replace(cfg, outputs=str(out)), state)
     partial = (out / "records.partial.csv").read_text().splitlines()
-    # days 11, 12 and 13 were scored before the failure
+    # days 11, 12 and 13 were made before the failure
     assert partial == full[:1] + [line for line in full[1:] if line.split(",")[1] in ("11", "12", "13")]
     assert len(partial) == 1 + 11 + 12 + 13
 

@@ -6,6 +6,7 @@ import pytest
 from casmem.gm import GaussianMixture, Moments, stack_mixtures
 from casmem.metrics import (
     AGE_CURVE_CSV_HEADER,
+    MAX_TABLE_K,
     RECORD_CSV_HEADER,
     RECORD_DTYPE,
     AgeCurve,
@@ -18,9 +19,10 @@ from casmem.metrics import (
     match_components,
     moment_gap,
     records_csv_lines,
+    score_recall,
 )
-from casmem.harness import RunConfig, run_experiment
-from casmem.protocol import incorporate, new_memory, replay
+from casmem.harness import BLOCK_PAIRS, RunConfig, daily_states, run_experiment
+from casmem.protocol import incorporate, new_memory, replay, replay_all
 from casmem.streams import default_prior, generate, make_config
 
 
@@ -41,12 +43,10 @@ def parts(gm):
 
 def brute_force_match(a, b):
     """Minimum-cost assignment by exhaustive K! enumeration."""
-    k = a.k
+    pair_cost = [[float(np.sum((x - y) ** 2)) for y in b.means] for x in a.means]
     best, best_cost = None, np.inf
-    for perm in itertools.permutations(range(k)):
-        cost = sum(
-            float(np.sum((a.means[i] - b.means[p]) ** 2)) for i, p in enumerate(perm)
-        )
+    for perm in itertools.permutations(range(a.k)):
+        cost = sum(pair_cost[i][p] for i, p in enumerate(perm))
         if cost < best_cost:
             best, best_cost = perm, cost
     return np.array(best), best_cost
@@ -61,6 +61,14 @@ def record_array(*rows):
     nan = float("nan")
     full = [(m, n, n - m, *fs, *[nan] * (5 - len(fs))) for m, n, *fs in rows]
     return np.rec.array(full, dtype=RECORD_DTYPE)
+
+
+def reference_day_records(state, targets):
+    """The per-day scorer: every stored day of one state, replayed and scored on its own."""
+    n = state.day
+    days = tuple(a[:n] for a in targets)
+    m = np.arange(1, n + 1)
+    return score_recall(replay_all(state), days, state.prior.overall_moments(), m, np.full(n, n))
 
 
 def reference_age_curve(records):
@@ -135,7 +143,7 @@ def test_day_records_guard_zero_baseline():
     state = new_memory(prior, targets[0], 3)
     for t in targets[1:]:
         state = incorporate(state, t)
-    recs = day_records(state, stack_mixtures(targets))
+    recs = day_records([state], stack_mixtures(targets))
     assert np.isnan(recs[1].F_norm)
     for rec in (recs[0], recs[2]):
         baseline = moment_gap(prior.overall_moments(), targets[rec.m - 1].overall_moments())
@@ -144,10 +152,10 @@ def test_day_records_guard_zero_baseline():
 
 
 def test_match_components_equals_brute_force():
+    # K <= MAX_TABLE_K takes the permutation table, larger K the assignment method
     rng = np.random.default_rng(1)
     by_k = {}
-    for _ in range(60):
-        k = int(rng.integers(1, 6))
+    for k in np.repeat(np.arange(1, 9), 8):
         a = random_mixture(rng, k=k)
         b = random_mixture(rng, k=k)
         perm = match_components(a.means, b.means)
@@ -155,6 +163,7 @@ def test_match_components_equals_brute_force():
         assert assignment_cost(a, b, perm) == pytest.approx(best_cost, rel=1e-12)
         by_k.setdefault(k, []).append((a, b, perm, best_cost))
     # the same pairs stacked per K: every row is its pair's own answer
+    assert min(by_k) <= MAX_TABLE_K < max(by_k)
     for k, group in by_k.items():
         batch = match_components(
             np.stack([a.means for a, _, _, _ in group]), np.stack([b.means for _, b, _, _ in group])
@@ -174,6 +183,18 @@ def test_match_prefers_identity_on_ties():
     swapped = gm.means[[1, 0, 2, 3]]
     got = match_components(np.stack([gm.means, gm.means]), np.stack([gm.means, swapped]))
     assert np.array_equal(got, [[0, 1, 2, 3], [1, 0, 2, 3]])
+    # the assignment branch keeps the identity on ties as well
+    big = random_mixture(np.random.default_rng(2), k=MAX_TABLE_K + 2)
+    assert np.array_equal(match_components(big.means, big.means), np.arange(big.k))
+
+
+def test_match_tie_between_non_identity_optima_takes_the_first_permutation():
+    # components 0 and 1 coincide, so (1, 2, 0) and (2, 1, 0) both cost
+    # 1 + 4 + 1 = 6; the first in lexicographic order wins
+    a = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
+    b = np.array([[5.0, 4.0], [1.0, 0.0], [0.0, 2.0]])
+    assert np.array_equal(match_components(a, b), [1, 2, 0])
+    assert np.array_equal(match_components(np.stack([a, a]), np.stack([b, b])), [[1, 2, 0]] * 2)
 
 
 def test_match_recovers_planted_permutation():
@@ -226,7 +247,7 @@ def run_small_state(n_days=6, k=2, d=2, L=4):
 
 def test_day_records_shapes_and_flags():
     state, targets = run_small_state()
-    recs = day_records(state, stack_mixtures(targets))
+    recs = day_records([state], stack_mixtures(targets))
     n = state.day
     assert len(recs) == n
     assert [r.m for r in recs] == list(range(1, n + 1))
@@ -237,7 +258,7 @@ def test_day_records_shapes_and_flags():
     # multi-component run: decompositions filled in; single-component: NaN
     assert not np.isnan(recs.F_mean).any()
     state, targets = run_small_state(k=1)
-    single = day_records(state, stack_mixtures(targets))
+    single = day_records([state], stack_mixtures(targets))
     for field in ("F_mean", "F_cov", "F_weight"):
         assert np.isnan(single[field]).all()
 
@@ -248,7 +269,7 @@ def test_day_records_channels_equal_single_pair_decomposition():
     state = new_memory(default_prior(3, 2), targets[0], 6)
     for target in targets[1:]:
         state = incorporate(state, target)
-        for rec in day_records(state, stacked):
+        for rec in day_records([state], stacked):
             want = decomposed_forgetting(parts(replay(state, rec.m)), parts(targets[rec.m - 1]))
             got = (rec.F_mean, rec.F_cov, rec.F_weight)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
@@ -326,11 +347,11 @@ def test_aggregations_equal_reference_loops():
     targets[9] = default_prior(3, 2)
     stacked = stack_mixtures(targets)
     state = new_memory(targets[9], targets[0], 6)
-    days = [day_records(state, stacked)]
+    days = [state]
     for target in targets[1:]:
         state = incorporate(state, target)
-        days.append(day_records(state, stacked))
-    records = np.concatenate(days).view(np.recarray)
+        days.append(state)
+    records = day_records(days, stacked)
     assert np.isnan(records.F_norm).sum() == 21
     assert_aggregations_equal_reference(records)
     # A resumed run's first day brings ages 20..0 in descending order. The
@@ -339,3 +360,19 @@ def test_aggregations_equal_reference_loops():
     day_20 = run_experiment(RunConfig(stream=make_config("triangle", n_days=20), L=8))
     resumed = run_experiment(cfg, day_20.final_state).records
     assert_aggregations_equal_reference(resumed, shares_rel=60 * np.finfo(float).eps)
+
+
+def test_block_scoring_equals_per_day_reference():
+    # 100 triangle days give 5050 pairs; the resumed run's 3775 span at least three blocks
+    cfg = RunConfig(stream=make_config("triangle"), L=10)
+    targets = generate(cfg.stream)
+    stacked = stack_mixtures(targets)
+    want = np.concatenate([reference_day_records(s, stacked) for s in daily_states(cfg, targets)])
+    later = want[want["n"] > 50]
+    assert len(later) >= 3 * BLOCK_PAIRS
+    assert run_experiment(cfg).records.tobytes() == want.tobytes()
+    day_50 = run_experiment(RunConfig(stream=make_config("triangle", n_days=50), L=10))
+    assert run_experiment(cfg, day_50.final_state).records.tobytes() == later.tobytes()
+    # one block of states equals its days scored one by one
+    states = list(daily_states(cfg, targets))[:30]
+    assert day_records(states, stacked).tobytes() == want[want["n"] <= 30].tobytes()

@@ -109,20 +109,35 @@ def test_add_appends_target_at_one():
         add(grid, day_target(2, d=3))
 
 
+def reference_rebin_indices(L):
+    """Per-node loop on Python integers: the reference for rebin_indices."""
+    out = []
+    for j in range(L + 1):
+        num = j * (L + 1)
+        k = min(num // L, L)
+        out.append((k, (num - k * L) / L))
+    return out
+
+
 @pytest.mark.parametrize("L", [1, 2, 3, 7, 10, 16])
 def test_rebin_indices_partition_of_unity(L):
-    idx = rebin_indices(L)
-    assert len(idx) == L + 1
-    assert idx[0] == (0, 0.0)
-    k_last, a_last = idx[-1]
-    assert k_last == L and a_last == 1.0
+    k, alpha = rebin_indices(L)
+    assert len(k) == len(alpha) == L + 1
+    assert (k[0], alpha[0]) == (0, 0.0)
+    assert k[-1] == L and alpha[-1] == 1.0
     W = rebin_matrix(L)
     assert W.shape == (L + 1, L + 2)
     assert np.allclose(W.sum(axis=1), 1.0, atol=1e-15)
     assert np.count_nonzero(W > 0, axis=1).max() <= 2
     # each new node must land at position j*(L+1)/L exactly
-    for j, (k, alpha) in enumerate(idx):
-        assert k + alpha == pytest.approx(j * (L + 1) / L, abs=1e-12)
+    assert k + alpha == pytest.approx(np.arange(L + 1) * (L + 1) / L, abs=1e-12)
+
+
+def test_rebin_indices_equal_reference_loop():
+    for L in range(1, 401):
+        k, alpha = rebin_indices(L)
+        want_k, want_alpha = np.array(reference_rebin_indices(L)).T
+        assert np.array_equal(k, want_k) and np.array_equal(alpha, want_alpha)
 
 
 @pytest.mark.parametrize("L", [1, 3, 10, 25])
