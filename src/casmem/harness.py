@@ -44,10 +44,12 @@ SUMMARY_KEYS = ("half_life", "theta", "max_Fbar", "mean_share", "cov_share", "we
 SWEEP_COLUMNS = (
     "axis", "value", "half_life", "max_Fbar", "mean_share", "cov_share", "weight_share", "t_star"
 )
-# A block of days is scored once its stored (m, n) pairs reach this many.
-# Larger blocks spend less time per pair on NumPy call overhead, but the
-# scorer's temporaries grow with the block: a few MB at K = 8 and d = 2.
+# A block of days is scored once its stored (m, n) pairs reach BLOCK_PAIRS
+# or their recalled mixtures BLOCK_PARAMS parameters, K (d^2 + d + 1) per
+# pair (80 pairs at K = 3, d = 16). Larger blocks spend less time per pair
+# on NumPy call overhead, but the scorer's temporaries grow with the block.
 BLOCK_PAIRS = 1024
+BLOCK_PARAMS = 65_536
 
 
 @dataclass(frozen=True)
@@ -140,22 +142,24 @@ def run_experiment(cfg: RunConfig, state: MemoryState | None = None) -> RunResul
     config (streams are pure functions of it), so earlier days are
     scored although snapshots do not carry them.
 
-    States are scored in blocks of consecutive days (see BLOCK_PAIRS).
-    If the run fails and ``cfg.outputs`` is set, the states not yet
-    scored are scored, and ``records.partial.csv`` gets the records of
-    every day whose state was made before the failure; when the failure
-    is in scoring a block, that block's days are left out.
+    States are scored in blocks of consecutive days (see BLOCK_PAIRS and
+    BLOCK_PARAMS). If the run fails and ``cfg.outputs`` is set, the
+    states not yet scored are scored, and ``records.partial.csv`` gets
+    the records of every day whose state was made before the failure;
+    when the failure is in scoring a block, that block's days are left
+    out.
     """
     targets = stream_targets(cfg)
     if state is not None:
         _check_resumable(cfg, targets, state)
     stacked = stack_mixtures(targets)
+    block_pairs = _block_pairs(targets[0])
     blocks, pending = [], []
     try:
         for state in daily_states(cfg, targets, state):
             pending.append(state)
             _maybe_snapshot(cfg, state)
-            if sum(s.day for s in pending) >= BLOCK_PAIRS:
+            if sum(s.day for s in pending) >= block_pairs:
                 _score_pending(pending, blocks, stacked)
         _score_pending(pending, blocks, stacked)
     except Exception:
@@ -164,6 +168,12 @@ def run_experiment(cfg: RunConfig, state: MemoryState | None = None) -> RunResul
             _flush_partial(cfg, blocks)
         raise
     return _result(cfg, blocks, state)
+
+
+def _block_pairs(target: GaussianMixture) -> int:
+    """Pairs per scoring block for mixtures shaped like target; at least one."""
+    per_pair = target.k * (target.d * target.d + target.d + 1)
+    return max(1, min(BLOCK_PAIRS, BLOCK_PARAMS // per_pair))
 
 
 def _score_pending(pending: list, blocks: list, stacked) -> None:
@@ -310,9 +320,10 @@ def fifo_baseline(cfg: RunConfig) -> RunResult:
     prior = resolve_prior(cfg, targets[0])
     pool = stack_mixtures([*targets, prior])  # day m at row m - 1, the prior last
     all_m, all_n = stored_pairs(np.arange(1, len(targets) + 1))
+    size = _block_pairs(prior)
     blocks = []
-    for start in range(0, len(all_m), BLOCK_PAIRS):
-        m, n = all_m[start : start + BLOCK_PAIRS], all_n[start : start + BLOCK_PAIRS]
+    for start in range(0, len(all_m), size):
+        m, n = all_m[start : start + size], all_n[start : start + size]
         rows = np.where(n - m < cfg.L, m - 1, len(targets))
         recalled = [a[rows] for a in pool]
         originals = [a[m - 1] for a in pool]

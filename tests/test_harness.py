@@ -159,6 +159,24 @@ def test_partial_flush_leaves_out_a_block_whose_scoring_fails(tmp_path, monkeypa
     assert partial == full[:1] + [line for line in full[1:] if int(line.split(",")[1]) <= 4]
 
 
+def test_scoring_blocks_close_at_the_pair_or_parameter_bound(monkeypatch):
+    blocks = []
+    real = harness.day_records
+
+    def recording(states, targets):
+        blocks.append([s.day for s in states])
+        return real(states, targets)
+
+    monkeypatch.setattr(harness, "day_records", recording)
+    run_experiment(small_cfg(kind="embedded", d=16, n_days=40))
+    # K = 3, d = 16: 819 parameters per pair, so the parameter bound closes blocks at 80 pairs
+    limit = harness.BLOCK_PARAMS // (3 * (16 * 16 + 16 + 1))
+    assert limit < harness.BLOCK_PAIRS
+    assert [day for days in blocks for day in days] == list(range(1, 41))
+    assert all(sum(days[:-1]) < limit for days in blocks)
+    assert all(sum(days) >= limit for days in blocks[:-1])
+
+
 def test_periodic_snapshots_written(tmp_path):
     cfg = small_cfg(n_days=9, outputs=str(tmp_path), snapshot_every=4)
     run_experiment(cfg)
