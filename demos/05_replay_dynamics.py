@@ -20,6 +20,7 @@ import numpy as np
 
 from casmem.dynamics import fp_residual, integrate_sde, movie_frames, sample_bulk_points
 from casmem.harness import RunConfig, build_final_state
+from casmem.protocol import eval_at
 from casmem.streams import make_config
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "replay_dynamics")
@@ -42,13 +43,13 @@ def main():
 
     print("continuity-equation residuals (relative, 40 bulk points each):")
     for t in (0.13, 0.31, 0.52, 0.74, 0.93):
-        pts = sample_bulk_points(grid.eval_at(t), 40, seed=5)
+        pts = sample_bulk_points(eval_at(grid, t), 40, seed=5)
         print(f"  t = {t:.2f}: {fp_residual(grid, t, pts):.2e}")
     print()
 
     trajs = integrate_sde(grid, n_paths=2000, steps=400, seed=0)
     terminal = np.stack([t.states[-1] for t in trajs])
-    mom = grid.eval_at(1.0).overall_moments()
+    mom = eval_at(grid, 1.0).overall_moments()
     diverged = sum(t.diverged_at is not None for t in trajs)
     print(f"integrated {len(trajs)} paths, {diverged} diverged")
     print(f"terminal mean: sampled {np.round(terminal.mean(axis=0), 3)} "

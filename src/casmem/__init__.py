@@ -27,9 +27,8 @@ from .metrics import (
     half_life, match_components, moment_gap, score_recall,
 )
 from .protocol import (
-    MemoryState, ProtocolGrid, add, eval_at, incorporate, init_protocol, memory_footprint,
-    new_memory, readout_time, rebin_indices, rebin_matrix, replay, replay_all, replay_block,
-    smooth, stored_pairs,
+    MemoryState, ProtocolGrid, add, eval_at, incorporate, memory_footprint, new_memory,
+    readout_time, rebin_indices, rebin_matrix, replay, replay_block, smooth, stored_pairs,
 )
 from .streams import (
     StreamConfig, class_prior, default_prior, generate, load_gm_file, make_config, save_gm_file,
@@ -41,9 +40,9 @@ __all__ = [
     "DENSITY_FLOOR", "GaussianMixture", "Moments", "mixture_moments", "stack_mixtures",
     "validate", "validate_arrays",
     # protocol
-    "MemoryState", "ProtocolGrid", "add", "eval_at", "incorporate", "init_protocol",
-    "memory_footprint", "new_memory", "readout_time", "rebin_indices", "rebin_matrix",
-    "replay", "replay_all", "replay_block", "smooth", "stored_pairs",
+    "MemoryState", "ProtocolGrid", "add", "eval_at", "incorporate", "memory_footprint",
+    "new_memory", "readout_time", "rebin_indices", "rebin_matrix", "replay", "replay_block",
+    "smooth", "stored_pairs",
     # metrics
     "RECORD_DTYPE", "AgeCurve", "age_curve", "channel_shares", "day_records",
     "decomposed_forgetting", "half_life", "match_components", "moment_gap", "score_recall",

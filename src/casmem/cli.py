@@ -82,16 +82,10 @@ def load_run_config(path: str, args: argparse.Namespace) -> RunConfig:
     snap = getattr(args, "snapshot_every", None)
     if snap is None:
         snap = data.get("snapshot_every")
-    L = int(L)
-    theta = float(theta)
-    if L < 1:
-        raise ConfigError(f"L must be >= 1, got {L}")
-    if not 0.0 < theta < 1.0:
-        raise ConfigError(f"theta must lie in (0, 1), got {theta}")
     return RunConfig(
         stream=stream,
-        L=L,
-        theta=theta,
+        L=int(L),
+        theta=float(theta),
         prior=data.get("prior", "standard"),
         outputs=getattr(args, "out", None),
         snapshot_every=None if snap is None else int(snap),

@@ -61,6 +61,14 @@ class RunConfig:
     outputs: str | None = None
     snapshot_every: int | None = None
 
+    def __post_init__(self):
+        if self.L < 1:
+            raise ConfigError(f"L must be >= 1, got {self.L}")
+        if not 0.0 < self.theta < 1.0:
+            raise ConfigError(f"theta must lie in (0, 1), got {self.theta}")
+        if self.snapshot_every is not None and self.snapshot_every < 1:
+            raise ConfigError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
+
 
 @dataclass
 class RunResult:

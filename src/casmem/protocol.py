@@ -7,8 +7,9 @@ day:
 
 * compress relabels node times onto [0, L / (L + 1)] (lossless; no array
   changes, only the node spacing reads as 1 / (L + 1)),
-* add appends the new day's target as node L + 1 (non-destructive),
-* smooth evaluates the augmented L+2-node path back onto the L-segment
+* add appends the new day's target as node L + 1 (non-destructive) and
+  returns the augmented L+2-node path as stacked arrays, never as a grid,
+* smooth evaluates that path back onto the L-segment grid, the day's only
   grid. This rebinning is the only lossy step of the recursion.
 
 Every step is linear in the node parameters, costs O(L K d^2) per day and
@@ -52,11 +53,6 @@ class ProtocolGrid:
         for name, a in (("weights", w), ("means", m), ("covs", c)):
             object.__setattr__(self, name, _frozen(a))
 
-    @classmethod
-    def from_nodes(cls, nodes) -> "ProtocolGrid":
-        """Stack a sequence of same-shape mixtures into a grid."""
-        return cls(*stack_mixtures(nodes))
-
     @property
     def L(self) -> int:
         return self.means.shape[0] - 1
@@ -68,9 +64,6 @@ class ProtocolGrid:
     @property
     def d(self) -> int:
         return self.means.shape[2]
-
-    def eval_at(self, t: float) -> GaussianMixture:
-        return eval_at(self, t)
 
 
 @dataclass(frozen=True)
@@ -123,21 +116,17 @@ def eval_at(grid: ProtocolGrid, t: float) -> GaussianMixture:
     return GaussianMixture(*_lerp_nodes(_nodes(grid), *_segment(t, grid.L)))
 
 
-def init_protocol(prior: GaussianMixture, target1: GaussianMixture, L: int) -> ProtocolGrid:
-    """Day-1 grid: the linear ramp from the prior (t=0) to the first target (t=1)."""
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    ramp = stack_mixtures((prior, target1))
-    return ProtocolGrid(*_lerp_nodes(ramp, np.zeros(L + 1, dtype=int), np.arange(L + 1) / L))
+def add(grid: ProtocolGrid, target: GaussianMixture) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Append the new day as node L + 1: the L+2-node path on the (L + 1)-grid.
 
-
-def add(grid: ProtocolGrid, target: GaussianMixture) -> ProtocolGrid:
-    """Append the new day as node L + 1: the L+2-node path on the (L + 1)-grid."""
+    Returns the path as stacked (weights, means, covs) arrays, the form
+    stack_mixtures returns; smooth reads it once and it is never a grid.
+    """
     if target.k != grid.k or target.d != grid.d:
         raise ValueError(
             f"target shape ({target.k}, {target.d}) does not match grid ({grid.k}, {grid.d})"
         )
-    return ProtocolGrid(
+    return (
         np.concatenate([grid.weights, target.weights[None]]),
         np.concatenate([grid.means, target.means[None]]),
         np.concatenate([grid.covs, target.covs[None]]),
@@ -145,7 +134,7 @@ def add(grid: ProtocolGrid, target: GaussianMixture) -> ProtocolGrid:
 
 
 def rebin_indices(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact segments k and positions alpha locating each new node on the augmented grid.
+    """Exact segments k and positions alpha locating each new node on the augmented path.
 
     New node j sits at position j (L + 1) / L in augmented-node units, so
     k = min(j (L + 1) // L, L) and alpha = (j (L + 1) - k L) / L; the
@@ -169,16 +158,20 @@ def rebin_matrix(L: int) -> np.ndarray:
     return W
 
 
-def smooth(aug: ProtocolGrid, L: int) -> ProtocolGrid:
-    """Rebin the augmented L+2-node path onto L + 1 nodes: one gather-and-lerp."""
-    if aug.L != L + 1:
-        raise ValueError(f"augmented grid has {aug.L + 1} nodes, expected {L + 2}")
-    return ProtocolGrid(*_lerp_nodes(_nodes(aug), *rebin_indices(L)))
+def smooth(aug, L: int) -> ProtocolGrid:
+    """Rebin add's stacked L+2-node path onto L + 1 nodes: one gather-and-lerp."""
+    if len(aug[0]) != L + 2:
+        raise ValueError(f"augmented path has {len(aug[0])} nodes, expected {L + 2}")
+    return ProtocolGrid(*_lerp_nodes(aug, *rebin_indices(L)))
 
 
 def new_memory(prior: GaussianMixture, target1: GaussianMixture, L: int) -> MemoryState:
-    """State after day 1."""
-    return MemoryState(prior, init_protocol(prior, target1, L), 1)
+    """State after day 1: the linear ramp from the prior (t = 0) to the first target (t = 1)."""
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    ramp = stack_mixtures((prior, target1))
+    grid = ProtocolGrid(*_lerp_nodes(ramp, np.zeros(L + 1, dtype=int), np.arange(L + 1) / L))
+    return MemoryState(prior, grid, 1)
 
 
 def incorporate(state: MemoryState, target: GaussianMixture) -> MemoryState:
@@ -222,11 +215,6 @@ def replay_block(states) -> tuple[np.ndarray, np.ndarray, tuple]:
     return m, n, _lerp_nodes(nodes, j, alpha)
 
 
-def replay_all(state: MemoryState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recalled parameters of every stored day 1..n, stacked in day order."""
-    return replay_block([state])[2]
-
-
 def replay(state: MemoryState, m: int) -> GaussianMixture:
     """Reconstruct day m by evaluating the grid at its current readout time."""
     if not 1 <= m <= state.day:
@@ -268,4 +256,5 @@ def state_from_snapshot(data: dict) -> MemoryState:
     if len(nodes) != L + 1:
         raise ValueError(f"snapshot carries {len(nodes)} nodes but L = {L}")
     prior = GaussianMixture.from_dict(data["prior"])
-    return MemoryState(prior, ProtocolGrid.from_nodes(nodes), int(data["day"]), data.get("stream"))
+    grid = ProtocolGrid(*stack_mixtures(nodes))
+    return MemoryState(prior, grid, int(data["day"]), data.get("stream"))

@@ -12,9 +12,6 @@ import numpy as np
 
 from .gm import GaussianMixture, validate_arrays
 
-KINDS = ("circular", "linear", "triangle", "crowding", "embedded", "split_merge",
-         "rotating_dominance", "file")
-
 _KIND_DEFAULTS = {
     "circular": dict(K=1, cov_scale=0.5),
     "linear": dict(K=1, cov_scale=0.5),
@@ -101,8 +98,11 @@ def ring_means(cfg: StreamConfig, m: int, radii=None) -> np.ndarray:
     return means
 
 
-def _ring_target(cfg: StreamConfig, m: int, radii=None) -> GaussianMixture:
+def _ring_target(cfg: StreamConfig, m: int, radii=None, walk=None) -> GaussianMixture:
+    """Equal-weight isotropic ring mixture; walk, if given, sets coordinates 2 and up."""
     means = ring_means(cfg, m, radii)
+    if walk is not None:
+        means[:, 2:] = walk
     covs = np.repeat(cfg.cov_scale * np.eye(cfg.d)[None, :, :], cfg.K, axis=0)
     return GaussianMixture(np.full(cfg.K, 1.0 / cfg.K), means, covs)
 
@@ -157,14 +157,7 @@ def embedded_stream(cfg: StreamConfig) -> list[GaussianMixture]:
     if cfg.d < 2:
         raise ValueError("embedded stream needs d >= 2")
     walks = nuisance_walks(cfg)
-    targets = []
-    for m in range(1, cfg.n_days + 1):
-        means = ring_means(cfg, m)
-        if cfg.d > 2:
-            means[:, 2:] = walks[m - 1]
-        covs = np.repeat(cfg.cov_scale * np.eye(cfg.d)[None, :, :], cfg.K, axis=0)
-        targets.append(GaussianMixture(np.full(cfg.K, 1.0 / cfg.K), means, covs))
-    return targets
+    return [_ring_target(cfg, m, walk=walks[m - 1]) for m in range(1, cfg.n_days + 1)]
 
 
 # Split-merge schedule: (last_day, radii the grid ramps toward). Each phase
@@ -212,12 +205,9 @@ def rotating_weights(cfg: StreamConfig, m: int, k_components: int) -> np.ndarray
     return e / e.sum()
 
 
-def rotating_dominance_stream(
-    cfg: StreamConfig, base: GaussianMixture | None = None
-) -> list[GaussianMixture]:
+def rotating_dominance_stream(cfg: StreamConfig) -> list[GaussianMixture]:
     """Fixed component shapes with softmax weights rotating at period P."""
-    if base is None:
-        base = synthetic_class_mixture(cfg.d, cfg.K, seed=cfg.seed + 7)
+    base = synthetic_class_mixture(cfg.d, cfg.K, seed=cfg.seed + 7)
     return [
         GaussianMixture(rotating_weights(cfg, m, base.k), base.means, base.covs)
         for m in range(1, cfg.n_days + 1)
@@ -292,20 +282,23 @@ def file_stream(cfg: StreamConfig) -> list[GaussianMixture]:
     return [gm] * cfg.n_days
 
 
+_GENERATORS = {
+    "circular": circular_stream,
+    "linear": linear_stream,
+    "triangle": triangle_stream,
+    "crowding": crowding_stream,
+    "embedded": embedded_stream,
+    "split_merge": split_merge_stream,
+    "rotating_dominance": rotating_dominance_stream,
+    "file": file_stream,
+}
+KINDS = tuple(_GENERATORS)
+
+
 def generate(cfg: StreamConfig) -> list[GaussianMixture]:
     """Dispatch to the generator named by cfg.kind."""
-    table = {
-        "circular": circular_stream,
-        "linear": linear_stream,
-        "triangle": triangle_stream,
-        "crowding": crowding_stream,
-        "embedded": embedded_stream,
-        "split_merge": split_merge_stream,
-        "rotating_dominance": rotating_dominance_stream,
-        "file": file_stream,
-    }
     try:
-        gen = table[cfg.kind]
+        gen = _GENERATORS[cfg.kind]
     except KeyError:
         raise ValueError(f"unknown stream kind {cfg.kind!r}; choose from {KINDS}") from None
     return gen(cfg)

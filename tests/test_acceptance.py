@@ -15,7 +15,9 @@ from casmem.dynamics import fp_residual, integrate_sde, path_slice, psi_potentia
 from casmem.gm import GaussianMixture
 from casmem.harness import RunConfig, build_final_state, fifo_baseline, run_experiment, sweep
 from casmem.metrics import channel_shares, match_components
-from casmem.protocol import add, incorporate, new_memory, rebin_matrix, smooth
+from casmem.protocol import (
+    ProtocolGrid, add, eval_at, incorporate, new_memory, rebin_matrix, smooth,
+)
 from casmem.streams import (
     class_prior,
     default_prior,
@@ -259,7 +261,7 @@ def test_criterion_14_dynamics_properties():
     for kind in ("circular", "triangle", "rotating_dominance"):
         grid = build_final_state(RunConfig(stream=make_config(kind))).grid
         worst[kind] = max(
-            fp_residual(grid, t, sample_bulk_points(grid.eval_at(t), 50, seed=5))
+            fp_residual(grid, t, sample_bulk_points(eval_at(grid, t), 50, seed=5))
             for t in times
         )
     assert all(w < 1e-3 for w in worst.values()), worst
@@ -286,7 +288,7 @@ def test_criterion_14_dynamics_properties():
     trajs = integrate_sde(grid, n_paths=5000, steps=400, seed=0)
     sde_time = time.perf_counter() - t0
     terminal = np.stack([t.states[-1] for t in trajs])
-    mom = grid.eval_at(1.0).overall_moments()
+    mom = eval_at(grid, 1.0).overall_moments()
     n = len(terminal)
     se_mean = np.sqrt(np.diag(mom.cov) / n)
     mean_dev = np.abs(terminal.mean(axis=0) - mom.mean) / se_mean
@@ -361,8 +363,7 @@ def test_criterion_15_oracle_equivalences():
         aug = add(state.grid, targets[6])
         direct = smooth(aug, L)
         W = rebin_matrix(L)
-        for x, y in ((direct.weights, aug.weights), (direct.means, aug.means),
-                     (direct.covs, aug.covs)):
+        for x, y in zip((direct.weights, direct.means, direct.covs), aug):
             stacked = y.reshape(L + 2, -1)
             smooth_gap = max(smooth_gap, float(np.abs(x.reshape(L + 1, -1) - W @ stacked).max()))
 
@@ -371,12 +372,13 @@ def test_criterion_15_oracle_equivalences():
     for t in targets[1:6]:
         state = incorporate(state, t)
     grid = state.grid
-    aug = add(grid, targets[6])
+    # add returns plain arrays; a grid is built here only to call eval_at
+    aug = ProtocolGrid(*add(grid, targets[6]))
     shrink = grid.L / (grid.L + 1.0)
     compress_gap = 0.0
     for s in np.linspace(0.0, 1.0, 101):
-        p = aug.eval_at(float(s) * shrink)
-        q = grid.eval_at(float(s))
+        p = eval_at(aug, float(s) * shrink)
+        q = eval_at(grid, float(s))
         compress_gap = max(
             compress_gap,
             float(np.abs(p.weights - q.weights).max()),

@@ -17,8 +17,8 @@ from casmem.dynamics import (
     shape_current,
 )
 from casmem.errors import NumericalError
-from casmem.gm import GaussianMixture
-from casmem.protocol import ProtocolGrid, incorporate, new_memory
+from casmem.gm import GaussianMixture, stack_mixtures
+from casmem.protocol import ProtocolGrid, eval_at, incorporate, new_memory
 from casmem.streams import default_prior, generate, make_config
 
 
@@ -219,13 +219,13 @@ def test_psi_terms_match_node_tensor_reference(d, L, n_days, with_potential):
 
 def test_fp_residual_is_small_on_a_real_grid():
     grid = small_grid("circular", n_days=15, L=5)
-    pts = sample_bulk_points(grid.eval_at(0.45), 25, seed=3)
+    pts = sample_bulk_points(eval_at(grid, 0.45), 25, seed=3)
     assert fp_residual(grid, 0.45, pts) < 1e-3
 
 
 def test_fp_residual_with_moving_weights():
     grid = small_grid("rotating_dominance", n_days=8, L=4, d=3)
-    pts = sample_bulk_points(grid.eval_at(0.37), 12, seed=4)
+    pts = sample_bulk_points(eval_at(grid, 0.37), 12, seed=4)
     assert fp_residual(grid, 0.37, pts) < 1e-3
 
 
@@ -277,7 +277,7 @@ def test_integrate_sde_stationary_mixture():
         np.array([[-1.0, 0.0], [1.0, 0.5]]),
         np.stack([0.4 * np.eye(2), 0.6 * np.eye(2)]),
     )
-    grid = ProtocolGrid.from_nodes((gm, gm, gm))
+    grid = ProtocolGrid(*stack_mixtures((gm, gm, gm)))
     trajs = integrate_sde(grid, n_paths=1500, steps=150, seed=5)
     terminal = np.stack([t.states[-1] for t in trajs])
     mom = gm.overall_moments()

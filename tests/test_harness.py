@@ -213,6 +213,9 @@ def test_apply_axis_dispatch():
     assert harness._apply_axis(tri, "K", 5).stream.r == 0.5
     with pytest.raises(ConfigError):
         harness._apply_axis(cfg, "colour", 1)
+    # RunConfig checks its own fields, so a swept value is checked too
+    with pytest.raises(ConfigError):
+        sweep(cfg, "theta", [0.0])
 
 
 def test_capacity_diagnostics_fit_and_guards():
@@ -360,6 +363,13 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert cli_main(["run", "--config", bad_field]) == 2
     bad_theta = write_cfg(tmp_path, "theta.json", theta=1.5)
     assert cli_main(["run", "--config", bad_theta]) == 2
+    for every in (-5, 0):
+        bad_snap = write_cfg(tmp_path, f"snap{every}.json", snapshot_every=every)
+        assert cli_main(["run", "--config", bad_snap, "--out", str(tmp_path / "o")]) == 2
+    good = write_cfg(tmp_path, "good.json")
+    assert cli_main(["run", "--config", good, "--snapshot-every", "-2"]) == 2
+    assert cli_main(["sweep", "--config", good, "--axis", "theta", "--values", "0,1.5"]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys):

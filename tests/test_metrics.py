@@ -22,7 +22,7 @@ from casmem.metrics import (
     score_recall,
 )
 from casmem.harness import BLOCK_PAIRS, RunConfig, daily_states, run_experiment
-from casmem.protocol import incorporate, new_memory, replay, replay_all
+from casmem.protocol import incorporate, new_memory, replay, replay_block
 from casmem.streams import default_prior, generate, make_config
 
 
@@ -68,7 +68,8 @@ def reference_day_records(state, targets):
     n = state.day
     days = tuple(a[:n] for a in targets)
     m = np.arange(1, n + 1)
-    return score_recall(replay_all(state), days, state.prior.overall_moments(), m, np.full(n, n))
+    recalled = replay_block([state])[2]
+    return score_recall(recalled, days, state.prior.overall_moments(), m, np.full(n, n))
 
 
 def reference_age_curve(records):

@@ -8,14 +8,13 @@ from casmem.protocol import (
     add,
     eval_at,
     incorporate,
-    init_protocol,
     memory_footprint,
     new_memory,
     readout_time,
     rebin_indices,
     rebin_matrix,
     replay,
-    replay_all,
+    replay_block,
     smooth,
     snapshot_dict,
     state_from_snapshot,
@@ -57,22 +56,24 @@ def node(grid, j):
     return GaussianMixture(grid.weights[j], grid.means[j], grid.covs[j])
 
 
-def test_init_protocol_ramp():
+def test_new_memory_ramp():
     prior, t1 = standard_prior(), day_target(1)
-    grid = init_protocol(prior, t1, L=5)
+    state = new_memory(prior, t1, L=5)
+    grid = state.grid
+    assert state.day == 1 and state.prior is prior
     assert grid.L == 5 and grid.means.shape[0] == 6
     assert same_params(node(grid, 0), prior)
     assert same_params(node(grid, -1), t1)
     # interior nodes are the exact parameter lerp
     assert np.allclose(grid.means[2], 0.6 * prior.means + 0.4 * t1.means)
     with pytest.raises(ValueError):
-        init_protocol(prior, day_target(1, k=3), L=5)
+        new_memory(prior, day_target(1, k=3), L=5)
     with pytest.raises(ValueError):
-        init_protocol(prior, t1, L=0)
+        new_memory(prior, t1, L=0)
 
 
 def test_eval_at_endpoints_and_domain():
-    grid = init_protocol(standard_prior(), day_target(1), L=4)
+    grid = new_memory(standard_prior(), day_target(1), L=4).grid
     assert same_params(eval_at(grid, 0.0), node(grid, 0))
     assert same_params(eval_at(grid, 1.0), node(grid, -1))
     assert same_params(eval_at(grid, 0.5), node(grid, 2))
@@ -83,28 +84,32 @@ def test_eval_at_endpoints_and_domain():
 
 
 def test_compress_relabel_is_lossless():
-    # The compressed path occupies [0, L/(L+1)] of the augmented grid;
+    # The compressed path occupies [0, L/(L+1)] of the augmented path;
     # original time s maps to s * L / (L + 1). States must be untouched.
     L = 7
-    grid = init_protocol(standard_prior(), day_target(1), L)
     state = new_memory(standard_prior(), day_target(1), L)
     for m in range(2, 5):
         state = incorporate(state, day_target(m))
     grid = state.grid
-    aug = add(grid, day_target(9))
+    # add returns plain arrays; a grid is built here only to call eval_at
+    aug = ProtocolGrid(*add(grid, day_target(9)))
     shrink = L / (L + 1.0)
     worst = 0.0
     for s in np.linspace(0.0, 1.0, 201):
-        worst = max(worst, max_param_gap(aug.eval_at(s * shrink), grid.eval_at(float(s))))
+        worst = max(worst, max_param_gap(eval_at(aug, s * shrink), eval_at(grid, float(s))))
     assert worst <= 1e-13
 
 
 def test_add_appends_target_at_one():
-    grid = init_protocol(standard_prior(), day_target(1), L=4)
+    state = new_memory(standard_prior(), day_target(1), L=4)
+    grid = state.grid
     target = day_target(2)
     aug = add(grid, target)
-    assert aug.L + 1 == grid.L + 2
-    assert same_params(aug.eval_at(1.0), target)
+    assert isinstance(aug, tuple) and len(aug) == 3
+    assert [a.shape[0] for a in aug] == [grid.L + 2] * 3
+    assert same_params(eval_at(ProtocolGrid(*aug), 1.0), target)
+    # the day's grid ends on the target, bit for bit
+    assert same_params(node(incorporate(state, target).grid, grid.L), target)
     with pytest.raises(ValueError):
         add(grid, day_target(2, d=3))
 
@@ -145,13 +150,13 @@ def test_smooth_direct_equals_matrix(L):
     state = new_memory(standard_prior(), day_target(1), L)
     for m in range(2, 6):
         state = incorporate(state, day_target(m))
-    aug = add(state.grid, day_target(6))
+    aug_w, aug_m, aug_c = aug = add(state.grid, day_target(6))
     a = smooth(aug, L)
     W = rebin_matrix(L)
     b = ProtocolGrid(
-        np.einsum("ja,ak->jk", W, aug.weights),
-        np.einsum("ja,akd->jkd", W, aug.means),
-        np.einsum("ja,akde->jkde", W, aug.covs),
+        np.einsum("ja,ak->jk", W, aug_w),
+        np.einsum("ja,akd->jkd", W, aug_m),
+        np.einsum("ja,akde->jkde", W, aug_c),
     )
     worst = max(
         float(np.abs(x - y).max())
@@ -180,7 +185,7 @@ def test_readout_times_contract_geometrically():
     for m in range(2, 8):
         state = incorporate(state, day_target(m))
     # the batched replay reads every day at the same readout time as replay
-    w, means, covs = replay_all(state)
+    w, means, covs = replay_block([state])[2]
     for m in range(1, 8):
         assert same_params(GaussianMixture(w[m - 1], means[m - 1], covs[m - 1]), replay(state, m))
     with pytest.raises(KeyError):

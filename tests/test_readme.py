@@ -1,4 +1,5 @@
 """The documented public surface: README examples and the package exports."""
+import importlib
 import re
 import types
 from pathlib import Path
@@ -27,3 +28,19 @@ def test_all_lists_resolvable_non_module_names():
     for name in casmem.__all__:
         obj = getattr(casmem, name)
         assert not isinstance(obj, types.ModuleType), name
+
+
+def test_readme_module_table_names_exist():
+    # Every backticked bare name (or call, by the name before its "(") in a
+    # library module's row is an attribute of that module; dotted names
+    # such as file names are left out.
+    rows = re.findall(r"^\| `(casmem\.\w+)` \| (.*) \|$", README.read_text(), flags=re.M)
+    assert len(rows) >= 7
+    for module_name, contents in rows:
+        if module_name == "casmem.cli":
+            continue
+        module = importlib.import_module(module_name)
+        for span in re.findall(r"`([^`]+)`", contents):
+            name = span.split("(")[0].strip()
+            if name.isidentifier():
+                assert hasattr(module, name), f"{module_name} has no {name!r}"
