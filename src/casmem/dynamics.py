@@ -110,53 +110,66 @@ def shape_current(sl: PathSlice, x) -> np.ndarray:
     return out[0] if single else out
 
 
-def _adaptive_integral(f, tol: float, max_panels: int) -> np.ndarray:
+def _adaptive_integral(f, tol: float, max_panels: int, edges=(0.0, 1.0)):
     """Integrate a batch of columns over u in [0, 1] with shared panels.
 
-    ``f(u, w)`` takes the 22 nodes u (q,) of a panel's 15- and 7-point
-    Gauss-Legendre rules and their weights w (2, q), each row zero on the
-    other rule's nodes, and returns the two weighted sums (2, B), fine
-    rule first: one call per panel. All columns are refined together on
-    a common panel set, so differences of nearby columns
-    (finite-difference stencils) see the same quadrature error and it
-    cancels. Panels split at the largest 15-vs-7-point discrepancy until
-    the pooled error estimate drops below ``tol`` relative to the largest
-    column.
+    ``f(u, w)`` takes the 22 nodes u (P, q) of P panels' 15- and 7-point
+    Gauss-Legendre rules and their weights w (P, 2, q), each rule's row
+    zero on the other rule's nodes, and returns the weighted sums
+    (P, 2, B), fine rule first. The panels between ``edges`` go through
+    one call, and each split evaluates its two halves in one more call.
+    All columns are refined together on a common panel set, so
+    differences of nearby columns (finite-difference stencils) see the
+    same quadrature error and it cancels. Panels split at the largest
+    15-vs-7-point discrepancy until the pooled error estimate drops below
+    ``tol`` relative to the largest column; the starting panels count
+    toward ``max_panels``. Returns the fine-rule total (B,) and the final
+    panel edges, which can start the next integral of a similar
+    integrand.
     """
 
-    def evaluate(a: float, b: float):
+    def evaluate(a: np.ndarray, b: np.ndarray):
         half = 0.5 * (b - a)
-        fine, coarse = f(0.5 * (a + b) + half * _GL_NODES, half * _GL_WEIGHTS)
-        return a, b, fine, float(np.abs(fine - coarse).max())
+        u = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+        sums = f(u, half[:, None, None] * _GL_WEIGHTS)
+        return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1]).max(axis=1)
 
-    panels = [evaluate(0.0, 1.0)]
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    fine, err = evaluate(lo, hi)
     while True:
-        total = np.sum([p[2] for p in panels], axis=0)
+        total = fine.sum(axis=0)
         scale = max(float(np.abs(total).max()), DENSITY_FLOOR)
-        err = sum(p[3] for p in panels)
-        if err <= tol * scale:
-            return total
-        if len(panels) >= max_panels:
+        pooled = sum(err.tolist())
+        if pooled <= tol * scale:
+            return total, np.append(np.sort(lo), hi.max())
+        if len(lo) >= max_panels:
             raise NumericalError(
-                f"potential quadrature stalled at {len(panels)} panels "
-                f"(error {err:.3e} vs scale {scale:.3e})"
+                f"potential quadrature stalled at {len(lo)} panels "
+                f"(error {pooled:.3e} vs scale {scale:.3e})"
             )
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        a, b, _, _ = panels.pop(worst)
+        worst = int(err.argmax())
+        a, b = lo[worst], hi[worst]
         mid = 0.5 * (a + b)
-        panels.append(evaluate(a, mid))
-        panels.append(evaluate(mid, b))
+        keep = np.arange(len(lo)) != worst
+        halves = evaluate(np.array([a, mid]), np.array([mid, b]))
+        lo, hi = np.append(lo[keep], [a, mid]), np.append(hi[keep], [mid, b])
+        fine = np.concatenate([fine[keep], halves[0]])
+        err = np.concatenate([err[keep], halves[1]])
 
 
-def _psi_terms(sl: PathSlice, pts: np.ndarray, with_potential: bool):
+def _psi_terms(sl: PathSlice, pts: np.ndarray, with_potential: bool, panels=None):
     """Quadrature for grad psi (n, d) and, optionally, psi itself (n,).
 
     Maps s = lam_max u / (1 - u) onto the unit interval and integrates
     in the eigenbasis of each active component; the gradient rotates
     back afterwards. Only the kernel and the denominators depend on the
-    node, so the weights fold into them first: the gradient's weighted
-    sum is z * ((w kernel) @ (1 / den)), one matmul per rule, and no
-    (q, n, d) node tensor is built.
+    node, so the rule weights fold into the small (P, d, q) inverse
+    denominators: one batched (P, 2 d, q) @ (P, q, n) matmul gives both
+    rules' sums of kernel / den, z multiplies them, and no (q, n, d)
+    node tensor is built. The columns are dimension-major, (d, n).
+    ``panels`` maps a component to the panel edges its integral starts
+    from (default [0, 1]) and receives its final edges.
     """
     gm = sl.gm
     n, d = pts.shape
@@ -164,45 +177,55 @@ def _psi_terms(sl: PathSlice, pts: np.ndarray, with_potential: bool):
     pot = np.zeros(n) if with_potential else None
     if with_potential and d <= 2:
         raise ValueError("the potential integral diverges for d <= 2; use the gradient")
+    panels = {} if panels is None else panels
     norm = (2.0 * np.pi) ** (-0.5 * d)
     active = np.nonzero(np.abs(sl.weight_rates) > 0.0)[0]
     lams, bases = np.linalg.eigh(gm.covs[active])
     for k, lam, q_basis in zip(active, lams, bases):
-        z = (pts - gm.means[k]) @ q_basis
-        zz = z * z
+        z_t = ((pts - gm.means[k]) @ q_basis).T
+        zz_t = z_t * z_t
         lmax = float(lam[-1])
 
         def integrand(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-            s = lmax * u / (1.0 - u)
-            jac = lmax / (1.0 - u) ** 2
-            den = lam[None, :] + 2.0 * s[:, None]
-            inv = 1.0 / den
-            kernel = np.exp(-0.5 * (zz @ inv.T) - 0.5 * np.log(den).sum(axis=1)) * jac
-            weighted = w[:, None, :] * kernel
-            out = (z * (weighted @ inv)).reshape(2, n * d)
+            p, q = u.shape
+            inv = 1.0 / (lam + 2.0 * (lmax * u / (1.0 - u))[:, :, None])
+            # log of the Jacobian lmax / (1 - u)^2 times det(den)^(-1/2)
+            log_c = np.log(lmax / (1.0 - u) ** 2) + 0.5 * np.log(inv).sum(axis=2)
+            kernel = (-0.5 * inv) @ zz_t
+            kernel += log_c[:, :, None]
+            np.exp(kernel, out=kernel)
+            w_inv = w[:, :, None, :] * inv.transpose(0, 2, 1)[:, None]
+            sums = (w_inv.reshape(p, 2 * d, q) @ kernel).reshape(p, 2, d, n)
+            sums *= z_t
+            out = sums.reshape(p, 2, d * n)
             if with_potential:
-                out = np.concatenate([out, weighted.sum(axis=2)], axis=1)
+                out = np.concatenate([out, w @ kernel], axis=2)
             return out
 
-        total = _adaptive_integral(integrand, QUAD_REL_TOL, QUAD_MAX_PANELS)
+        total, panels[k] = _adaptive_integral(
+            integrand, QUAD_REL_TOL, QUAD_MAX_PANELS, panels.get(k, (0.0, 1.0))
+        )
         rate = float(sl.weight_rates[k])
-        grad += rate * norm * total[: n * d].reshape(n, d) @ q_basis.T
+        grad += rate * norm * total[: n * d].reshape(d, n).T @ q_basis.T
         if with_potential:
             pot -= rate * norm * total[n * d :]
     return grad, pot
 
 
-def poisson_psi_grad(sl: PathSlice, x) -> np.ndarray:
+def poisson_psi_grad(sl: PathSlice, x, panels=None) -> np.ndarray:
     """Gradient of the weight-transport potential at x.
 
     Zero whenever the weight rates vanish; otherwise one adaptive
     quadrature per component with a nonzero rate, batched over points.
+    ``panels``, a dict the caller owns, maps each component to the panel
+    edges its quadrature starts from and receives the edges it ended
+    on; None starts every component from [0, 1].
     """
     pts, single = _as_points(x, sl.gm.d)
     if np.abs(sl.weight_rates).sum() <= WEIGHT_RATE_TOL:
         out = np.zeros_like(pts)
         return out[0] if single else out
-    grad, _ = _psi_terms(sl, pts, with_potential=False)
+    grad, _ = _psi_terms(sl, pts, with_potential=False, panels=panels)
     return grad[0] if single else grad
 
 
@@ -220,12 +243,14 @@ def psi_potential(sl: PathSlice, x) -> np.ndarray | float:
     return float(pot[0]) if single else pot
 
 
-def drift_with_stats(sl: PathSlice, x) -> tuple[np.ndarray, int]:
+def drift_with_stats(sl: PathSlice, x, panels=None) -> tuple[np.ndarray, int]:
     """SDE drift at x plus the number of density-clamped evaluations.
 
     The component-transport part and the half-score are evaluated
     through responsibilities and never divide by the density; only the
     Poisson term needs the division, clamped at the floor in far tails.
+    ``panels`` is passed on to ``poisson_psi_grad``: the quadrature panel
+    edges per component to start from, updated in place.
     """
     pts, single = _as_points(x, sl.gm.d)
     logd, r, siy, vel = _slice_parts(sl, pts)
@@ -234,7 +259,7 @@ def drift_with_stats(sl: PathSlice, x) -> tuple[np.ndarray, int]:
     if np.abs(sl.weight_rates).sum() > WEIGHT_RATE_TOL:
         dens = np.exp(logd)
         clamped = int(np.count_nonzero(dens < DENSITY_FLOOR))
-        out -= poisson_psi_grad(sl, pts) / np.maximum(dens, DENSITY_FLOOR)[:, None]
+        out -= poisson_psi_grad(sl, pts, panels) / np.maximum(dens, DENSITY_FLOOR)[:, None]
     return (out[0] if single else out), clamped
 
 
@@ -282,8 +307,11 @@ def integrate_sde(
     seed, and repeat calls with the same n_paths reproduce bit for bit.
     On constant-weight grids a single trajectory also reproduces
     regardless of n_paths. When the weights move, the Poisson quadrature
-    pools its error test over the alive batch, so the panels, and with
-    them each path's drift, depend on the siblings at quadrature accuracy.
+    pools its error test over the alive batch, and each step starts from
+    the panels the previous steps of the same segment ended on, so the
+    panels, and with them each path's drift, depend on the siblings and
+    on the earlier steps at quadrature accuracy. Repeat calls with the
+    same n_paths stay bit-identical.
     Paths that leave the representable range are cut at the first
     non-finite state and NaN-filled from there.
     """
@@ -310,8 +338,13 @@ def integrate_sde(
 
         alive = np.arange(len(rngs))
         x = states[:, 0].copy()
+        seg, panels = None, {}
         for s in range(steps):
-            vel, _ = drift_with_stats(path_slice(grid, float(times[s])), x[alive])
+            t = float(times[s])
+            j, _ = _segment(t, grid.L)
+            if j != seg:
+                seg, panels = j, {}
+            vel, _ = drift_with_stats(path_slice(grid, t), x[alive], panels=panels)
             x[alive] = x[alive] + vel * dt + root * noise[alive, s]
             ok = np.isfinite(x[alive]).all(axis=1)
             if not ok.all():

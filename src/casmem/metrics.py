@@ -104,9 +104,12 @@ def decomposed_forgetting(replayed, original) -> tuple:
     r_w, r_m, r_c = replayed
     o_w, o_m, o_c = original
     perm = match_components(r_m, o_m)
-    o_w = np.take_along_axis(o_w, perm, axis=-1)
-    o_m = np.take_along_axis(o_m, perm[..., None], axis=-2)
-    o_c = np.take_along_axis(o_c, perm[..., None, None], axis=-3)
+    flat = perm.reshape(-1, perm.shape[-1])
+    rows = np.arange(len(flat))[:, None]
+    o_w, o_m, o_c = (
+        a.reshape(flat.shape + a.shape[perm.ndim :])[rows, flat].reshape(a.shape)
+        for a in (o_w, o_m, o_c)
+    )
     w_bar = np.maximum(r_w, o_w)
     dm = r_m - o_m
     f_mean = np.einsum("...k,...k->...", w_bar, np.einsum("...kd,...kd->...k", dm, dm))

@@ -133,37 +133,76 @@ def test_drift_reduces_to_half_score_when_frozen():
 
 
 def counted(g, calls):
-    """An f(u, w) for _adaptive_integral that weights g's node values and logs each call."""
+    """An f(u, w) for _adaptive_integral that weights g's node values and logs
+    the (lowest, highest) node of each panel of each call."""
 
     def f(u, w):
-        assert u.shape == (22,) and w.shape == (2, 22)
-        calls.append((u.min(), u.max()))
-        return w @ g(u)
+        assert u.ndim == 2 and u.shape[1] == 22 and w.shape == (len(u), 2, 22)
+        calls.append([(row.min(), row.max()) for row in u])
+        return w @ g(u.ravel()).reshape(*u.shape, -1)
 
     return f
+
+
+def spike(u):
+    return (1.0 / (1e-8 + (u - 0.7312) ** 2))[:, None]
+
+
+def peak(u):
+    return (1.0 / (1e-3 + (u - 0.7312) ** 2))[:, None]
+
+
+PEAK_INTEGRAL = (np.arctan(0.2688 / 1e-3**0.5) + np.arctan(0.7312 / 1e-3**0.5)) / 1e-3**0.5
 
 
 def test_adaptive_integral_converges_and_stalls():
     calls = []
     # smooth integrand: int_0^1 exp(u) du, resolved on the first panel
-    got = _adaptive_integral(counted(lambda u: np.exp(u)[:, None], calls), 1e-10, 50)
+    got, edges = _adaptive_integral(counted(lambda u: np.exp(u)[:, None], calls), 1e-10, 50)
     assert got[0] == pytest.approx(np.e - 1.0, rel=1e-12)
-    assert len(calls) == 1
+    assert [len(c) for c in calls] == [1] and np.array_equal(edges, [0.0, 1.0])
     # a moving spike cannot be resolved with a too-small panel budget; the
-    # budget of 3 allows two splits, so 1 + 2 + 2 panels are evaluated
-    spike = lambda u: (1.0 / (1e-8 + (u - 0.7312) ** 2))[:, None]
+    # budget of 3 allows two splits, so 1 + 2 + 2 panels in three calls
     calls.clear()
     with pytest.raises(NumericalError):
         _adaptive_integral(counted(spike, calls), 1e-12, 3)
-    assert len(calls) == 5
-    # a resolvable peak: one call per panel, never the same panel twice
-    peak = lambda u: (1.0 / (1e-3 + (u - 0.7312) ** 2))[:, None]
+    assert [len(c) for c in calls] == [1, 2, 2]
+    # a resolvable peak: one call for the start, one per split with both
+    # halves, never the same panel twice
     calls.clear()
-    got = _adaptive_integral(counted(peak, calls), 1e-10, 200)
-    a = np.sqrt(1e-3)
-    expect = (np.arctan(0.2688 / a) + np.arctan(0.7312 / a)) / a
-    assert got[0] == pytest.approx(expect, rel=1e-9)
-    assert len(calls) > 1 and len(calls) % 2 == 1 and len(set(calls)) == len(calls)
+    got, edges = _adaptive_integral(counted(peak, calls), 1e-10, 200)
+    assert got[0] == pytest.approx(PEAK_INTEGRAL, rel=1e-9)
+    assert len(calls) > 1 and [len(c) for c in calls] == [1] + [2] * (len(calls) - 1)
+    panels = [p for c in calls for p in c]
+    assert len(set(panels)) == len(panels)
+    assert len(edges) == len(calls) + 1 and edges[0] == 0.0 and edges[-1] == 1.0
+    assert np.all(np.diff(edges) > 0.0)
+
+
+def test_adaptive_integral_warm_start():
+    calls = []
+    fresh, edges = _adaptive_integral(counted(peak, calls), 1e-10, 200)
+    # the final edges of a converged call pass the error test at once
+    calls.clear()
+    warm, warm_edges = _adaptive_integral(counted(peak, calls), 1e-10, 200, edges)
+    assert len(calls) == 1 and len(calls[0]) == len(edges) - 1
+    assert np.array_equal(warm_edges, edges)
+    assert abs(warm[0] - fresh[0]) <= 1e-10 * abs(fresh[0])
+    # too coarse a start still refines, one call per split
+    calls.clear()
+    got, coarse_edges = _adaptive_integral(counted(peak, calls), 1e-10, 200, (0.0, 0.5, 1.0))
+    assert got[0] == pytest.approx(PEAK_INTEGRAL, rel=1e-9)
+    assert len(calls) > 1 and all(len(c) == 2 for c in calls)
+    assert len(coarse_edges) == len(calls) + 2
+    # warm panels count toward the budget: two start panels leave one split
+    calls.clear()
+    with pytest.raises(NumericalError, match="3 panels"):
+        _adaptive_integral(counted(spike, calls), 1e-12, 3, (0.0, 0.5, 1.0))
+    assert [len(c) for c in calls] == [2, 2]
+    calls.clear()
+    with pytest.raises(NumericalError, match="3 panels"):
+        _adaptive_integral(counted(spike, calls), 1e-12, 3, (0.0, 0.25, 0.5, 1.0))
+    assert [len(c) for c in calls] == [3]
 
 
 def reference_psi_terms(sl, pts, with_potential):
@@ -191,8 +230,10 @@ def reference_psi_terms(sl, pts, with_potential):
             out = (kernel[:, :, None] * (z[None, :, :] / den[:, None, :])).reshape(len(u), n * d)
             return np.concatenate([out, kernel], axis=1) if with_potential else out
 
-        total = _adaptive_integral(
-            lambda u, w: w @ per_node(u), dyn.QUAD_REL_TOL, dyn.QUAD_MAX_PANELS
+        total, _ = _adaptive_integral(
+            lambda u, w: w @ per_node(u.ravel()).reshape(*u.shape, -1),
+            dyn.QUAD_REL_TOL,
+            dyn.QUAD_MAX_PANELS,
         )
         rate = float(sl.weight_rates[k])
         grad += rate * norm * total[: n * d].reshape(n, d) @ q_basis.T
@@ -269,6 +310,31 @@ def test_integrate_sde_is_deterministic_per_path():
     assert np.allclose(lone.states, batch[0].states, rtol=0.0, atol=1e-6, equal_nan=True)
 
 
+@pytest.mark.parametrize("d, n_days, L, atol", [(3, 8, 4, 1e-6), (12, 30, 5, 1e-10)])
+def test_integrate_sde_carried_panels_match_fresh_panels(monkeypatch, d, n_days, L, atol):
+    # each step of a segment starts its quadrature from the panels the
+    # step before ended on; starting every step from [0, 1] instead must
+    # give the same paths to quadrature accuracy. The error test is
+    # relative to the largest column (QUAD_REL_TOL = 1e-8), so at d = 3,
+    # whose integrand decays slowly, two admissible panel sets move bulk
+    # paths by up to a few 1e-8 (the lone-path bound above is 1e-6 for
+    # the same reason); at d = 12 they agree to rounding.
+    grid = small_grid("rotating_dominance", n_days=n_days, L=L, d=d)
+    carried = integrate_sde(grid, n_paths=20, steps=40, seed=3)
+    real = dyn.drift_with_stats
+    monkeypatch.setattr(dyn, "drift_with_stats", lambda sl, x, panels=None: real(sl, x))
+    fresh = integrate_sde(grid, n_paths=20, steps=40, seed=3)
+    assert [t.diverged_at for t in carried] == [t.diverged_at for t in fresh]
+    bulk = [
+        (a.states, b.states)
+        for a, b in zip(carried, fresh)
+        if a.diverged_at is None and np.abs(a.states).max() < 10.0
+    ]
+    assert len(bulk) >= 12
+    for a, b in bulk:
+        assert np.allclose(a, b, rtol=0.0, atol=atol)
+
+
 def test_integrate_sde_stationary_mixture():
     # identical nodes freeze the path; the mixture is then invariant, so
     # terminal samples must reproduce its moments within MC error
@@ -294,8 +360,8 @@ def test_integrate_sde_flags_divergence(monkeypatch):
     grid = small_grid("circular", n_days=6, L=3)
     real = dyn.drift_with_stats
 
-    def exploding(sl, x, _step=[0]):
-        vel, clamped = real(sl, x)
+    def exploding(sl, x, panels=None, _step=[0]):
+        vel, clamped = real(sl, x, panels=panels)
         _step[0] += 1
         if _step[0] > 3:
             vel = vel + np.inf
