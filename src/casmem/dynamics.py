@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericalError
-from .gm import DENSITY_FLOOR, GaussianMixture, _as_points, _frozen
+from .gm import DENSITY_FLOOR, GaussianMixture, _as_points, _frozen, _mix
 from .protocol import ProtocolGrid, _segment, eval_at
 
 # Weight rates below this (summed over components) switch the Poisson
@@ -95,9 +95,9 @@ def path_slice(grid: ProtocolGrid, t: float) -> PathSlice:
 
 
 def _slice_parts(sl: PathSlice, pts: np.ndarray):
-    """Log density, responsibilities, solves and component velocities shared by the drift terms."""
+    """Log density, responsibilities, and (K, n, d) solves and velocities for the drift."""
     logd, r, siy = sl.gm._evaluate(pts)
-    vel = sl.mean_rates[None, :, :] + 0.5 * np.einsum("kde,nke->nkd", sl.cov_rates, siy)
+    vel = sl.mean_rates[:, None, :] + 0.5 * (siy @ np.swapaxes(sl.cov_rates, 1, 2))
     return logd, r, siy, vel
 
 
@@ -106,7 +106,7 @@ def shape_current(sl: PathSlice, x) -> np.ndarray:
     + Sigmadot_k Sigma_k^{-1} (x - m_k) / 2)."""
     pts, single = _as_points(x, sl.gm.d)
     logd, r, _, vel = _slice_parts(sl, pts)
-    out = np.einsum("nk,nkd->nd", np.exp(logd)[:, None] * r, vel)
+    out = _mix(np.exp(logd)[:, None] * r, vel)
     return out[0] if single else out
 
 
@@ -254,7 +254,7 @@ def drift_with_stats(sl: PathSlice, x, panels=None) -> tuple[np.ndarray, int]:
     """
     pts, single = _as_points(x, sl.gm.d)
     logd, r, siy, vel = _slice_parts(sl, pts)
-    out = np.einsum("nk,nkd->nd", r, vel) - 0.5 * np.einsum("nk,nki->ni", r, siy)
+    out = _mix(r, vel) - 0.5 * _mix(r, siy)
     clamped = 0
     if np.abs(sl.weight_rates).sum() > WEIGHT_RATE_TOL:
         dens = np.exp(logd)
@@ -303,62 +303,57 @@ def integrate_sde(
 ) -> list[Trajectory]:
     """Euler-Maruyama replay paths from t = 0 to t = 1, unit diffusion.
 
-    Path i draws its start point and noise from the i-th spawn of the
-    seed, and repeat calls with the same n_paths reproduce bit for bit.
-    On constant-weight grids a single trajectory also reproduces
-    regardless of n_paths. When the weights move, the Poisson quadrature
-    pools its error test over the alive batch, and each step starts from
-    the panels the previous steps of the same segment ended on, so the
-    panels, and with them each path's drift, depend on the siblings and
-    on the earlier steps at quadrature accuracy. Repeat calls with the
-    same n_paths stay bit-identical.
-    Paths that leave the representable range are cut at the first
-    non-finite state and NaN-filled from there.
+    Path i has its own generator, the i-th spawn of the seed. It draws a
+    uniform that picks the start component, then a (steps + 1, d) normal
+    block: row 0 places the start in that component, row s + 1 is step
+    s's increment. Each row is overwritten by the state it leads to. All
+    paths step as one array until one turns non-finite; that path is
+    NaN-filled from there and the rest step as an index subset. Repeat
+    calls with the same n_paths reproduce bit for bit, and on
+    constant-weight grids a path does not depend on n_paths. When the
+    weights move, the Poisson quadrature pools its error test over the
+    alive batch and starts each step from the panels the segment's last
+    step ended on, so each drift depends on the siblings and the earlier
+    steps at quadrature accuracy.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    d = grid.d
     times = np.linspace(0.0, 1.0, steps + 1)
     dt = 1.0 / steps
     root = np.sqrt(dt)
-    children = np.random.SeedSequence(seed).spawn(n_paths)
-    start = eval_at(grid, 0.0)
-
-    chunk = max(1, int(5e7 / ((steps + 1) * d)))
-    out: list[Trajectory] = []
-    for lo in range(0, n_paths, chunk):
-        ids = range(lo, min(lo + chunk, n_paths))
-        rngs = [np.random.default_rng(children[i]) for i in ids]
-        states = np.full((len(rngs), steps + 1, d), np.nan)
-        states[:, 0] = np.concatenate([start.sample_with(r, 1) for r in rngs])
-        noise = np.stack([r.standard_normal((steps, d)) for r in rngs])
-        diverged = np.full(len(rngs), -1)
-
-        alive = np.arange(len(rngs))
-        x = states[:, 0].copy()
-        seg, panels = None, {}
-        for s in range(steps):
-            t = float(times[s])
-            j, _ = _segment(t, grid.L)
-            if j != seg:
-                seg, panels = j, {}
-            vel, _ = drift_with_stats(path_slice(grid, t), x[alive], panels=panels)
-            x[alive] = x[alive] + vel * dt + root * noise[alive, s]
-            ok = np.isfinite(x[alive]).all(axis=1)
-            if not ok.all():
-                diverged[alive[~ok]] = s + 1
-                alive = alive[ok]
-                if alive.size == 0:
-                    break
-            states[alive, s + 1] = x[alive]
-        for row, i in enumerate(ids):
-            flag = int(diverged[row])
-            out.append(
-                Trajectory(times, states[row], seed, i, None if flag < 0 else flag)
-            )
-    return out
+    u = np.empty(n_paths)
+    states = np.empty((n_paths, steps + 1, grid.d))
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
+        rng = np.random.default_rng(child)
+        u[i] = rng.random()
+        rng.standard_normal(out=states[i])
+    x = eval_at(grid, 0.0)._sample_from(u, states[:, 0])
+    states[:, 0] = x
+    diverged = np.full(n_paths, -1)
+    rows, alive = np.arange(n_paths), slice(None)
+    seg, panels = None, {}
+    for s in range(steps):
+        t = float(times[s])
+        j, _ = _segment(t, grid.L)
+        if j != seg:
+            seg, panels = j, {}
+        vel, _ = drift_with_stats(path_slice(grid, t), x[alive], panels=panels)
+        x[alive] = x[alive] + vel * dt + root * states[alive, s + 1]
+        ok = np.isfinite(x[alive]).all(axis=1)
+        if not ok.all():
+            idx = rows[alive]
+            diverged[idx[~ok]] = s + 1
+            states[idx[~ok], s + 1 :] = np.nan
+            alive = idx[ok]
+            if alive.size == 0:
+                break
+        states[alive, s + 1] = x[alive]
+    return [
+        Trajectory(times, states[i], seed, i, None if flag < 0 else int(flag))
+        for i, flag in enumerate(diverged)
+    ]
 
 
 def movie_frames(grid: ProtocolGrid, n_frames: int) -> list[GaussianMixture]:

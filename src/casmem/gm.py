@@ -98,8 +98,7 @@ class GaussianMixture:
 
     @cached_property
     def _inv_chols(self) -> np.ndarray:
-        eye = np.broadcast_to(np.eye(self.d), (self.k, self.d, self.d))
-        return np.linalg.solve(self._chols, eye.copy())
+        return np.linalg.inv(self._chols)
 
     @cached_property
     def _log_norms(self) -> np.ndarray:
@@ -107,15 +106,17 @@ class GaussianMixture:
         return -0.5 * (self.d * _LOG_2PI + logdets)
 
     def _eval_parts(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-component log densities (n, K) and solves Sigma_k^{-1}(x - m_k) (n, K, d)."""
-        y = pts[:, None, :] - self.means[None, :, :]
-        z = np.einsum("kij,nkj->nki", self._inv_chols, y)
-        logg = self._log_norms[None, :] - 0.5 * np.einsum("nki,nki->nk", z, z)
-        siy = np.einsum("kji,nkj->nki", self._inv_chols, z)
-        return logg, siy
+        """Per-component log densities (n, K) and solves Sigma_k^{-1}(x - m_k) (K, n, d).
+
+        Component-major: with y = x - m_k (K, n, d) and Cholesky factors L_k,
+        z = y L^{-T} and then z L^{-1} are one batched matmul each."""
+        inv = self._inv_chols
+        z = (pts[None, :, :] - self.means[:, None, :]) @ np.swapaxes(inv, 1, 2)
+        logg = self._log_norms[None, :] - 0.5 * np.einsum("kni,kni->nk", z, z)
+        return logg, z @ inv
 
     def _evaluate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Log density (n,), responsibilities (n, K) and solves (n, K, d) in one log-space pass."""
+        """Log density (n,), responsibilities (n, K) and solves (K, n, d) in one log-space pass."""
         logg, siy = self._eval_parts(pts)
         with np.errstate(divide="ignore"):
             lw = np.log(self.weights)[None, :] + logg
@@ -156,7 +157,7 @@ class GaussianMixture:
         """
         pts, single = _as_points(x, self.d)
         _, r, siy = self._evaluate(pts)
-        s = -np.einsum("nk,nki->ni", r, siy)
+        s = -_mix(r, siy)
         return s[0] if single else s
 
     def overall_moments(self) -> Moments:
@@ -170,14 +171,20 @@ class GaussianMixture:
 
     def sample(self, n: int, seed) -> np.ndarray:
         """Draw n points; deterministic for a fixed seed."""
-        rng = np.random.default_rng(seed)
-        return self.sample_with(rng, n)
+        return self.sample_with(np.random.default_rng(seed), n)
 
     def sample_with(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n == 0:
-            return np.zeros((0, self.d))
-        comps = rng.choice(self.k, size=n, p=self.weights)
-        z = rng.standard_normal((n, self.d))
+        return self._sample_from(rng.random(n), rng.standard_normal((n, self.d)))
+
+    def _sample_from(self, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Samples from uniforms u (n,) and normals z (n, d), picking components as
+        ``Generator.choice`` does: the first whose weight CDF exceeds u."""
+        w = self.weights
+        if np.any(w < 0.0) or not abs(w.sum() - 1.0) <= np.sqrt(np.finfo(float).eps):
+            raise ValueError(f"weights are not probabilities: {w.tolist()}")
+        cdf = w.cumsum()
+        cdf /= cdf[-1]
+        comps = cdf.searchsorted(u, side="right")
         return self.means[comps] + np.einsum("nij,nj->ni", self._chols[comps], z)
 
     def to_dict(self) -> dict:
@@ -197,6 +204,11 @@ class GaussianMixture:
             )
         except KeyError as exc:
             raise ValueError(f"mixture dict missing key {exc}") from exc
+
+
+def _mix(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Responsibility-weighted sum sum_k r_k v_k (n, d) of component-major values v (K, n, d)."""
+    return np.einsum("nk,knd->nd", r, v)
 
 
 def stack_mixtures(mixtures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

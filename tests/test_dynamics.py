@@ -374,6 +374,68 @@ def test_integrate_sde_flags_divergence(monkeypatch):
     assert np.isnan(tr.states[4:]).all()
 
 
+def test_integrate_sde_draws_follow_each_paths_generator():
+    # path i's generator draws the uniform that picks the start component,
+    # then the start's normals, then one row of normals per step: the start
+    # is what sample_with draws from that generator, and the first step adds
+    # the drift times dt and the next normal row times sqrt(dt)
+    w = np.array([0.2, 0.5, 0.3])
+    covs = np.stack([0.3 * np.eye(2), np.diag([0.2, 0.5]), 0.4 * np.eye(2)])
+    means = np.array([[-6.0, 0.0], [0.0, 6.0], [6.0, -1.0]])
+    nodes = [GaussianMixture(w, means + shift, covs) for shift in (0.0, 1.5)]
+    grid = ProtocolGrid(*stack_mixtures(nodes))
+    n, steps, seed = 40, 20, 11
+    trajs = integrate_sde(grid, n_paths=n, steps=steps, seed=seed)
+    start, dt = eval_at(grid, 0.0), 1.0 / steps
+    comps = set()
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
+        rng = np.random.default_rng(child)
+        x0 = start.sample_with(rng, 1)
+        z = rng.standard_normal((steps, grid.d))
+        vel, _ = drift_with_stats(path_slice(grid, 0.0), x0)
+        assert np.array_equal(trajs[i].states[0], x0[0])
+        assert np.array_equal(trajs[i].states[1], (x0 + vel * dt + np.sqrt(dt) * z[:1])[0])
+        comps.add(int(start.responsibilities(x0[0]).argmax()))
+    assert comps == {0, 1, 2}
+    # a path does not depend on how many siblings were drawn
+    for m in (1, 17):
+        assert np.array_equal(integrate_sde(grid, m, steps, seed)[-1].states, trajs[m - 1].states)
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.5, 1e-6], [-0.1, 0.6, 0.5], [np.nan, 0.5, 0.5]])
+def test_integrate_sde_refuses_start_weights_off_the_simplex(weights):
+    grid = small_grid("triangle", n_days=6, L=3)
+    w = np.broadcast_to(np.asarray(weights), grid.weights.shape)
+    with pytest.raises(ValueError):
+        integrate_sde(ProtocolGrid(w, grid.means, grid.covs), n_paths=3, steps=5)
+
+
+def test_integrate_sde_single_divergence_leaves_the_other_paths_alone(monkeypatch):
+    # the batch steps as a whole until path 7 turns non-finite at step 5;
+    # from there the other 29 step as an index subset, bit for bit as before
+    grid = small_grid("triangle", n_days=10, L=4)
+    clean = integrate_sde(grid, n_paths=30, steps=20, seed=4)
+    real, sizes = dyn.drift_with_stats, []
+
+    def one_bad(sl, x, panels=None):
+        vel, clamped = real(sl, x, panels=panels)
+        sizes.append(len(x))
+        if len(sizes) == 6:
+            vel[7] = np.inf
+        return vel, clamped
+
+    monkeypatch.setattr(dyn, "drift_with_stats", one_bad)
+    trajs = integrate_sde(grid, n_paths=30, steps=20, seed=4)
+    assert sizes == [30] * 6 + [29] * 14
+    bad = trajs[7]
+    assert bad.diverged_at == 6
+    assert np.array_equal(bad.states[:6], clean[7].states[:6])
+    assert np.isnan(bad.states[6:]).all()
+    for i, (a, b) in enumerate(zip(clean, trajs)):
+        if i != 7:
+            assert b.diverged_at is None and np.array_equal(a.states, b.states)
+
+
 def test_integrate_sde_validates_arguments():
     grid = small_grid("circular", n_days=6, L=3)
     with pytest.raises(ValueError):
