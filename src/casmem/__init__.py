@@ -20,7 +20,7 @@ from .gm import (
 )
 from .harness import (
     RunConfig, RunResult, SweepResult, build_final_state, capacity_diagnostics, daily_states,
-    export, fifo_baseline, restore_state, run_experiment, snapshot_state, stream_targets, sweep,
+    export, fifo_baseline, restore_state, run_experiment, snapshot_state, sweep,
 )
 from .metrics import (
     RECORD_DTYPE, AgeCurve, age_curve, channel_shares, day_records, decomposed_forgetting,
@@ -56,7 +56,7 @@ __all__ = [
     # harness
     "RunConfig", "RunResult", "SweepResult", "build_final_state", "capacity_diagnostics",
     "daily_states", "export", "fifo_baseline", "restore_state", "run_experiment",
-    "snapshot_state", "stream_targets", "sweep",
+    "snapshot_state", "sweep",
     # errors
     "ConfigError", "NumericalError",
 ]

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .dynamics import fp_residual, integrate_sde, movie_frames, sample_bulk_points
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, read_json_object, write_text
 from .harness import (
     SUMMARY_KEYS,
     SWEEP_COLUMNS,
@@ -26,30 +26,29 @@ from .harness import (
     restore_state,
     run_experiment,
     snapshot_state,
-    stream_targets,
     sweep,
 )
 from .protocol import eval_at
-from .streams import make_config
+from .streams import generate, make_config
 
 
 def _fmt(value) -> str:
     return "" if value is None else repr(value)
 
 
-CONFIG_KEYS = ("stream", "L", "theta", "prior", "snapshot_every", "seed")
+RUN_KEYS = ("L", "theta", "prior", "snapshot_every")
+CONFIG_KEYS = ("stream", *RUN_KEYS, "seed")
 
 
 def load_run_config(path: str, args: argparse.Namespace) -> RunConfig:
-    """Build a RunConfig from the JSON file plus flag overrides; unknown keys are refused."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "stream" not in data:
+    """Build a RunConfig from the JSON file plus flag overrides; unknown keys are refused.
+
+    Only the keys the file or a flag sets are passed on, so RunConfig and
+    StreamConfig own every default. The seed (flag, then top-level key,
+    then stream key) becomes the stream's seed, the one seed of a command.
+    """
+    data = read_json_object(path)
+    if not isinstance(data.get("stream"), dict):
         raise ConfigError(f"{path}: expected an object with a 'stream' section")
     unknown = sorted(set(data) - set(CONFIG_KEYS))
     if unknown:
@@ -58,12 +57,11 @@ def load_run_config(path: str, args: argparse.Namespace) -> RunConfig:
     kind = stream_data.pop("kind", None)
     if kind is None:
         raise ConfigError(f"{path}: stream section needs a 'kind'")
-
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = data.get("seed", stream_data.get("seed"))
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    given = {**data, **{key: flags[key] for key in CONFIG_KEYS if key in flags}}
+    seed = given.get("seed", stream_data.get("seed"))
     if seed is not None:
-        stream_data["seed"] = int(seed)
+        stream_data["seed"] = seed
     try:
         stream = make_config(kind, **stream_data)
     except (TypeError, ValueError) as exc:
@@ -72,24 +70,8 @@ def load_run_config(path: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             "this stream draws nuisance noise; pass --seed or set 'seed' in the config"
         )
-
-    L = getattr(args, "L", None)
-    if L is None:
-        L = data.get("L", 10)
-    theta = getattr(args, "theta", None)
-    if theta is None:
-        theta = data.get("theta", 0.5)
-    snap = getattr(args, "snapshot_every", None)
-    if snap is None:
-        snap = data.get("snapshot_every")
-    return RunConfig(
-        stream=stream,
-        L=int(L),
-        theta=float(theta),
-        prior=data.get("prior", "standard"),
-        outputs=getattr(args, "out", None),
-        snapshot_every=None if snap is None else int(snap),
-    )
+    run = {key: given[key] for key in RUN_KEYS if key in given}
+    return RunConfig(stream=stream, outputs=getattr(args, "out", None), **run)
 
 
 def cmd_run(args) -> int:
@@ -129,13 +111,9 @@ def cmd_sweep(args) -> int:
         values = [row["axis"], repr(row["value"])] + [_fmt(row[k]) for k in SWEEP_COLUMNS[2:]]
         lines.append(",".join(values))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(os.path.join(args.out, "sweep.csv"), "\n".join(lines) + "\n")
         if result.fit is not None:
-            with open(os.path.join(args.out, "fit.json"), "w") as fh:
-                json.dump(result.fit, fh, indent=2)
-                fh.write("\n")
+            write_text(os.path.join(args.out, "fit.json"), json.dumps(result.fit, indent=2) + "\n")
     else:
         print("\n".join(lines))
     if result.fit is not None:
@@ -149,25 +127,20 @@ def cmd_movie(args) -> int:
     frames = movie_frames(state.grid, args.frames)
     payload = [g.to_dict() for g in frames]
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "frames.json"), "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        write_text(os.path.join(args.out, "frames.json"), json.dumps(payload) + "\n")
     else:
         print(json.dumps(payload))
     if args.paths:
-        seed = 0 if args.seed is None else args.seed
-        trajs = integrate_sde(state.grid, n_paths=args.paths, steps=args.steps, seed=seed)
+        trajs = integrate_sde(
+            state.grid, n_paths=args.paths, steps=args.steps, seed=cfg.stream.seed
+        )
         d = state.grid.d
         lines = ["path_id,step,t," + ",".join(f"x_{i}" for i in range(d))]
         for tr in trajs:
             for s, t in enumerate(tr.times):
                 coords = ",".join(repr(float(v)) for v in tr.states[s])
                 lines.append(f"{tr.path_id},{s},{float(t)!r},{coords}")
-        out_dir = args.out or "."
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "trajectories.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(os.path.join(args.out or ".", "trajectories.csv"), "\n".join(lines) + "\n")
         diverged = sum(tr.diverged_at is not None for tr in trajs)
         print(json.dumps({"paths": len(trajs), "diverged": diverged}))
     return 0
@@ -182,10 +155,9 @@ def cmd_drift_check(args) -> int:
         raise ConfigError(f"bad time list {args.t!r}: {exc}") from exc
     if not times:
         raise ConfigError("no check times given")
-    seed = 0 if args.seed is None else args.seed
     residuals = []
     for t in times:
-        pts = sample_bulk_points(eval_at(state.grid, t), args.points, seed=seed)
+        pts = sample_bulk_points(eval_at(state.grid, t), args.points, seed=cfg.stream.seed)
         residuals.append(fp_residual(state.grid, t, pts))
     stats = {
         "times": times,
@@ -194,22 +166,18 @@ def cmd_drift_check(args) -> int:
         "max_residual": max(residuals),
     }
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "drift_check.json"), "w") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
+        write_text(os.path.join(args.out, "drift_check.json"), json.dumps(stats, indent=2) + "\n")
     print(json.dumps(stats))
     return 0
 
 
 def cmd_snapshot(args) -> int:
     cfg = load_run_config(args.config, args)
-    targets = stream_targets(cfg)
+    targets = generate(cfg.stream)
     if not 1 <= args.day <= len(targets):
         raise ConfigError(f"--day must lie in [1, {len(targets)}], got {args.day}")
     for state in daily_states(cfg, targets[: args.day]):
         pass
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"snapshot_day{state.day:04d}.json")
     snapshot_state(state, path)
     print(json.dumps({"day": state.day, "path": path}))
@@ -278,14 +246,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        # bad stream parameters, snapshot schema mismatches and out-of-range
-        # flag values all surface as ValueError from the library layers
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # ConfigError is a ValueError, and the library layers raise plain
+        # ValueError for bad arguments; LinAlgError is one too, hence the order
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .gm import DENSITY_FLOOR, GaussianMixture, _as_points, _frozen, _mix
 from .protocol import ProtocolGrid, _segment, eval_at
 
@@ -371,6 +371,8 @@ def sample_bulk_points(
     Rejection from the mixture's own samples; the peak is estimated over
     the candidate batch.
     """
+    if n < 1:
+        raise ConfigError(f"bulk sampling needs n >= 1 points, got n = {n}")
     rng = np.random.default_rng(seed)
     kept: list[np.ndarray] = []
     have = 0

@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigError
+
 SIMPLEX_TOL = 1e-12
 SYMMETRY_TOL = 1e-10
 # Positive-definiteness is judged relative to the largest eigenvalue, so
@@ -196,14 +198,16 @@ class GaussianMixture:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianMixture":
+        """The mixture of a to_dict form; ConfigError unless its raw arrays pass validate_arrays."""
+        if not isinstance(data, dict) or not {"weights", "means", "covs"} <= data.keys():
+            raise ConfigError("a mixture dict needs the keys weights, means and covs")
         try:
-            return cls(
-                np.asarray(data["weights"], dtype=float),
-                np.asarray(data["means"], dtype=float),
-                np.asarray(data["covs"], dtype=float),
-            )
-        except KeyError as exc:
-            raise ValueError(f"mixture dict missing key {exc}") from exc
+            report = validate_arrays(data["weights"], data["means"], data["covs"])
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric entries
+            report = f"arrays are not numeric: {exc}"
+        if report is not None:
+            raise ConfigError(f"invalid mixture: {report}")
+        return cls(data["weights"], data["means"], data["covs"])
 
 
 def _mix(r: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -244,8 +248,10 @@ def validate_arrays(weights, means, covs) -> str | None:
     k, d = m.shape
     if w.shape != (k,) or c.shape != (k, d, d):
         return f"inconsistent shapes: weights {w.shape}, means {m.shape}, covs {c.shape}"
+    if not all(np.isfinite(a).all() for a in (w, m, c)):
+        return "parameters are not all finite"
     if np.any(w < 0):
-        return f"weight {int(np.argmin(w))} is negative ({w.min()!r})"
+        return f"weight {int(np.argmin(w))} is negative ({float(w.min())!r})"
     if abs(w.sum() - 1.0) > SIMPLEX_TOL:
         return f"weights are off the simplex: sum = {w.sum()!r}"
     asym = np.abs(c - np.swapaxes(c, 1, 2)).max(axis=(1, 2))

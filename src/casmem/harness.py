@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, read_json_object, write_text
 from .gm import GaussianMixture, stack_mixtures, validate
 from .metrics import (
     RECORD_DTYPE,
@@ -54,6 +55,8 @@ BLOCK_PARAMS = 65_536
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings. These defaults are the only ones: the CLI passes the keys it is given."""
+
     stream: StreamConfig
     L: int = 10
     theta: float = 0.5
@@ -62,12 +65,13 @@ class RunConfig:
     snapshot_every: int | None = None
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ConfigError(f"L must be >= 1, got {self.L}")
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigError(f"theta must lie in (0, 1), got {self.theta}")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ConfigError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
+        if not isinstance(self.L, numbers.Integral) or self.L < 1:
+            raise ConfigError(f"L must be an integer >= 1, got {self.L!r}")
+        if not isinstance(self.theta, numbers.Real) or not 0.0 < self.theta < 1.0:
+            raise ConfigError(f"theta must lie in (0, 1), got {self.theta!r}")
+        every = self.snapshot_every
+        if every is not None and (not isinstance(every, numbers.Integral) or every < 1):
+            raise ConfigError(f"snapshot_every must be an integer >= 1, got {every!r}")
 
 
 @dataclass
@@ -111,14 +115,6 @@ def resolve_prior(cfg: RunConfig, first_target: GaussianMixture) -> GaussianMixt
     return prior
 
 
-def stream_targets(cfg: RunConfig) -> list[GaussianMixture]:
-    """The configured stream's daily targets; day m is at index m - 1."""
-    targets = generate(cfg.stream)
-    if not targets:
-        raise ConfigError("stream is empty")
-    return targets
-
-
 def _stream_fingerprint(stream: StreamConfig) -> dict:
     """The stream config without n_days: one config's streams agree on their common days."""
     return {key: value for key, value in asdict(stream).items() if key != "n_days"}
@@ -157,7 +153,7 @@ def run_experiment(cfg: RunConfig, state: MemoryState | None = None) -> RunResul
     when the failure is in scoring a block, that block's days are left
     out.
     """
-    targets = stream_targets(cfg)
+    targets = generate(cfg.stream)
     if state is not None:
         _check_resumable(cfg, targets, state)
     stacked = stack_mixtures(targets)
@@ -241,42 +237,42 @@ def _result(cfg: RunConfig, blocks, state: MemoryState) -> RunResult:
 
 def _maybe_snapshot(cfg: RunConfig, state: MemoryState) -> None:
     if cfg.outputs and cfg.snapshot_every and state.day % cfg.snapshot_every == 0:
-        os.makedirs(cfg.outputs, exist_ok=True)
         snapshot_state(state, os.path.join(cfg.outputs, f"snapshot_day{state.day:04d}.json"))
 
 
 def _flush_partial(cfg: RunConfig, blocks) -> None:
-    os.makedirs(cfg.outputs, exist_ok=True)
-    path = os.path.join(cfg.outputs, "records.partial.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(records_csv_lines(_concat(blocks))) + "\n")
+    text = "\n".join(records_csv_lines(_concat(blocks))) + "\n"
+    write_text(os.path.join(cfg.outputs, "records.partial.csv"), text)
 
 
 def build_final_state(cfg: RunConfig) -> MemoryState:
     """Run the recursion only (no metrics); used by movie and drift checks."""
-    for state in daily_states(cfg, stream_targets(cfg)):
+    for state in daily_states(cfg, generate(cfg.stream)):
         pass
     return state
 
 
 def _apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
-    if axis == "L":
-        return replace(cfg, L=int(value))
     if axis == "theta":
         return replace(cfg, theta=float(value))
+    if axis == "L" or isinstance(getattr(cfg.stream, axis, None), numbers.Integral):
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"sweep axis {axis} takes integers, got {value!r}")
+        value = int(value)
+    if axis == "L":
+        return replace(cfg, L=value)
     if axis == "K":
         # The K families differ: K = 1 is the plain circular drift, K >= 2
         # the ring mixture at the same centre track.
-        k = int(value)
         base = cfg.stream
-        if k == 1:
+        if value == 1:
             stream = make_config(
                 "circular", n_days=base.n_days, R=base.R, P=base.P, seed=base.seed
             )
         else:
             r = base.r if base.kind in ("triangle", "crowding", "split_merge") else 0.8
             stream = make_config(
-                "crowding", K=k, n_days=base.n_days, R=base.R, P=base.P, r=r, seed=base.seed
+                "crowding", K=value, n_days=base.n_days, R=base.R, P=base.P, r=r, seed=base.seed
             )
         return replace(cfg, stream=stream)
     stream_fields = {f for f in StreamConfig.__dataclass_fields__ if f != "kind"}
@@ -324,7 +320,7 @@ def capacity_diagnostics(lengths, half_lives) -> dict:
 
 def fifo_baseline(cfg: RunConfig) -> RunResult:
     """Sliding-window reference: perfect recall for L days, then the prior."""
-    targets = stream_targets(cfg)
+    targets = generate(cfg.stream)
     prior = resolve_prior(cfg, targets[0])
     pool = stack_mixtures([*targets, prior])  # day m at row m - 1, the prior last
     all_m, all_n = stored_pairs(np.arange(1, len(targets) + 1))
@@ -345,32 +341,19 @@ def export(result: RunResult, path: str) -> list[str]:
     Returns the files written. Floats go through repr, which round-trips
     exactly at double precision.
     """
-    os.makedirs(path, exist_ok=True)
     summary = {key: result.summary[key] for key in SUMMARY_KEYS}
     contents = {
         "records.csv": "\n".join(records_csv_lines(result.records)) + "\n",
         "age_curve.csv": "\n".join(age_curve_csv_lines(result.curve)) + "\n",
         "summary.json": json.dumps(summary, indent=2) + "\n",
     }
-    written = []
-    for name, text in contents.items():
-        file_path = os.path.join(path, name)
-        with open(file_path, "w") as fh:
-            fh.write(text)
-        written.append(file_path)
-    return written
+    return [write_text(os.path.join(path, name), text) for name, text in contents.items()]
 
 
 def snapshot_state(state: MemoryState, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(snapshot_dict(state), fh)
-        fh.write("\n")
+    write_text(path, json.dumps(snapshot_dict(state)) + "\n")
 
 
 def restore_state(path: str) -> MemoryState:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return state_from_snapshot(data)
+    """The memory state of the snapshot file at path; ConfigError if it is not a valid one."""
+    return state_from_snapshot(read_json_object(path))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .gm import GaussianMixture, _frozen, stack_mixtures
 
 SNAPSHOT_SCHEMA_VERSION = 3
@@ -247,14 +248,18 @@ def state_from_snapshot(data: dict) -> MemoryState:
     """Rebuild a state from a snapshot dict (schema v3, v2, or v1 minus its readout table)."""
     version = data.get("schema_version")
     if version not in _READABLE_SCHEMAS:
-        raise ValueError(
+        raise ConfigError(
             f"snapshot schema version {version!r} is not supported "
             f"(expected one of {_READABLE_SCHEMAS})"
         )
-    L = int(data["L"])
-    nodes = [GaussianMixture.from_dict(g) for g in data["nodes"]]
+    try:
+        L, day, nodes, prior = int(data["L"]), int(data["day"]), list(data["nodes"]), data["prior"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"snapshot lacks a valid L, day, nodes or prior: {exc!r}") from None
+    if day < 1:
+        raise ConfigError(f"snapshot day must be >= 1, got {day}")
+    nodes = [GaussianMixture.from_dict(g) for g in nodes]
     if len(nodes) != L + 1:
-        raise ValueError(f"snapshot carries {len(nodes)} nodes but L = {L}")
-    prior = GaussianMixture.from_dict(data["prior"])
+        raise ConfigError(f"snapshot carries {len(nodes)} nodes but L = {L}")
     grid = ProtocolGrid(*stack_mixtures(nodes))
-    return MemoryState(prior, grid, int(data["day"]), data.get("stream"))
+    return MemoryState(GaussianMixture.from_dict(prior), grid, day, data.get("stream"))

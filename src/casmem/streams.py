@@ -6,21 +6,14 @@ reproduced (and resumed) from the config alone.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gm import GaussianMixture, validate_arrays
-
-_KIND_DEFAULTS = {
-    "circular": dict(K=1, cov_scale=0.5),
-    "linear": dict(K=1, cov_scale=0.5),
-    "triangle": dict(K=3, cov_scale=0.3),
-    "crowding": dict(K=3, cov_scale=0.3),
-    "embedded": dict(K=3, cov_scale=0.3, d=8),
-    "split_merge": dict(K=3, cov_scale=0.3),
-    "rotating_dominance": dict(K=3, d=12, P=30.0),
-}
+from .errors import ConfigError, read_json_object, write_text
+from .gm import GaussianMixture
 
 
 @dataclass(frozen=True)
@@ -39,14 +32,33 @@ class StreamConfig:
     seed: int = 0
     path: str | None = None  # source file for kind="file"
 
+    def __post_init__(self):
+        """Refuse a config outside its kind's limits (see _KINDS)."""
+        spec = _KINDS.get(self.kind)
+        if spec is None:
+            raise ConfigError(f"unknown stream kind {self.kind!r}; choose from {KINDS}")
+        for name in ("n_days", "d", "K", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"stream {name} must be an integer, got {value!r}")
+        if self.n_days < 1:
+            raise ConfigError(f"stream needs n_days >= 1, got {self.n_days}")
+        if self.d < spec.min_d:
+            raise ConfigError(f"{self.kind} stream needs d >= {spec.min_d}, got {self.d}")
+        if spec.K and self.K not in spec.K:
+            raise ConfigError(f"{self.kind} stream supports K in {spec.K}, got {self.K}")
+        if spec.n_days is not None and self.n_days != spec.n_days:
+            raise ConfigError(f"{self.kind} stream runs a fixed {spec.n_days}-day schedule")
+        if self.nuisance not in spec.nuisance:
+            raise ConfigError(f"{self.kind} stream takes nuisance {spec.nuisance}")
+        if spec.needs_path and self.path is None:
+            raise ConfigError(f"{self.kind} stream needs a path")
+
 
 def make_config(kind: str, **overrides) -> StreamConfig:
     """Config with per-kind defaults (mixture size, spread) already applied."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown stream kind {kind!r}; choose from {KINDS}")
-    fields = dict(_KIND_DEFAULTS.get(kind, {}))
-    fields.update(overrides)
-    return StreamConfig(kind=kind, **fields)
+    defaults = _KINDS[kind].defaults if kind in _KINDS else {}
+    return StreamConfig(kind=kind, **{**defaults, **overrides})
 
 
 def _centre(cfg: StreamConfig, m: int) -> np.ndarray:
@@ -72,8 +84,6 @@ def _single_target(mean: np.ndarray, cov_scale: float) -> GaussianMixture:
 
 def circular_stream(cfg: StreamConfig) -> list[GaussianMixture]:
     """Single Gaussian whose mean walks a circle of radius R with period P."""
-    if cfg.d < 2:
-        raise ValueError("circular stream needs d >= 2")
     return [_single_target(_centre(cfg, m), cfg.cov_scale) for m in range(1, cfg.n_days + 1)]
 
 
@@ -109,8 +119,6 @@ def _ring_target(cfg: StreamConfig, m: int, radii=None, walk=None) -> GaussianMi
 
 def triangle_stream(cfg: StreamConfig) -> list[GaussianMixture]:
     """Equal-weight three-component ring around the circular drift."""
-    if cfg.K != 3:
-        raise ValueError(f"triangle stream has K = 3, got {cfg.K}")
     return [_ring_target(cfg, m) for m in range(1, cfg.n_days + 1)]
 
 
@@ -119,8 +127,6 @@ def crowding_stream(cfg: StreamConfig) -> list[GaussianMixture]:
 
     The crowding ratio chi = r / sqrt(cov_scale) controls component overlap.
     """
-    if cfg.K not in (2, 3, 5, 8):
-        raise ValueError(f"crowding stream supports K in (2, 3, 5, 8), got {cfg.K}")
     return [_ring_target(cfg, m) for m in range(1, cfg.n_days + 1)]
 
 
@@ -138,8 +144,6 @@ def nuisance_walks(cfg: StreamConfig) -> np.ndarray:
     walks = np.zeros((cfg.n_days, extra))
     if cfg.nuisance == "none" or extra == 0:
         return walks
-    if cfg.nuisance != "random_walk":
-        raise ValueError(f"unknown nuisance mode {cfg.nuisance!r}")
     children = np.random.SeedSequence(cfg.seed).spawn(extra)
     for c in range(extra):
         rng = np.random.default_rng(children[c])
@@ -154,8 +158,6 @@ def embedded_stream(cfg: StreamConfig) -> list[GaussianMixture]:
     seeded random walk shared by all components; covariance is isotropic
     at the same scale, so d = 2 reduces exactly to the base stream.
     """
-    if cfg.d < 2:
-        raise ValueError("embedded stream needs d >= 2")
     walks = nuisance_walks(cfg)
     return [_ring_target(cfg, m, walk=walks[m - 1]) for m in range(1, cfg.n_days + 1)]
 
@@ -190,10 +192,6 @@ def split_merge_radii(day: int) -> np.ndarray:
 
 def split_merge_stream(cfg: StreamConfig) -> list[GaussianMixture]:
     """100-day merge/split curriculum on the three-component ring."""
-    if cfg.K != 3:
-        raise ValueError(f"split-merge stream has K = 3, got {cfg.K}")
-    if cfg.n_days != 100:
-        raise ValueError("split-merge stream runs the fixed 100-day schedule")
     return [_ring_target(cfg, m, split_merge_radii(m)) for m in range(1, cfg.n_days + 1)]
 
 
@@ -251,57 +249,55 @@ def class_prior(base: GaussianMixture) -> GaussianMixture:
 
 
 def save_gm_file(gm: GaussianMixture, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(gm.to_dict(), fh, indent=2)
+    write_text(path, json.dumps(gm.to_dict(), indent=2))
 
 
 def load_gm_file(path) -> GaussianMixture:
     """Load and validate a mixture from its JSON file form."""
+    data = read_json_object(path)
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object with weights/means/covs")
-    try:
-        weights, means, covs = data["weights"], data["means"], data["covs"]
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from exc
-    report = validate_arrays(weights, means, covs)
-    if report is not None:
-        raise ValueError(f"{path}: invalid mixture: {report}")
-    return GaussianMixture.from_dict(data)
+        return GaussianMixture.from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def file_stream(cfg: StreamConfig) -> list[GaussianMixture]:
     """Constant stream repeating a mixture loaded from disk."""
-    if cfg.path is None:
-        raise ValueError("file stream needs a path")
-    gm = load_gm_file(cfg.path)
-    return [gm] * cfg.n_days
+    return [load_gm_file(cfg.path)] * cfg.n_days
 
 
-_GENERATORS = {
-    "circular": circular_stream,
-    "linear": linear_stream,
-    "triangle": triangle_stream,
-    "crowding": crowding_stream,
-    "embedded": embedded_stream,
-    "split_merge": split_merge_stream,
-    "rotating_dominance": rotating_dominance_stream,
-    "file": file_stream,
+class _Kind(NamedTuple):
+    """A stream kind: its generator, its make_config defaults and its limits."""
+
+    generator: Callable[[StreamConfig], list]
+    defaults: dict
+    min_d: int = 1
+    K: tuple = ()  # the supported K; empty means any
+    n_days: int | None = None  # a fixed schedule's length
+    nuisance: tuple = ("none",)
+    needs_path: bool = False
+
+
+_KINDS = {
+    "circular": _Kind(circular_stream, dict(K=1, cov_scale=0.5), min_d=2),
+    "linear": _Kind(linear_stream, dict(K=1, cov_scale=0.5)),
+    "triangle": _Kind(triangle_stream, dict(K=3, cov_scale=0.3), min_d=2, K=(3,)),
+    "crowding": _Kind(crowding_stream, dict(K=3, cov_scale=0.3), min_d=2, K=(2, 3, 5, 8)),
+    "embedded": _Kind(
+        embedded_stream, dict(K=3, cov_scale=0.3, d=8), min_d=2, nuisance=("none", "random_walk")
+    ),
+    "split_merge": _Kind(
+        split_merge_stream, dict(K=3, cov_scale=0.3), min_d=2, K=(3,), n_days=100
+    ),
+    "rotating_dominance": _Kind(rotating_dominance_stream, dict(K=3, d=12, P=30.0)),
+    "file": _Kind(file_stream, {}, needs_path=True),
 }
-KINDS = tuple(_GENERATORS)
+KINDS = tuple(_KINDS)
 
 
 def generate(cfg: StreamConfig) -> list[GaussianMixture]:
-    """Dispatch to the generator named by cfg.kind."""
-    try:
-        gen = _GENERATORS[cfg.kind]
-    except KeyError:
-        raise ValueError(f"unknown stream kind {cfg.kind!r}; choose from {KINDS}") from None
-    return gen(cfg)
+    """The stream's daily targets, one per day; day m is at index m - 1."""
+    return _KINDS[cfg.kind].generator(cfg)
 
 
 def default_prior(k: int, d: int) -> GaussianMixture:

@@ -465,3 +465,5 @@ def test_sample_bulk_points_properties():
     assert dens.min() >= 1e-8 * dens.max() * 0.999
     with pytest.raises(NumericalError):
         sample_bulk_points(gm, 5, seed=6, floor_ratio=2.0)
+    with pytest.raises(ValueError, match="n = 0"):
+        sample_bulk_points(gm, 0, seed=6)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from casmem.errors import ConfigError
 from casmem.gm import (
     GaussianMixture,
     Moments,
@@ -42,6 +43,10 @@ def test_validate_reports():
     assert validate_arrays([-0.2, 1.2], np.zeros((2, 2)), np.tile(np.eye(2), (2, 1, 1))) is not None
     bad_cov = np.tile(np.diag([1.0, -0.5]), (2, 1, 1))
     assert validate_arrays([0.5, 0.5], np.zeros((2, 2)), bad_cov) is not None
+    eyes = np.tile(np.eye(2), (2, 1, 1))
+    assert "finite" in validate_arrays([np.nan, 0.5], np.zeros((2, 2)), eyes)
+    assert "finite" in validate_arrays([0.5, 0.5], [[0.0, np.nan], [0.0, 0.0]], eyes)
+    assert "finite" in validate_arrays([0.5, 0.5], np.zeros((2, 2)), eyes * np.nan)
     gm = random_mixture(np.random.default_rng(0))
     assert validate(gm) is None
 
@@ -146,3 +151,14 @@ def test_serialization_round_trip():
     assert np.array_equal(back.weights, gm.weights)
     assert np.array_equal(back.means, gm.means)
     assert np.array_equal(back.covs, gm.covs)
+    # the raw arrays are checked on the way in, before construction symmetrizes them
+    data = gm.to_dict()
+    for bad in (
+        {**data, "weights": [1.5, -0.5]},
+        {**data, "covs": [np.diag([1.0, 1.0, 1.0, -1.0]).tolist(), data["covs"][1]]},
+        {**data, "means": [["a"] * 4, data["means"][1]]},
+        {"weights": data["weights"], "means": data["means"]},
+        [data],
+    ):
+        with pytest.raises(ConfigError):
+            GaussianMixture.from_dict(bad)

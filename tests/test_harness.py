@@ -213,6 +213,12 @@ def test_apply_axis_dispatch():
     assert harness._apply_axis(tri, "K", 5).stream.r == 0.5
     with pytest.raises(ConfigError):
         harness._apply_axis(cfg, "colour", 1)
+    # integer axes take integral values only, never a silent truncation
+    assert harness._apply_axis(cfg, "L", 7.0).L == 7
+    assert harness._apply_axis(cfg, "n_days", 12.0).stream.n_days == 12
+    for axis, value in (("L", 2.5), ("K", 2.5), ("n_days", 20.7), ("seed", 0.5)):
+        with pytest.raises(ConfigError):
+            harness._apply_axis(cfg, axis, value)
     # RunConfig checks its own fields, so a swept value is checked too
     with pytest.raises(ConfigError):
         sweep(cfg, "theta", [0.0])
@@ -317,6 +323,29 @@ def test_restore_rejects_garbage(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError):
         restore_state(str(bad))
+    path = snapshot_file(small_cfg(kind="triangle"), 6, tmp_path / "s.json")
+    assert restore_state(path).day == 6
+    good = json.loads((tmp_path / "s.json").read_text())
+    bad_weights, non_pd = json.loads(json.dumps(good)), json.loads(json.dumps(good))
+    bad_weights["nodes"][2]["weights"] = [1.5, -0.25, -0.25]
+    non_pd["nodes"][3]["covs"][0] = [[0.0, 1.0], [1.0, 0.0]]  # eigenvalues -1 and 1
+    garbage = [
+        [1, 2],
+        {key: value for key, value in good.items() if key != "day"},
+        {key: value for key, value in good.items() if key != "nodes"},
+        {**good, "day": 0},
+        bad_weights,
+        non_pd,
+        {**good, "prior": {**good["prior"], "weights": [0.5, 0.5, 0.5]}},
+    ]
+    for i, data in enumerate(garbage):
+        path = tmp_path / f"garbage{i}.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError):
+            restore_state(str(path))
+    for path in (tmp_path / "absent.json", tmp_path):
+        with pytest.raises(ConfigError):
+            restore_state(str(path))
     cfg = small_cfg(n_days=5)
     state = build_final_state(small_cfg(n_days=8))
     with pytest.raises(ConfigError):
@@ -348,7 +377,7 @@ def test_cli_flags_override_config(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["theta"] == 0.2
 
 
-def test_cli_config_errors_exit_2(tmp_path):
+def test_cli_config_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nothere.json")
     assert cli_main(["run", "--config", missing]) == 2
     bad = tmp_path / "bad.json"
@@ -370,6 +399,27 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert cli_main(["run", "--config", good, "--snapshot-every", "-2"]) == 2
     assert cli_main(["sweep", "--config", good, "--axis", "theta", "--values", "0,1.5"]) == 2
     assert not (tmp_path / "o").exists()
+    # bad input files: each is refused as a config error, never a traceback
+    capsys.readouterr()
+    assert cli_main(["run", "--config", write_cfg(tmp_path, "L.json", L=2.5)]) == 2
+    no_file = write_cfg(tmp_path, "file.json", stream={"kind": "file", "path": missing})
+    assert cli_main(["run", "--config", no_file]) == 2
+    tri = write_cfg(tmp_path, "tri.json", stream={"kind": "triangle", "n_days": 15})
+    assert cli_main(["snapshot", "--config", tri, "--day", "6", "--out", str(tmp_path)]) == 0
+    snap = json.loads((tmp_path / "snapshot_day0006.json").read_text())
+    bad_weights, non_pd = json.loads(json.dumps(snap)), json.loads(json.dumps(snap))
+    bad_weights["nodes"][2]["weights"] = [1.5, -0.25, -0.25]
+    non_pd["nodes"][3]["covs"][0] = [[0.0, 1.0], [1.0, 0.0]]
+    no_day = {key: value for key, value in snap.items() if key != "day"}
+    states = [missing, str(tmp_path)]
+    for i, data in enumerate([[snap], no_day, bad_weights, non_pd]):
+        states.append(str(tmp_path / f"state{i}.json"))
+        (tmp_path / f"state{i}.json").write_text(json.dumps(data))
+    for state in states:
+        assert cli_main(["restore", "--config", tri, "--state", state]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 + len(states)
+    assert all(line.startswith("config error:") for line in err)
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
@@ -404,6 +454,12 @@ def test_cli_numerical_failures_exit_3(tmp_path, monkeypatch):
         lambda _cfg: (_ for _ in ()).throw(NumericalError("quadrature stalled")),
     )
     assert cli_main(["run", "--config", cfg]) == 3
+    # LinAlgError is a ValueError, but a failed factorization is numerical, not a config error
+    monkeypatch.setattr(
+        "casmem.cli.run_experiment",
+        lambda _cfg: (_ for _ in ()).throw(np.linalg.LinAlgError("not positive definite")),
+    )
+    assert cli_main(["run", "--config", cfg]) == 3
 
 
 def test_cli_sweep_outputs(tmp_path, capsys):
@@ -419,6 +475,8 @@ def test_cli_sweep_outputs(tmp_path, capsys):
     assert set(fit) == {"c", "t_star"}
     assert cli_main(["sweep", "--config", cfg, "--axis", "L", "--values", "x,y"]) == 2
     assert cli_main(["sweep", "--config", cfg, "--axis", "colour", "--values", "1,2,3"]) == 2
+    assert cli_main(["sweep", "--config", cfg, "--axis", "L", "--values", "2.5"]) == 2
+    assert cli_main(["sweep", "--config", cfg, "--axis", "n_days", "--values", "20.7"]) == 2
 
 
 def test_cli_movie_and_trajectories(tmp_path, capsys):
@@ -438,6 +496,17 @@ def test_cli_movie_and_trajectories(tmp_path, capsys):
     first = rows[1].split(",")
     assert first[0] == "0" and first[1] == "0" and float(first[2]) == 0.0
     assert cli_main(["movie", "--config", cfg, "--frames", "1"]) == 2
+    # the config seed and --seed are one setting: both seed the stream and the SDE
+    seeded = write_cfg(tmp_path, "seeded.json", seed=5)
+    for name, argv in (("flag", [cfg, "--seed", "5"]), ("file", [seeded])):
+        assert cli_main(
+            ["movie", "--config", *argv, "--frames", "4", "--paths", "5", "--steps", "20",
+             "--out", str(tmp_path / name)]
+        ) == 0
+    for name in ("frames.json", "trajectories.csv"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+    by_file = (tmp_path / "file" / "trajectories.csv").read_bytes()
+    assert by_file != (out / "trajectories.csv").read_bytes()
 
 
 def test_cli_drift_check(tmp_path, capsys):
@@ -453,6 +522,18 @@ def test_cli_drift_check(tmp_path, capsys):
     assert json.loads((out / "drift_check.json").read_text()) == stats
     # node-aligned time must be rejected as a config error
     assert cli_main(["drift-check", "--config", cfg, "--t", "0.5", "--points", "5"]) == 2
+    # the config seed and --seed are one setting: both seed the bulk points
+    seeded = write_cfg(
+        tmp_path, "seeded.json", stream={"kind": "circular", "n_days": 12}, L=4, seed=5
+    )
+    for name, argv in (("flag", [cfg, "--seed", "5"]), ("file", [seeded])):
+        assert cli_main(
+            ["drift-check", "--config", *argv, "--t", "0.3,0.6", "--points", "10",
+             "--out", str(tmp_path / name)]
+        ) == 0
+    by_flag = (tmp_path / "flag" / "drift_check.json").read_bytes()
+    assert by_flag == (tmp_path / "file" / "drift_check.json").read_bytes()
+    assert by_flag != (out / "drift_check.json").read_bytes()
 
 
 def test_cli_fifo(tmp_path, capsys):

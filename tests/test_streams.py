@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from casmem.errors import ConfigError
 from casmem.gm import GaussianMixture
 from casmem.streams import (
     KINDS,
@@ -31,6 +32,18 @@ def test_make_config_defaults_and_unknown_kind():
         make_config("spiral")
     with pytest.raises(TypeError):
         make_config("circular", radius=2.0)
+    # each kind's limits are checked when its config is made
+    for kind, fields in [
+        ("triangle", dict(d=1)),
+        ("circular", dict(n_days=0)),
+        ("circular", dict(n_days=20.5)),
+        ("crowding", dict(K=4)),
+        ("split_merge", dict(n_days=60)),
+        ("circular", dict(nuisance="random_walk")),
+        ("file", {}),
+    ]:
+        with pytest.raises(ConfigError):
+            make_config(kind, **fields)
 
 
 def test_generate_covers_every_kind(tmp_path):
@@ -186,6 +199,8 @@ def test_gm_file_round_trip(tmp_path):
     missing.write_text('{"weights": [1.0]}')
     with pytest.raises(ValueError):
         load_gm_file(missing)
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_gm_file(tmp_path / "absent.json")
 
 
 def test_generate_is_deterministic():
