@@ -1,9 +1,9 @@
 """Error taxonomy shared by the library and the command line, and its file I/O.
 
-ConfigError covers malformed configs, files and shape mismatches (CLI exit
-code 2); NumericalError covers quadrature non-convergence and degenerate
-fits (exit code 3). Every JSON input goes through read_json_object and
-every result file through write_text.
+ConfigError covers malformed configs, unreadable or unwritable files and
+shape mismatches (CLI exit code 2); NumericalError covers quadrature
+non-convergence and degenerate fits (exit code 3). Every JSON input goes
+through read_json_object and every result file through write_text.
 """
 import json
 import os
@@ -32,8 +32,11 @@ def read_json_object(path) -> dict:
 
 
 def write_text(path, text: str):
-    """Write text to path, making its directory first; returns path."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Write text to path, making its directory first; returns path. ConfigError if it cannot."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .gm import Moments, mixture_moments
 from .protocol import replay_block
@@ -28,8 +27,9 @@ RECORD_DTYPE = np.dtype(
 )
 RECORD_CSV_HEADER = ",".join(RECORD_DTYPE.names)
 AGE_CURVE_CSV_HEADER = "age,F_bar,count"
-# Largest K matched by scoring all K! permutations; above it the assignment
-# method runs once per pair (720 permutations at K = 6, 40,320 at K = 8).
+# Largest K matched by scoring all K! permutations (720 at K = 6, 40,320 at
+# K = 8). Above it scipy's assignment solver runs once per pair; it is
+# imported on first use, so a run with K <= 6 never loads scipy.
 MAX_TABLE_K = 6
 
 
@@ -82,6 +82,8 @@ def match_components(a_means, b_means) -> np.ndarray:
         for i in range(1, k):
             total += cost[..., i, table[:, i]]
         return table[total.argmin(axis=-1)]
+    from scipy.optimize import linear_sum_assignment
+
     perm = np.empty(cost.shape[:-1], dtype=np.intp)
     for i in np.ndindex(cost.shape[:-2]):
         perm[i] = linear_sum_assignment(cost[i])[1]

@@ -45,6 +45,8 @@ class StreamConfig:
             raise ConfigError(f"stream needs n_days >= 1, got {self.n_days}")
         if self.d < spec.min_d:
             raise ConfigError(f"{self.kind} stream needs d >= {spec.min_d}, got {self.d}")
+        if spec.d_at_least_K and self.d < self.K:
+            raise ConfigError(f"{self.kind} stream needs d >= K, got d = {self.d} and K = {self.K}")
         if spec.K and self.K not in spec.K:
             raise ConfigError(f"{self.kind} stream supports K in {spec.K}, got {self.K}")
         if spec.n_days is not None and self.n_days != spec.n_days:
@@ -276,6 +278,7 @@ class _Kind(NamedTuple):
     n_days: int | None = None  # a fixed schedule's length
     nuisance: tuple = ("none",)
     needs_path: bool = False
+    d_at_least_K: bool = False  # one mean direction per component
 
 
 _KINDS = {
@@ -289,7 +292,9 @@ _KINDS = {
     "split_merge": _Kind(
         split_merge_stream, dict(K=3, cov_scale=0.3), min_d=2, K=(3,), n_days=100
     ),
-    "rotating_dominance": _Kind(rotating_dominance_stream, dict(K=3, d=12, P=30.0)),
+    "rotating_dominance": _Kind(
+        rotating_dominance_stream, dict(K=3, d=12, P=30.0), d_at_least_K=True
+    ),
     "file": _Kind(file_stream, {}, needs_path=True),
 }
 KINDS = tuple(_KINDS)

@@ -422,6 +422,20 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert all(line.startswith("config error:") for line in err)
 
 
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    # --out names an existing file, so no result file can be made under it
+    cfg = write_cfg(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    assert cli_main(["run", "--config", cfg, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write") and str(taken) in err
+    assert taken.read_text() == "keep me"
+    rot = write_cfg(tmp_path, "rot.json", stream={"kind": "rotating_dominance", "d": 2})
+    assert cli_main(["run", "--config", rot]) == 2
+    assert "needs d >= K, got d = 2 and K = 3" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     misspelt = write_cfg(tmp_path, snapshot_evry=3)
     assert cli_main(["run", "--config", misspelt]) == 2

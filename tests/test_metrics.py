@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,37 @@ def test_match_tie_between_non_identity_optima_takes_the_first_permutation():
     b = np.array([[5.0, 4.0], [1.0, 0.0], [0.0, 2.0]])
     assert np.array_equal(match_components(a, b), [1, 2, 0])
     assert np.array_equal(match_components(np.stack([a, a]), np.stack([b, b])), [[1, 2, 0]] * 2)
+
+
+# Runs in a fresh interpreter: the test process has scipy loaded already.
+COLD_START = """
+import sys
+import numpy as np
+from casmem import (
+    RunConfig, build_final_state, integrate_sde, make_config, match_components, run_experiment,
+)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+run_experiment(RunConfig(stream=make_config("crowding", K=3, n_days=20), L=5))
+state = build_final_state(RunConfig(stream=make_config("circular", n_days=20), L=5))
+integrate_sde(state.grid, n_paths=20, steps=20, seed=0)
+assert not scipy_modules(), scipy_modules()
+rng = np.random.default_rng(5)
+a = rng.normal(0.0, 6.0, (8, 2))
+b = a[rng.permutation(8)]
+assert np.array_equal(a, b[match_components(a, b)])
+assert "scipy.optimize" in scipy_modules()
+"""
+
+
+def test_scipy_loads_only_for_the_assignment_branch():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_match_recovers_planted_permutation():

@@ -44,6 +44,11 @@ def test_make_config_defaults_and_unknown_kind():
     ]:
         with pytest.raises(ConfigError):
             make_config(kind, **fields)
+    # rotating_dominance gives each component its own mean direction
+    for fields in (dict(d=2), dict(d=4, K=5)):
+        with pytest.raises(ConfigError, match=f"d = {fields['d']} and K = {fields.get('K', 3)}"):
+            make_config("rotating_dominance", **fields)
+    assert len(generate(make_config("rotating_dominance", d=5, K=5, n_days=3))) == 3
 
 
 def test_generate_covers_every_kind(tmp_path):
