@@ -431,9 +431,6 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write") and str(taken) in err
     assert taken.read_text() == "keep me"
-    rot = write_cfg(tmp_path, "rot.json", stream={"kind": "rotating_dominance", "d": 2})
-    assert cli_main(["run", "--config", rot]) == 2
-    assert "needs d >= K, got d = 2 and K = 3" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
