@@ -161,6 +161,7 @@ def _adaptive_integral(f, tol: float, max_panels: int, edges=(0.0, 1.0)):
 def _psi_terms(sl: PathSlice, pts: np.ndarray, with_potential: bool, panels=None):
     """Quadrature for grad psi (n, d) and, optionally, psi itself (n,).
 
+    Both are zero, and no quadrature runs, while the weight rates vanish.
     Maps s = lam_max u / (1 - u) onto the unit interval and integrates
     in the eigenbasis of each active component; the gradient rotates
     back afterwards. Only the kernel and the denominators depend on the
@@ -175,6 +176,8 @@ def _psi_terms(sl: PathSlice, pts: np.ndarray, with_potential: bool, panels=None
     n, d = pts.shape
     grad = np.zeros((n, d))
     pot = np.zeros(n) if with_potential else None
+    if np.abs(sl.weight_rates).sum() <= WEIGHT_RATE_TOL:
+        return grad, pot
     if with_potential and d <= 2:
         raise ValueError("the potential integral diverges for d <= 2; use the gradient")
     panels = {} if panels is None else panels
@@ -222,9 +225,6 @@ def poisson_psi_grad(sl: PathSlice, x, panels=None) -> np.ndarray:
     on; None starts every component from [0, 1].
     """
     pts, single = _as_points(x, sl.gm.d)
-    if np.abs(sl.weight_rates).sum() <= WEIGHT_RATE_TOL:
-        out = np.zeros_like(pts)
-        return out[0] if single else out
     grad, _ = _psi_terms(sl, pts, with_potential=False, panels=panels)
     return grad[0] if single else grad
 
@@ -236,9 +236,6 @@ def psi_potential(sl: PathSlice, x) -> np.ndarray | float:
     particular normalization decays to zero at infinity.
     """
     pts, single = _as_points(x, sl.gm.d)
-    if np.abs(sl.weight_rates).sum() <= WEIGHT_RATE_TOL:
-        pot = np.zeros(len(pts))
-        return float(pot[0]) if single else pot
     _, pot = _psi_terms(sl, pts, with_potential=True)
     return float(pot[0]) if single else pot
 

@@ -31,6 +31,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _param_arrays(weights, means, covs, lead: int = 0):
+    """Weights (n, K), means (n, K, d) and covs (n, K, d, d), n being ``lead`` leading axes.
+
+    Float arrays come back as views, never copies. With no leading axes a lone
+    component may drop its axis: a (d,) mean and a (d, d) cov. ValueError on misfit shapes.
+    """
+    w, m, c = (np.asarray(a, dtype=float) for a in (weights, means, covs))
+    if lead == 0:
+        w, m, c = np.atleast_1d(w), np.atleast_2d(m), c[None] if c.ndim == 2 else c
+    if w.ndim != lead + 1 or m.ndim != lead + 2 or c.ndim != lead + 3:
+        head = "n, " * lead
+        raise ValueError(f"expected shapes ({head}K), ({head}K, d), ({head}K, d, d)")
+    if w.shape != m.shape[:-1] or c.shape != m.shape + m.shape[-1:]:
+        raise ValueError(f"inconsistent shapes: weights {w.shape}, means {m.shape}, covs {c.shape}")
+    return w, m, c
+
+
 def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
     """Coerce x to shape (n, d); the flag reports whether input was a single point."""
     a = np.asarray(x, dtype=float)
@@ -67,18 +84,7 @@ class GaussianMixture:
     covs: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        m = np.atleast_2d(np.asarray(self.means, dtype=float))
-        c = np.asarray(self.covs, dtype=float)
-        if c.ndim == 2:
-            c = c[None, :, :]
-        if w.ndim != 1 or m.ndim != 2 or c.ndim != 3:
-            raise ValueError("expected shapes (K,), (K, d), (K, d, d)")
-        k, d = m.shape
-        if w.shape != (k,) or c.shape != (k, d, d):
-            raise ValueError(
-                f"inconsistent shapes: weights {w.shape}, means {m.shape}, covs {c.shape}"
-            )
+        w, m, c = _param_arrays(self.weights, self.means, self.covs)
         c = 0.5 * (c + np.swapaxes(c, 1, 2))
         object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "means", _frozen(m))
@@ -201,10 +207,7 @@ class GaussianMixture:
         """The mixture of a to_dict form; ConfigError unless its raw arrays pass validate_arrays."""
         if not isinstance(data, dict) or not {"weights", "means", "covs"} <= data.keys():
             raise ConfigError("a mixture dict needs the keys weights, means and covs")
-        try:
-            report = validate_arrays(data["weights"], data["means"], data["covs"])
-        except (TypeError, ValueError) as exc:  # ragged or non-numeric entries
-            report = f"arrays are not numeric: {exc}"
+        report = validate_arrays(data["weights"], data["means"], data["covs"])
         if report is not None:
             raise ConfigError(f"invalid mixture: {report}")
         return cls(data["weights"], data["means"], data["covs"])
@@ -237,17 +240,12 @@ def validate_arrays(weights, means, covs) -> str | None:
 
     Unlike construction (which symmetrizes), this sees the covariances as
     given, so asymmetric input is reported rather than silently repaired.
+    Ragged, non-numeric or misshapen arrays are reported too.
     """
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    m = np.atleast_2d(np.asarray(means, dtype=float))
-    c = np.asarray(covs, dtype=float)
-    if c.ndim == 2:
-        c = c[None, :, :]
-    if w.ndim != 1 or m.ndim != 2 or c.ndim != 3:
-        return "expected shapes (K,), (K, d), (K, d, d)"
-    k, d = m.shape
-    if w.shape != (k,) or c.shape != (k, d, d):
-        return f"inconsistent shapes: weights {w.shape}, means {m.shape}, covs {c.shape}"
+    try:
+        w, m, c = _param_arrays(weights, means, covs)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
     if not all(np.isfinite(a).all() for a in (w, m, c)):
         return "parameters are not all finite"
     if np.any(w < 0):
@@ -259,8 +257,8 @@ def validate_arrays(weights, means, covs) -> str | None:
         i = int(np.argmax(asym))
         return f"cov {i} is asymmetric: max |S - S^T| = {asym[i]:.3e}"
     sym = 0.5 * (c + np.swapaxes(c, 1, 2))
-    for i in range(k):
-        eigs = np.linalg.eigvalsh(sym[i])
+    for i, s in enumerate(sym):
+        eigs = np.linalg.eigvalsh(s)
         if eigs[0] <= 0.0 or eigs[0] < PD_RTOL * eigs[-1]:
             return f"cov {i} is not positive definite: eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
     return None

@@ -193,7 +193,7 @@ def _score_pending(pending: list, blocks: list, stacked) -> None:
 
 
 def _check_resumable(cfg: RunConfig, targets, state: MemoryState) -> None:
-    """Refuse a state made under another L, prior or stream config, or past the stream's end.
+    """Refuse a state made under another L, prior (node 0) or stream config, or past its end.
 
     Snapshots of schema v1 and v2 do not record the stream, so only the
     day, L and prior of those are checked.
@@ -276,10 +276,12 @@ def _apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
             )
         return replace(cfg, stream=stream)
     stream_fields = {f for f in StreamConfig.__dataclass_fields__ if f != "kind"}
-    if axis in stream_fields:
-        value = type(getattr(cfg.stream, axis))(value)
-        return replace(cfg, stream=replace(cfg.stream, **{axis: value}))
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    if axis not in stream_fields:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    current = getattr(cfg.stream, axis)
+    if not isinstance(current, numbers.Real):
+        raise ConfigError(f"sweep axis {axis} is not numeric (its value is {current!r})")
+    return replace(cfg, stream=replace(cfg.stream, **{axis: type(current)(value)}))
 
 
 @dataclass

@@ -13,19 +13,20 @@ day:
   grid. This rebinning is the only lossy step of the recursion.
 
 Every step is linear in the node parameters, costs O(L K d^2) per day and
-keeps no data beyond the grid and the prior. Earlier days are recovered
-by evaluating the path at their readout time, which contracts by
-L / (L + 1) per day, so day m is found at t = (L / (L + 1)) ** (n - m)
-after n days.
+keeps no data beyond the grid, whose node 0 is the prior. Earlier days
+are recovered by evaluating the path at their readout time, which
+contracts by L / (L + 1) per day, so day m is found at
+t = (L / (L + 1)) ** (n - m) after n days.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .gm import GaussianMixture, _frozen, stack_mixtures
+from .gm import GaussianMixture, _frozen, _param_arrays, stack_mixtures
 
 SNAPSHOT_SCHEMA_VERSION = 3
 # v1 also carries a readout table, which is ignored; v1 and v2 carry no stream
@@ -41,17 +42,10 @@ class ProtocolGrid:
     covs: np.ndarray
 
     def __post_init__(self):
-        w, m, c = (np.asarray(a, dtype=float) for a in (self.weights, self.means, self.covs))
-        if w.ndim != 2 or m.ndim != 3 or c.ndim != 4:
-            raise ValueError("expected shapes (L+1, K), (L+1, K, d), (L+1, K, d, d)")
-        n, k, d = m.shape
-        if n < 2:
-            raise ValueError(f"need at least 2 nodes, got {n}")
-        if w.shape != (n, k) or c.shape != (n, k, d, d):
-            raise ValueError(
-                f"inconsistent shapes: weights {w.shape}, means {m.shape}, covs {c.shape}"
-            )
-        for name, a in (("weights", w), ("means", m), ("covs", c)):
+        arrays = _param_arrays(self.weights, self.means, self.covs, lead=1)
+        if len(arrays[0]) < 2:
+            raise ValueError(f"need at least 2 nodes, got {len(arrays[0])}")
+        for name, a in zip(("weights", "means", "covs"), arrays):
             object.__setattr__(self, name, _frozen(a))
 
     @property
@@ -69,16 +63,20 @@ class ProtocolGrid:
 
 @dataclass(frozen=True)
 class MemoryState:
-    """Everything retained between days: the prior, the grid and the day count.
+    """Everything retained between days: the grid and the day count.
 
     ``stream`` is the JSON form of the stream config the days came from,
     without its length; None where that is unknown.
     """
 
-    prior: GaussianMixture
     grid: ProtocolGrid
     day: int
     stream: dict | None = None
+
+    @cached_property
+    def prior(self) -> GaussianMixture:
+        """Node 0: the rebin keeps it bit for bit and old recall is interpolated toward it."""
+        return GaussianMixture(self.grid.weights[0], self.grid.means[0], self.grid.covs[0])
 
 
 def _nodes(grid: ProtocolGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,13 +170,13 @@ def new_memory(prior: GaussianMixture, target1: GaussianMixture, L: int) -> Memo
         raise ValueError(f"L must be >= 1, got {L}")
     ramp = stack_mixtures((prior, target1))
     grid = ProtocolGrid(*_lerp_nodes(ramp, np.zeros(L + 1, dtype=int), np.arange(L + 1) / L))
-    return MemoryState(prior, grid, 1)
+    return MemoryState(grid, 1)
 
 
 def incorporate(state: MemoryState, target: GaussianMixture) -> MemoryState:
     """One day of the recursion; returns the next state, inputs untouched."""
     grid = smooth(add(state.grid, target), state.grid.L)
-    return MemoryState(state.prior, grid, state.day + 1, state.stream)
+    return MemoryState(grid, state.day + 1, state.stream)
 
 
 def readout_time(L: int, age: int) -> float:
@@ -261,5 +259,7 @@ def state_from_snapshot(data: dict) -> MemoryState:
     nodes = [GaussianMixture.from_dict(g) for g in nodes]
     if len(nodes) != L + 1:
         raise ConfigError(f"snapshot carries {len(nodes)} nodes but L = {L}")
-    grid = ProtocolGrid(*stack_mixtures(nodes))
-    return MemoryState(GaussianMixture.from_dict(prior), grid, day, data.get("stream"))
+    state = MemoryState(ProtocolGrid(*stack_mixtures(nodes)), day, data.get("stream"))
+    if GaussianMixture.from_dict(prior).to_dict() != state.prior.to_dict():
+        raise ConfigError("snapshot prior differs from its node 0, the prior replay reads")
+    return state

@@ -41,8 +41,9 @@ class StreamConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ConfigError(f"stream {name} must be an integer, got {value!r}")
-        if self.n_days < 1:
-            raise ConfigError(f"stream needs n_days >= 1, got {self.n_days}")
+        for name in ("n_days", "K"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"stream needs {name} >= 1, got {getattr(self, name)}")
         if self.d < spec.min_d:
             raise ConfigError(f"{self.kind} stream needs d >= {spec.min_d}, got {self.d}")
         if spec.d_at_least_K and self.d < self.K:
@@ -119,13 +120,8 @@ def _ring_target(cfg: StreamConfig, m: int, radii=None, walk=None) -> GaussianMi
     return GaussianMixture(np.full(cfg.K, 1.0 / cfg.K), means, covs)
 
 
-def triangle_stream(cfg: StreamConfig) -> list[GaussianMixture]:
-    """Equal-weight three-component ring around the circular drift."""
-    return [_ring_target(cfg, m) for m in range(1, cfg.n_days + 1)]
-
-
-def crowding_stream(cfg: StreamConfig) -> list[GaussianMixture]:
-    """Ring stream with adjustable K and separation r.
+def ring_stream(cfg: StreamConfig) -> list[GaussianMixture]:
+    """Equal-weight K-component ring around the circular drift (triangle: K = 3).
 
     The crowding ratio chi = r / sqrt(cov_scale) controls component overlap.
     """
@@ -282,10 +278,10 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "circular": _Kind(circular_stream, dict(K=1, cov_scale=0.5), min_d=2),
-    "linear": _Kind(linear_stream, dict(K=1, cov_scale=0.5)),
-    "triangle": _Kind(triangle_stream, dict(K=3, cov_scale=0.3), min_d=2, K=(3,)),
-    "crowding": _Kind(crowding_stream, dict(K=3, cov_scale=0.3), min_d=2, K=(2, 3, 5, 8)),
+    "circular": _Kind(circular_stream, dict(K=1, cov_scale=0.5), min_d=2, K=(1,)),
+    "linear": _Kind(linear_stream, dict(K=1, cov_scale=0.5), K=(1,)),
+    "triangle": _Kind(ring_stream, dict(K=3, cov_scale=0.3), min_d=2, K=(3,)),
+    "crowding": _Kind(ring_stream, dict(K=3, cov_scale=0.3), min_d=2, K=(2, 3, 5, 8)),
     "embedded": _Kind(
         embedded_stream, dict(K=3, cov_scale=0.3, d=8), min_d=2, nuisance=("none", "random_walk")
     ),

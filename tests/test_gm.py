@@ -47,6 +47,9 @@ def test_validate_reports():
     assert "finite" in validate_arrays([np.nan, 0.5], np.zeros((2, 2)), eyes)
     assert "finite" in validate_arrays([0.5, 0.5], [[0.0, np.nan], [0.0, 0.0]], eyes)
     assert "finite" in validate_arrays([0.5, 0.5], np.zeros((2, 2)), eyes * np.nan)
+    assert "inconsistent shapes" in validate_arrays([0.5, 0.5], np.zeros((3, 2)), eyes)
+    assert "inconsistent shapes" in validate_arrays([0.5, 0.5], np.zeros((2, 2)), eyes[:, :1])
+    assert "expected shapes" in validate_arrays([[0.5, 0.5]], np.zeros((2, 2)), eyes)
     gm = random_mixture(np.random.default_rng(0))
     assert validate(gm) is None
 

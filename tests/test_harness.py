@@ -219,6 +219,10 @@ def test_apply_axis_dispatch():
     for axis, value in (("L", 2.5), ("K", 2.5), ("n_days", 20.7), ("seed", 0.5)):
         with pytest.raises(ConfigError):
             harness._apply_axis(cfg, axis, value)
+    # an axis whose value is not a number cannot take a swept number
+    for axis in ("path", "nuisance"):
+        with pytest.raises(ConfigError, match="not numeric"):
+            harness._apply_axis(cfg, axis, 1)
     # RunConfig checks its own fields, so a swept value is checked too
     with pytest.raises(ConfigError):
         sweep(cfg, "theta", [0.0])
@@ -326,9 +330,11 @@ def test_restore_rejects_garbage(tmp_path):
     path = snapshot_file(small_cfg(kind="triangle"), 6, tmp_path / "s.json")
     assert restore_state(path).day == 6
     good = json.loads((tmp_path / "s.json").read_text())
-    bad_weights, non_pd = json.loads(json.dumps(good)), json.loads(json.dumps(good))
+    bad_weights, non_pd, moved = (json.loads(json.dumps(good)) for _ in range(3))
     bad_weights["nodes"][2]["weights"] = [1.5, -0.25, -0.25]
     non_pd["nodes"][3]["covs"][0] = [[0.0, 1.0], [1.0, 0.0]]  # eigenvalues -1 and 1
+    # replay reads node 0 as the prior, so it must equal the recorded prior
+    moved["nodes"][0]["means"][0] = [0.5, -0.5]
     garbage = [
         [1, 2],
         {key: value for key, value in good.items() if key != "day"},
@@ -337,6 +343,7 @@ def test_restore_rejects_garbage(tmp_path):
         bad_weights,
         non_pd,
         {**good, "prior": {**good["prior"], "weights": [0.5, 0.5, 0.5]}},
+        moved,
     ]
     for i, data in enumerate(garbage):
         path = tmp_path / f"garbage{i}.json"
@@ -407,18 +414,32 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     tri = write_cfg(tmp_path, "tri.json", stream={"kind": "triangle", "n_days": 15})
     assert cli_main(["snapshot", "--config", tri, "--day", "6", "--out", str(tmp_path)]) == 0
     snap = json.loads((tmp_path / "snapshot_day0006.json").read_text())
-    bad_weights, non_pd = json.loads(json.dumps(snap)), json.loads(json.dumps(snap))
+    bad_weights, non_pd, moved = (json.loads(json.dumps(snap)) for _ in range(3))
     bad_weights["nodes"][2]["weights"] = [1.5, -0.25, -0.25]
     non_pd["nodes"][3]["covs"][0] = [[0.0, 1.0], [1.0, 0.0]]
+    moved["nodes"][0]["means"][0] = [0.5, -0.5]  # node 0 no longer equals the prior
     no_day = {key: value for key, value in snap.items() if key != "day"}
     states = [missing, str(tmp_path)]
-    for i, data in enumerate([[snap], no_day, bad_weights, non_pd]):
+    for i, data in enumerate([[snap], no_day, bad_weights, non_pd, moved]):
         states.append(str(tmp_path / f"state{i}.json"))
         (tmp_path / f"state{i}.json").write_text(json.dumps(data))
     for state in states:
         assert cli_main(["restore", "--config", tri, "--state", state]) == 2
+    # stream sections outside their kind's K limits, or without a kind at all
+    streams = [{"kind": "circular", "K": 4}, {"kind": "circular", "K": 0},
+               {"kind": "rotating_dominance", "K": 0}, {"kind": "embedded", "K": 0},
+               {"n_days": 15}]
+    for i, stream in enumerate(streams):
+        assert cli_main(["run", "--config", write_cfg(tmp_path, f"s{i}.json", stream=stream)]) == 2
+    for var in (0, -1):
+        point = {"kind": "point", "x0": [0.0, 0.0], "var": var}
+        assert cli_main(["run", "--config", write_cfg(tmp_path, "pt.json", prior=point)]) == 2
+    flags = [["sweep", "--axis", "path", "--values", "1"], ["sweep", "--axis", "L", "--values", ","],
+             ["drift-check", "--t", "abc"], ["drift-check", "--t", ","]]
+    for args in flags:
+        assert cli_main([*args, "--config", good]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 + len(states)
+    assert len(err) == 2 + len(states) + len(streams) + 2 + len(flags)
     assert all(line.startswith("config error:") for line in err)
 
 

@@ -60,7 +60,7 @@ def test_new_memory_ramp():
     prior, t1 = standard_prior(), day_target(1)
     state = new_memory(prior, t1, L=5)
     grid = state.grid
-    assert state.day == 1 and state.prior is prior
+    assert state.day == 1 and same_params(state.prior, prior)
     assert grid.L == 5 and grid.means.shape[0] == 6
     assert same_params(node(grid, 0), prior)
     assert same_params(node(grid, -1), t1)
@@ -108,6 +108,11 @@ def test_add_appends_target_at_one():
     assert isinstance(aug, tuple) and len(aug) == 3
     assert [a.shape[0] for a in aug] == [grid.L + 2] * 3
     assert same_params(eval_at(ProtocolGrid(*aug), 1.0), target)
+    w, m, c = aug
+    for bad in ((w[:1], m[:1], c[:1]), (w[:, :1], m, c), (w, m[:-1], c), (w, m, c[..., :1]),
+                (w[0], m[0], c[0])):
+        with pytest.raises(ValueError, match="node|shapes"):
+            ProtocolGrid(*bad)
     # the day's grid ends on the target, bit for bit
     assert same_params(node(incorporate(state, target).grid, grid.L), target)
     with pytest.raises(ValueError):

@@ -41,6 +41,12 @@ def test_make_config_defaults_and_unknown_kind():
         ("split_merge", dict(n_days=60)),
         ("circular", dict(nuisance="random_walk")),
         ("file", {}),
+        ("circular", dict(K=4)),
+        ("linear", dict(K=2)),
+        ("circular", dict(K=0)),
+        ("rotating_dominance", dict(K=0)),
+        ("embedded", dict(K=0)),
+        ("crowding", dict(K=-1)),
     ]:
         with pytest.raises(ConfigError):
             make_config(kind, **fields)
