@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,6 +37,17 @@ def _fmt(value) -> str:
     return "" if value is None else repr(value)
 
 
+def _split(text: str, parse, what: str) -> list:
+    """The comma-separated items of text, each read by parse (json.loads or float)."""
+    try:
+        values = [parse(chunk) for chunk in text.split(",") if chunk.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} {text!r}: {exc}") from None
+    if not values:
+        raise ConfigError(f"no {what} given")
+    return values
+
+
 RUN_KEYS = ("L", "theta", "prior", "snapshot_every")
 CONFIG_KEYS = ("stream", *RUN_KEYS, "seed")
 
@@ -54,29 +66,23 @@ def load_run_config(path: str, args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {unknown}")
     stream_data = dict(data["stream"])
-    kind = stream_data.pop("kind", None)
-    if kind is None:
-        raise ConfigError(f"{path}: stream section needs a 'kind'")
-    flags = {key: value for key, value in vars(args).items() if value is not None}
-    given = {**data, **{key: flags[key] for key in CONFIG_KEYS if key in flags}}
+    given = {**data, **{k: v for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None}}
     seed = given.get("seed", stream_data.get("seed"))
     if seed is not None:
         stream_data["seed"] = seed
     try:
-        stream = make_config(kind, **stream_data)
+        stream = make_config(stream_data.pop("kind", None), **stream_data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad stream config: {exc}") from exc
     if stream.nuisance == "random_walk" and seed is None:
-        raise ConfigError(
-            "this stream draws nuisance noise; pass --seed or set 'seed' in the config"
-        )
+        raise ConfigError("this stream draws nuisance noise; pass --seed or a config 'seed'")
     run = {key: given[key] for key in RUN_KEYS if key in given}
-    return RunConfig(stream=stream, outputs=getattr(args, "out", None), **run)
+    return RunConfig(stream=stream, **run)
 
 
 def cmd_run(args) -> int:
     """run, fifo and restore: score one run, export it under --out, print its summary."""
-    cfg = load_run_config(args.config, args)
+    cfg = replace(load_run_config(args.config, args), outputs=args.out)
     if args.command == "fifo":
         result = fifo_baseline(cfg)
     elif args.command == "restore":
@@ -91,25 +97,10 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config, args)
-    values = []
-    for chunk in args.values.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            values.append(int(chunk))
-        except ValueError:
-            try:
-                values.append(float(chunk))
-            except ValueError:
-                raise ConfigError(f"sweep value {chunk!r} is not a number") from None
-    if not values:
-        raise ConfigError("no sweep values given")
-    result = sweep(cfg, args.axis, values)
+    result = sweep(cfg, args.axis, _split(args.values, json.loads, "sweep values"))
     lines = [",".join(SWEEP_COLUMNS)]
     for row in result.rows:
-        values = [row["axis"], repr(row["value"])] + [_fmt(row[k]) for k in SWEEP_COLUMNS[2:]]
-        lines.append(",".join(values))
+        lines.append(",".join([row["axis"], *(_fmt(row[k]) for k in SWEEP_COLUMNS[1:])]))
     if args.out:
         write_text(os.path.join(args.out, "sweep.csv"), "\n".join(lines) + "\n")
         if result.fit is not None:
@@ -149,12 +140,7 @@ def cmd_movie(args) -> int:
 def cmd_drift_check(args) -> int:
     cfg = load_run_config(args.config, args)
     state = build_final_state(cfg)
-    try:
-        times = [float(chunk) for chunk in args.t.split(",") if chunk.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad time list {args.t!r}: {exc}") from exc
-    if not times:
-        raise ConfigError("no check times given")
+    times = _split(args.t, float, "check times")
     residuals = []
     for t in times:
         pts = sample_bulk_points(eval_at(state.grid, t), args.points, seed=cfg.stream.seed)
@@ -178,9 +164,7 @@ def cmd_snapshot(args) -> int:
         raise ConfigError(f"--day must lie in [1, {len(targets)}], got {args.day}")
     for state in daily_states(cfg, targets[: args.day]):
         pass
-    path = os.path.join(args.out, f"snapshot_day{state.day:04d}.json")
-    snapshot_state(state, path)
-    print(json.dumps({"day": state.day, "path": path}))
+    print(json.dumps({"day": state.day, "path": snapshot_state(state, args.out)}))
     return 0
 
 
@@ -205,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="repeat the run along one config axis")
     common(p)
     p.add_argument("--axis", required=True, help="config field to sweep (e.g. L, K, P)")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True, help="comma-separated JSON numbers")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("movie", help="emit interpolated frames (and optional SDE paths)")
@@ -234,10 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_snapshot)
 
     p = sub.add_parser("restore", help="resume a snapshot to the end of its stream")
-    p.add_argument("--config", required=True)
+    common(p)
     p.add_argument("--state", required=True, help="snapshot file")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_run)
     return parser
 

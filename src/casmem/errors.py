@@ -1,12 +1,17 @@
-"""Error taxonomy shared by the library and the command line, and its file I/O.
+"""Error taxonomy shared by the library and the command line, its file I/O and config typing.
 
-ConfigError covers malformed configs, unreadable or unwritable files and
-shape mismatches (CLI exit code 2); NumericalError covers quadrature
-non-convergence and degenerate fits (exit code 3). Every JSON input goes
-through read_json_object and every result file through write_text.
+ConfigError covers malformed configs, unreadable or unwritable files and shape
+mismatches (CLI exit code 2); NumericalError covers quadrature non-convergence
+and degenerate fits (exit code 3). Every JSON input goes through read_json_object,
+every result file through write_text and every config field through check_fields.
 """
+import dataclasses
 import json
+import math
+import numbers
 import os
+
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 class ConfigError(ValueError):
@@ -40,3 +45,18 @@ def write_text(path, text: str):
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
+
+
+def check_fields(config, label: str = "") -> None:
+    """Refuse a field value that its string annotation int, float or str (each maybe | None) does
+    not admit. A bool is no number; floats must be finite and are stored as float (50 -> 50.0)."""
+    for field in dataclasses.fields(config):
+        value, kind = getattr(config, field.name), field.type.removesuffix(" | None")
+        if kind not in _FIELD_TYPES or value is None and kind != field.type:
+            continue
+        finite = kind != "float" or isinstance(value, numbers.Real) and math.isfinite(value)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]) or not finite:
+            name = "a finite float" if kind == "float" else field.type
+            raise ConfigError(f"{label}{field.name} must be {name}, got {value!r}")
+        if kind == "float":
+            object.__setattr__(config, field.name, float(value))

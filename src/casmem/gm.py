@@ -8,6 +8,7 @@ construction and safe to share between threads.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +47,12 @@ def _param_arrays(weights, means, covs, lead: int = 0):
     if w.shape != m.shape[:-1] or c.shape != m.shape + m.shape[-1:]:
         raise ValueError(f"inconsistent shapes: weights {w.shape}, means {m.shape}, covs {c.shape}")
     return w, m, c
+
+
+def has_non_numbers(a) -> bool:
+    """Whether the array or nested sequence a holds a string, bool or None, which float() takes."""
+    entries = np.asarray(a, dtype=object).flat
+    return not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entries)
 
 
 def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
@@ -240,12 +247,14 @@ def validate_arrays(weights, means, covs) -> str | None:
 
     Unlike construction (which symmetrizes), this sees the covariances as
     given, so asymmetric input is reported rather than silently repaired.
-    Ragged, non-numeric or misshapen arrays are reported too.
+    Ragged, misshapen or non-numeric arrays (see has_non_numbers) are reported too.
     """
     try:
         w, m, c = _param_arrays(weights, means, covs)
     except (TypeError, ValueError) as exc:
         return str(exc)
+    if any(has_non_numbers(a) for a in (weights, means, covs)):
+        return "entries must be numbers, not strings, bools or None"
     if not all(np.isfinite(a).all() for a in (w, m, c)):
         return "parameters are not all finite"
     if np.any(w < 0):

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, read_json_object, write_text
-from .gm import GaussianMixture, stack_mixtures, validate
+from .errors import ConfigError, NumericalError, check_fields, read_json_object, write_text
+from .gm import GaussianMixture, has_non_numbers, stack_mixtures, validate
 from .metrics import (
     RECORD_DTYPE,
     AgeCurve,
@@ -65,13 +64,13 @@ class RunConfig:
     snapshot_every: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.L, numbers.Integral) or self.L < 1:
-            raise ConfigError(f"L must be an integer >= 1, got {self.L!r}")
-        if not isinstance(self.theta, numbers.Real) or not 0.0 < self.theta < 1.0:
+        check_fields(self)
+        if self.L < 1:
+            raise ConfigError(f"L must be >= 1, got {self.L!r}")
+        if not 0.0 < self.theta < 1.0:
             raise ConfigError(f"theta must lie in (0, 1), got {self.theta!r}")
-        every = self.snapshot_every
-        if every is not None and (not isinstance(every, numbers.Integral) or every < 1):
-            raise ConfigError(f"snapshot_every must be an integer >= 1, got {every!r}")
+        if self.snapshot_every is not None and self.snapshot_every < 1:
+            raise ConfigError(f"snapshot_every must be >= 1, got {self.snapshot_every!r}")
 
 
 @dataclass
@@ -92,10 +91,9 @@ def resolve_prior(cfg: RunConfig, first_target: GaussianMixture) -> GaussianMixt
     if isinstance(spec, GaussianMixture):
         prior = spec
     elif isinstance(spec, dict) and spec.get("kind") == "point":
-        x0 = np.asarray(spec.get("x0", np.zeros(d)), dtype=float)
-        var = float(spec.get("var", 1e-12))
-        if x0.shape != (d,):
-            raise ConfigError(f"point prior x0 has shape {x0.shape}, stream needs ({d},)")
+        x0, var = spec.get("x0", np.zeros(d)), spec.get("var", 1e-12)
+        if has_non_numbers(x0) or has_non_numbers(var) or np.shape(x0) != (d,) or np.ndim(var):
+            raise ConfigError(f"point prior needs x0 of {d} numbers and a number var, got {spec}")
         prior = GaussianMixture(
             np.full(k, 1.0 / k),
             np.tile(x0, (k, 1)),
@@ -237,7 +235,7 @@ def _result(cfg: RunConfig, blocks, state: MemoryState) -> RunResult:
 
 def _maybe_snapshot(cfg: RunConfig, state: MemoryState) -> None:
     if cfg.outputs and cfg.snapshot_every and state.day % cfg.snapshot_every == 0:
-        snapshot_state(state, os.path.join(cfg.outputs, f"snapshot_day{state.day:04d}.json"))
+        snapshot_state(state, cfg.outputs)
 
 
 def _flush_partial(cfg: RunConfig, blocks) -> None:
@@ -253,35 +251,25 @@ def build_final_state(cfg: RunConfig) -> MemoryState:
 
 
 def _apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
-    if axis == "theta":
-        return replace(cfg, theta=float(value))
-    if axis == "L" or isinstance(getattr(cfg.stream, axis, None), numbers.Integral):
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"sweep axis {axis} takes integers, got {value!r}")
-        value = int(value)
-    if axis == "L":
-        return replace(cfg, L=value)
+    """cfg with one axis set to value; RunConfig and StreamConfig refuse a bad one."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)  # so that 7.0 sweeps L = 7
+    if axis in ("L", "theta"):
+        return replace(cfg, **{axis: value})
     if axis == "K":
         # The K families differ: K = 1 is the plain circular drift, K >= 2
         # the ring mixture at the same centre track.
         base = cfg.stream
+        shared = dict(K=value, n_days=base.n_days, R=base.R, P=base.P, seed=base.seed)
         if value == 1:
-            stream = make_config(
-                "circular", n_days=base.n_days, R=base.R, P=base.P, seed=base.seed
-            )
+            stream = make_config("circular", **shared)
         else:
             r = base.r if base.kind in ("triangle", "crowding", "split_merge") else 0.8
-            stream = make_config(
-                "crowding", K=value, n_days=base.n_days, R=base.R, P=base.P, r=r, seed=base.seed
-            )
+            stream = make_config("crowding", r=r, **shared)
         return replace(cfg, stream=stream)
-    stream_fields = {f for f in StreamConfig.__dataclass_fields__ if f != "kind"}
-    if axis not in stream_fields:
+    if axis == "kind" or axis not in StreamConfig.__dataclass_fields__:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    current = getattr(cfg.stream, axis)
-    if not isinstance(current, numbers.Real):
-        raise ConfigError(f"sweep axis {axis} is not numeric (its value is {current!r})")
-    return replace(cfg, stream=replace(cfg.stream, **{axis: type(current)(value)}))
+    return replace(cfg, stream=replace(cfg.stream, **{axis: value}))
 
 
 @dataclass
@@ -352,8 +340,10 @@ def export(result: RunResult, path: str) -> list[str]:
     return [write_text(os.path.join(path, name), text) for name, text in contents.items()]
 
 
-def snapshot_state(state: MemoryState, path: str) -> None:
-    write_text(path, json.dumps(snapshot_dict(state)) + "\n")
+def snapshot_state(state: MemoryState, directory: str) -> str:
+    """Write the state to snapshot_dayNNNN.json (its day) in directory; returns the file's path."""
+    path = os.path.join(directory, f"snapshot_day{state.day:04d}.json")
+    return write_text(path, json.dumps(snapshot_dict(state)) + "\n")
 
 
 def restore_state(path: str) -> MemoryState:

@@ -235,10 +235,7 @@ def snapshot_dict(state: MemoryState) -> dict:
         "day": state.day,
         "prior": state.prior.to_dict(),
         "stream": state.stream,
-        "nodes": [
-            {"weights": w.tolist(), "means": m.tolist(), "covs": c.tolist()}
-            for w, m, c in zip(grid.weights, grid.means, grid.covs)
-        ],
+        "nodes": [GaussianMixture(*node).to_dict() for node in zip(*_nodes(grid))],
     }
 
 

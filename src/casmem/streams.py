@@ -6,13 +6,12 @@ reproduced (and resumed) from the config alone.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, read_json_object, write_text
+from .errors import ConfigError, check_fields, read_json_object, write_text
 from .gm import GaussianMixture
 
 
@@ -33,17 +32,18 @@ class StreamConfig:
     path: str | None = None  # source file for kind="file"
 
     def __post_init__(self):
-        """Refuse a config outside its kind's limits (see _KINDS)."""
+        """Refuse a field its annotation does not admit, or a config outside its kind's limits."""
+        check_fields(self, "stream ")
         spec = _KINDS.get(self.kind)
         if spec is None:
             raise ConfigError(f"unknown stream kind {self.kind!r}; choose from {KINDS}")
-        for name in ("n_days", "d", "K", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ConfigError(f"stream {name} must be an integer, got {value!r}")
         for name in ("n_days", "K"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"stream needs {name} >= 1, got {getattr(self, name)}")
+        if self.P == 0 or self.cov_scale <= 0:
+            raise ConfigError(
+                f"stream needs P != 0 and cov_scale > 0, got {self.P} and {self.cov_scale}"
+            )
         if self.d < spec.min_d:
             raise ConfigError(f"{self.kind} stream needs d >= {spec.min_d}, got {self.d}")
         if spec.d_at_least_K and self.d < self.K:

@@ -50,6 +50,14 @@ def test_validate_reports():
     assert "inconsistent shapes" in validate_arrays([0.5, 0.5], np.zeros((3, 2)), eyes)
     assert "inconsistent shapes" in validate_arrays([0.5, 0.5], np.zeros((2, 2)), eyes[:, :1])
     assert "expected shapes" in validate_arrays([[0.5, 0.5]], np.zeros((2, 2)), eyes)
+    # float conversion takes strings, bools and None, but they are no numbers
+    for weights in (["1.0"], [True], [None]):
+        assert "numbers" in validate_arrays(weights, np.zeros((1, 2)), eyes[:1])
+        with pytest.raises(ConfigError, match="numbers"):
+            GaussianMixture.from_dict({"weights": weights, "means": [[0, 0]], "covs": eyes[:1]})
+    assert "numbers" in validate_arrays([0.5, 0.5], [["0", "1"], [0, 0]], eyes)
+    assert "numbers" in validate_arrays([0.5, 0.5], [[0.0, 1.0], [False, 0.0]], eyes)
+    assert "numbers" in validate_arrays([1.0], np.zeros((1, 2)), np.eye(2, dtype=bool)[None])
     gm = random_mixture(np.random.default_rng(0))
     assert validate(gm) is None
 

@@ -202,9 +202,9 @@ def test_sweep_rows_match_individual_runs():
 
 def test_apply_axis_dispatch():
     cfg = small_cfg(n_days=20)
-    assert harness._apply_axis(cfg, "L", "7").L == 7
+    assert harness._apply_axis(cfg, "L", 7).L == 7
     assert harness._apply_axis(cfg, "theta", 0.3).theta == 0.3
-    assert harness._apply_axis(cfg, "P", "25").stream.P == 25.0
+    assert harness._apply_axis(cfg, "P", 25).stream.P == 25.0
     k1 = harness._apply_axis(cfg, "K", 1)
     assert k1.stream.kind == "circular"
     k3 = harness._apply_axis(cfg, "K", 3)
@@ -221,8 +221,14 @@ def test_apply_axis_dispatch():
             harness._apply_axis(cfg, axis, value)
     # an axis whose value is not a number cannot take a swept number
     for axis in ("path", "nuisance"):
-        with pytest.raises(ConfigError, match="not numeric"):
+        with pytest.raises(ConfigError, match="must be str"):
             harness._apply_axis(cfg, axis, 1)
+    # a float field written as an integer is still a float field, and a bool is no number
+    p50 = RunConfig(stream=make_config("circular", n_days=20, P=50))
+    assert harness._apply_axis(p50, "P", 25.5).stream.P == 25.5
+    for axis in ("L", "K", "P", "n_days", "seed"):
+        with pytest.raises(ConfigError):
+            harness._apply_axis(cfg, axis, True)
     # RunConfig checks its own fields, so a swept value is checked too
     with pytest.raises(ConfigError):
         sweep(cfg, "theta", [0.0])
@@ -267,9 +273,9 @@ def test_snapshot_restore_resume_bisimulation(tmp_path):
     full = run_experiment(cfg)
     mid = small_cfg(n_days=10)
     mid_state = build_final_state(mid)
-    path = tmp_path / "state.json"
-    snapshot_state(mid_state, str(path))
-    resumed = run_experiment(cfg, restore_state(str(path)))
+    path = snapshot_state(mid_state, str(tmp_path))
+    assert path == str(tmp_path / "snapshot_day0010.json")
+    resumed = run_experiment(cfg, restore_state(path))
     assert resumed.final_state.day == 18
     full_rows = {(r.m, r.n): r for r in full.records}
     for rec in resumed.records:
@@ -280,18 +286,17 @@ def test_snapshot_restore_resume_bisimulation(tmp_path):
     assert np.array_equal(resumed.final_state.grid.covs, full.final_state.grid.covs)
 
 
-def snapshot_file(cfg, day, path):
-    """Run cfg's stream to the given day and save the state as a snapshot file."""
+def snapshot_file(cfg, day, directory):
+    """Run cfg's stream to the given day and save the state as a snapshot file in directory."""
     short = replace(cfg, stream=replace(cfg.stream, n_days=day), outputs=None)
-    snapshot_state(build_final_state(short), str(path))
-    return str(path)
+    return snapshot_state(build_final_state(short), str(directory))
 
 
 def test_resumed_run_writes_the_periodic_snapshots_of_a_straight_run(tmp_path):
     straight, resumed = tmp_path / "straight", tmp_path / "resumed"
     cfg = small_cfg(kind="triangle", n_days=30, L=6, snapshot_every=7)
     run_experiment(replace(cfg, outputs=str(straight)))
-    state = restore_state(snapshot_file(cfg, 12, tmp_path / "day12.json"))
+    state = restore_state(snapshot_file(cfg, 12, tmp_path))
     run_experiment(replace(cfg, outputs=str(resumed)), state)
     names = sorted(p.name for p in resumed.glob("snapshot_day*.json"))
     assert names == ["snapshot_day0014.json", "snapshot_day0021.json", "snapshot_day0028.json"]
@@ -302,7 +307,7 @@ def test_resumed_run_writes_the_periodic_snapshots_of_a_straight_run(tmp_path):
 def test_partial_flush_on_resumed_midrun_failure(tmp_path, monkeypatch):
     cfg = small_cfg(n_days=16)
     full = records_csv_lines(run_experiment(cfg).records)
-    state = restore_state(snapshot_file(cfg, 10, tmp_path / "day10.json"))
+    state = restore_state(snapshot_file(cfg, 10, tmp_path))
     real = harness.incorporate
     calls = {"n": 0}
 
@@ -327,9 +332,9 @@ def test_restore_rejects_garbage(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError):
         restore_state(str(bad))
-    path = snapshot_file(small_cfg(kind="triangle"), 6, tmp_path / "s.json")
+    path = snapshot_file(small_cfg(kind="triangle"), 6, tmp_path)
     assert restore_state(path).day == 6
-    good = json.loads((tmp_path / "s.json").read_text())
+    good = json.loads((tmp_path / "snapshot_day0006.json").read_text())
     bad_weights, non_pd, moved = (json.loads(json.dumps(good)) for _ in range(3))
     bad_weights["nodes"][2]["weights"] = [1.5, -0.25, -0.25]
     non_pd["nodes"][3]["covs"][0] = [[0.0, 1.0], [1.0, 0.0]]  # eigenvalues -1 and 1
@@ -425,10 +430,14 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         (tmp_path / f"state{i}.json").write_text(json.dumps(data))
     for state in states:
         assert cli_main(["restore", "--config", tri, "--state", state]) == 2
-    # stream sections outside their kind's K limits, or without a kind at all
+    # stream sections outside their limits, with values their fields refuse, or without a kind
     streams = [{"kind": "circular", "K": 4}, {"kind": "circular", "K": 0},
                {"kind": "rotating_dominance", "K": 0}, {"kind": "embedded", "K": 0},
-               {"n_days": 15}]
+               {"n_days": 15}, {"kind": "circular", "P": 0}, {"kind": "circular", "P": "abc"},
+               {"kind": "circular", "R": None}, {"kind": "circular", "R": float("nan")},
+               {"kind": "circular", "A": "x"}, {"kind": "circular", "cov_scale": 0},
+               {"kind": "circular", "cov_scale": -1}, {"kind": "circular", "n_days": True},
+               {"kind": "file", "path": 0}]
     for i, stream in enumerate(streams):
         assert cli_main(["run", "--config", write_cfg(tmp_path, f"s{i}.json", stream=stream)]) == 2
     for var in (0, -1):
@@ -441,6 +450,14 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 + len(states) + len(streams) + 2 + len(flags)
     assert all(line.startswith("config error:") for line in err)
+    # run settings, the seed and point priors take numbers, never bools or strings
+    bodies = [{"L": True}, {"snapshot_every": True}, {"seed": True},
+              {"prior": {"kind": "point", "x0": ["0", "1"], "var": "0.5"}},
+              {"prior": {"kind": "point", "x0": [0.0, 0.0], "var": True}}]
+    for i, body in enumerate(bodies):
+        assert cli_main(["run", "--config", write_cfg(tmp_path, f"b{i}.json", **body)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(bodies) and all(line.startswith("config error:") for line in err)
 
 
 def test_cli_unwritable_output_exits_2(tmp_path, capsys):
@@ -509,6 +526,18 @@ def test_cli_sweep_outputs(tmp_path, capsys):
     assert cli_main(["sweep", "--config", cfg, "--axis", "colour", "--values", "1,2,3"]) == 2
     assert cli_main(["sweep", "--config", cfg, "--axis", "L", "--values", "2.5"]) == 2
     assert cli_main(["sweep", "--config", cfg, "--axis", "n_days", "--values", "20.7"]) == 2
+    # a sweep writes its table and fit only, never its points' periodic snapshots
+    stream = {"kind": "circular", "n_days": 40}
+    snap = write_cfg(tmp_path, "snap.json", stream=stream, snapshot_every=10)
+    out = tmp_path / "sw_snap"
+    assert cli_main(
+        ["sweep", "--config", snap, "--axis", "L", "--values", "3,5,8", "--out", str(out)]
+    ) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["fit.json", "sweep.csv"]
+    # --values are JSON numbers: "P": 50 is a float field, and a bool is no number
+    p50 = write_cfg(tmp_path, "p50.json", stream={"kind": "circular", "n_days": 40, "P": 50})
+    assert cli_main(["sweep", "--config", p50, "--axis", "P", "--values", "25.5,40"]) == 0
+    assert cli_main(["sweep", "--config", cfg, "--axis", "L", "--values", "true"]) == 2
 
 
 def test_cli_movie_and_trajectories(tmp_path, capsys):

@@ -47,9 +47,22 @@ def test_make_config_defaults_and_unknown_kind():
         ("rotating_dominance", dict(K=0)),
         ("embedded", dict(K=0)),
         ("crowding", dict(K=-1)),
+        # each field takes the values its annotation admits: no bools, finite floats
+        ("circular", dict(P=0)),
+        ("circular", dict(P="abc")),
+        ("circular", dict(R=None)),
+        ("circular", dict(R=float("nan"))),
+        ("rotating_dominance", dict(A="x")),
+        ("circular", dict(cov_scale=0)),
+        ("circular", dict(cov_scale=-1)),
+        ("circular", dict(n_days=True)),
+        ("file", dict(path=0)),
     ]:
         with pytest.raises(ConfigError):
             make_config(kind, **fields)
+    # a float field written as an integer is stored as a float
+    assert make_config("circular", P=50) == make_config("circular", P=50.0)
+    assert type(make_config("circular", P=50).P) is float
     # rotating_dominance gives each component its own mean direction
     for fields in (dict(d=2), dict(d=4, K=5)):
         with pytest.raises(ConfigError, match=f"d = {fields['d']} and K = {fields.get('K', 3)}"):
