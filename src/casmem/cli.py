@@ -86,7 +86,7 @@ def cmd_run(args) -> int:
     if args.command == "fifo":
         result = fifo_baseline(cfg)
     elif args.command == "restore":
-        result = run_experiment(cfg, restore_state(args.state))
+        result = run_experiment(cfg, restore_state(cfg, args.state))
     else:
         result = run_experiment(cfg)
     if args.out:
@@ -164,7 +164,7 @@ def cmd_snapshot(args) -> int:
         raise ConfigError(f"--day must lie in [1, {len(targets)}], got {args.day}")
     for state in daily_states(cfg, targets[: args.day]):
         pass
-    print(json.dumps({"day": state.day, "path": snapshot_state(state, args.out)}))
+    print(json.dumps({"day": state.day, "path": snapshot_state(cfg, state, args.out)}))
     return 0
 
 

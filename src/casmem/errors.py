@@ -3,7 +3,8 @@
 ConfigError covers malformed configs, unreadable or unwritable files and shape
 mismatches (CLI exit code 2); NumericalError covers quadrature non-convergence
 and degenerate fits (exit code 3). Every JSON input goes through read_json_object,
-every result file through write_text and every config field through check_fields.
+every result file through write_text, and every config field and snapshot L and
+day through check_value.
 """
 import dataclasses
 import json
@@ -47,16 +48,24 @@ def write_text(path, text: str):
     return path
 
 
+def check_value(name: str, value, annotation: str):
+    """value as its string annotation int, float or str (each maybe | None) admits it.
+
+    ConfigError names the value otherwise. A bool is no number; floats must be
+    finite and come back as float (50 -> 50.0).
+    """
+    kind = annotation.removesuffix(" | None")
+    if kind not in _FIELD_TYPES or value is None and kind != annotation:
+        return value
+    finite = kind != "float" or isinstance(value, numbers.Real) and math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]) or not finite:
+        expected = "a finite float" if kind == "float" else annotation
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
 def check_fields(config, label: str = "") -> None:
-    """Refuse a field value that its string annotation int, float or str (each maybe | None) does
-    not admit. A bool is no number; floats must be finite and are stored as float (50 -> 50.0)."""
+    """Type every field of a frozen dataclass config by check_value, in place."""
     for field in dataclasses.fields(config):
-        value, kind = getattr(config, field.name), field.type.removesuffix(" | None")
-        if kind not in _FIELD_TYPES or value is None and kind != field.type:
-            continue
-        finite = kind != "float" or isinstance(value, numbers.Real) and math.isfinite(value)
-        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]) or not finite:
-            name = "a finite float" if kind == "float" else field.type
-            raise ConfigError(f"{label}{field.name} must be {name}, got {value!r}")
-        if kind == "float":
-            object.__setattr__(config, field.name, float(value))
+        value = check_value(label + field.name, getattr(config, field.name), field.type)
+        object.__setattr__(config, field.name, value)

@@ -35,10 +35,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _param_arrays(weights, means, covs, lead: int = 0):
     """Weights (n, K), means (n, K, d) and covs (n, K, d, d), n being ``lead`` leading axes.
 
-    Float arrays come back as views, never copies. With no leading axes a lone
-    component may drop its axis: a (d,) mean and a (d, d) cov. ValueError on misfit shapes.
+    Every array comes back C-ordered, so sums over the same values add in one order whatever
+    the input's layout; a C-ordered float array comes back as itself, others are copied. With
+    no leading axes a lone component may drop its axis: a (d,) mean and a (d, d) cov.
+    ValueError on misfit shapes.
     """
-    w, m, c = (np.asarray(a, dtype=float) for a in (weights, means, covs))
+    w, m, c = (np.ascontiguousarray(a, dtype=float) for a in (weights, means, covs))
     if lead == 0:
         w, m, c = np.atleast_1d(w), np.atleast_2d(m), c[None] if c.ndim == 2 else c
     if w.ndim != lead + 1 or m.ndim != lead + 2 or c.ndim != lead + 3:

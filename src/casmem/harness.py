@@ -1,11 +1,12 @@
-"""Experiment harness: run a curriculum, collect records, sweep, export.
+"""Experiment harness: run a curriculum, collect records, sweep, export, snapshot.
 
 One state iterator drives every run: it yields the memory after each day
 of the configured stream. The forgetting matrix is built incrementally:
 the states are collected into blocks of consecutive days, and each block
 is replayed and scored in one batch, every stored day of every state in
 it. Exports are plain CSV and JSON with full double precision, so
-repeated runs of the same config are byte-identical.
+repeated runs of the same config are byte-identical. Snapshot files are
+written by snapshot_state and read by restore_state, and nowhere else.
 """
 from __future__ import annotations
 
@@ -17,7 +18,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, check_fields, read_json_object, write_text
+from .errors import (
+    ConfigError, NumericalError, check_fields, check_value, read_json_object, write_text,
+)
 from .gm import GaussianMixture, has_non_numbers, stack_mixtures, validate
 from .metrics import (
     RECORD_DTYPE,
@@ -30,14 +33,7 @@ from .metrics import (
     records_csv_lines,
     score_recall,
 )
-from .protocol import (
-    MemoryState,
-    incorporate,
-    new_memory,
-    snapshot_dict,
-    state_from_snapshot,
-    stored_pairs,
-)
+from .protocol import MemoryState, ProtocolGrid, incorporate, new_memory, stored_pairs
 from .streams import StreamConfig, default_prior, generate, make_config
 
 SUMMARY_KEYS = ("half_life", "theta", "max_Fbar", "mean_share", "cov_share", "weight_share")
@@ -50,6 +46,9 @@ SWEEP_COLUMNS = (
 # on NumPy call overhead, but the scorer's temporaries grow with the block.
 BLOCK_PAIRS = 1024
 BLOCK_PARAMS = 65_536
+SNAPSHOT_SCHEMA_VERSION = 3
+# v1 also carries a readout table, which is ignored; v1 and v2 record no stream
+_READABLE_SCHEMAS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,6 @@ def daily_states(
     """
     if state is None:
         state = new_memory(resolve_prior(cfg, targets[0]), targets[0], cfg.L)
-        state = replace(state, stream=_stream_fingerprint(cfg.stream))
         yield state
     for target in targets[state.day:]:
         state = incorporate(state, target)
@@ -191,10 +189,9 @@ def _score_pending(pending: list, blocks: list, stacked) -> None:
 
 
 def _check_resumable(cfg: RunConfig, targets, state: MemoryState) -> None:
-    """Refuse a state made under another L, prior (node 0) or stream config, or past its end.
+    """Refuse a state made under another L or prior (node 0), or past the stream's end.
 
-    Snapshots of schema v1 and v2 do not record the stream, so only the
-    day, L and prior of those are checked.
+    restore_state has compared a snapshot's stream config with cfg's already.
     """
     if state.day > len(targets):
         raise ConfigError(
@@ -204,10 +201,6 @@ def _check_resumable(cfg: RunConfig, targets, state: MemoryState) -> None:
         raise ConfigError(f"snapshot was made with L = {state.grid.L}, config has L = {cfg.L}")
     if state.prior.to_dict() != resolve_prior(cfg, targets[0]).to_dict():
         raise ConfigError("snapshot prior differs from the prior this config resolves to")
-    stream = _stream_fingerprint(cfg.stream)
-    if state.stream is not None and state.stream != stream:
-        differs = sorted(k for k in stream | state.stream if stream.get(k) != state.stream.get(k))
-        raise ConfigError(f"snapshot was made from another stream config (differs in {differs})")
 
 
 def _concat(blocks) -> np.recarray:
@@ -235,7 +228,7 @@ def _result(cfg: RunConfig, blocks, state: MemoryState) -> RunResult:
 
 def _maybe_snapshot(cfg: RunConfig, state: MemoryState) -> None:
     if cfg.outputs and cfg.snapshot_every and state.day % cfg.snapshot_every == 0:
-        snapshot_state(state, cfg.outputs)
+        snapshot_state(cfg, state, cfg.outputs)
 
 
 def _flush_partial(cfg: RunConfig, blocks) -> None:
@@ -340,12 +333,56 @@ def export(result: RunResult, path: str) -> list[str]:
     return [write_text(os.path.join(path, name), text) for name, text in contents.items()]
 
 
-def snapshot_state(state: MemoryState, directory: str) -> str:
-    """Write the state to snapshot_dayNNNN.json (its day) in directory; returns the file's path."""
+def snapshot_state(cfg: RunConfig, state: MemoryState, directory: str) -> str:
+    """Write a state of cfg's stream to snapshot_dayNNNN.json (its day) in directory.
+
+    Schema v3: L, day, the prior (node 0 again), the stream config without
+    n_days and the grid nodes. Returns the file's path.
+    """
+    grid = state.grid
+    nodes = zip(grid.weights, grid.means, grid.covs)
+    data = {
+        "schema_version": SNAPSHOT_SCHEMA_VERSION,
+        "L": grid.L,
+        "day": state.day,
+        "prior": state.prior.to_dict(),
+        "stream": _stream_fingerprint(cfg.stream),
+        "nodes": [GaussianMixture(*node).to_dict() for node in nodes],
+    }
     path = os.path.join(directory, f"snapshot_day{state.day:04d}.json")
-    return write_text(path, json.dumps(snapshot_dict(state)) + "\n")
+    return write_text(path, json.dumps(data) + "\n")
 
 
-def restore_state(path: str) -> MemoryState:
-    """The memory state of the snapshot file at path; ConfigError if it is not a valid one."""
-    return state_from_snapshot(read_json_object(path))
+def restore_state(cfg: RunConfig, path: str) -> MemoryState:
+    """The memory state of the snapshot file at path (schema v3, v2 or v1) for cfg's stream.
+
+    ConfigError if the file is not a valid snapshot, or records a stream
+    config other than cfg's (v1 and v2 record none). run_experiment checks
+    the state's L, prior and day against cfg.
+    """
+    data = read_json_object(path)
+    version = check_value("snapshot schema_version", data.get("schema_version"), "int")
+    if version not in _READABLE_SCHEMAS:
+        raise ConfigError(
+            f"snapshot schema version {version!r} is not supported "
+            f"(expected one of {_READABLE_SCHEMAS})"
+        )
+    missing = [key for key in ("L", "day", "nodes", "prior") if key not in data]
+    if missing:
+        raise ConfigError(f"snapshot lacks {missing}")
+    L, day = (check_value(f"snapshot {key}", data[key], "int") for key in ("L", "day"))
+    if L < 1 or day < 1:
+        raise ConfigError(f"snapshot L and day must be >= 1, got {L} and {day}")
+    if not isinstance(data["nodes"], list) or len(data["nodes"]) != L + 1:
+        raise ConfigError(f"snapshot needs a list of L + 1 = {L + 1} nodes")
+    nodes = [GaussianMixture.from_dict(g) for g in data["nodes"]]
+    state = MemoryState(ProtocolGrid(*stack_mixtures(nodes)), day)
+    if GaussianMixture.from_dict(data["prior"]).to_dict() != state.prior.to_dict():
+        raise ConfigError("snapshot prior differs from its node 0, the prior replay reads")
+    recorded, stream = data.get("stream"), _stream_fingerprint(cfg.stream)
+    if not isinstance(recorded, dict | None):
+        raise ConfigError(f"snapshot stream must be an object or null, got {recorded!r}")
+    if recorded is not None and recorded != stream:
+        differs = sorted(k for k in stream | recorded if stream.get(k) != recorded.get(k))
+        raise ConfigError(f"snapshot was made from another stream config (differs in {differs})")
+    return state

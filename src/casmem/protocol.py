@@ -25,12 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
 from .gm import GaussianMixture, _frozen, _param_arrays, stack_mixtures
-
-SNAPSHOT_SCHEMA_VERSION = 3
-# v1 also carries a readout table, which is ignored; v1 and v2 carry no stream
-_READABLE_SCHEMAS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -63,15 +58,10 @@ class ProtocolGrid:
 
 @dataclass(frozen=True)
 class MemoryState:
-    """Everything retained between days: the grid and the day count.
-
-    ``stream`` is the JSON form of the stream config the days came from,
-    without its length; None where that is unknown.
-    """
+    """Everything retained between days: the grid and the day count."""
 
     grid: ProtocolGrid
     day: int
-    stream: dict | None = None
 
     @cached_property
     def prior(self) -> GaussianMixture:
@@ -176,7 +166,7 @@ def new_memory(prior: GaussianMixture, target1: GaussianMixture, L: int) -> Memo
 def incorporate(state: MemoryState, target: GaussianMixture) -> MemoryState:
     """One day of the recursion; returns the next state, inputs untouched."""
     grid = smooth(add(state.grid, target), state.grid.L)
-    return MemoryState(grid, state.day + 1, state.stream)
+    return MemoryState(grid, state.day + 1)
 
 
 def readout_time(L: int, age: int) -> float:
@@ -225,38 +215,3 @@ def memory_footprint(L: int, K: int, d: int) -> int:
     """Scalar parameter count of the grid: (L + 1) * K * (d^2 + d + 1)."""
     return (L + 1) * K * (d * d + d + 1)
 
-
-def snapshot_dict(state: MemoryState) -> dict:
-    """JSON-ready snapshot: the grid nodes, the prior and the stream config."""
-    grid = state.grid
-    return {
-        "schema_version": SNAPSHOT_SCHEMA_VERSION,
-        "L": grid.L,
-        "day": state.day,
-        "prior": state.prior.to_dict(),
-        "stream": state.stream,
-        "nodes": [GaussianMixture(*node).to_dict() for node in zip(*_nodes(grid))],
-    }
-
-
-def state_from_snapshot(data: dict) -> MemoryState:
-    """Rebuild a state from a snapshot dict (schema v3, v2, or v1 minus its readout table)."""
-    version = data.get("schema_version")
-    if version not in _READABLE_SCHEMAS:
-        raise ConfigError(
-            f"snapshot schema version {version!r} is not supported "
-            f"(expected one of {_READABLE_SCHEMAS})"
-        )
-    try:
-        L, day, nodes, prior = int(data["L"]), int(data["day"]), list(data["nodes"]), data["prior"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"snapshot lacks a valid L, day, nodes or prior: {exc!r}") from None
-    if day < 1:
-        raise ConfigError(f"snapshot day must be >= 1, got {day}")
-    nodes = [GaussianMixture.from_dict(g) for g in nodes]
-    if len(nodes) != L + 1:
-        raise ConfigError(f"snapshot carries {len(nodes)} nodes but L = {L}")
-    state = MemoryState(ProtocolGrid(*stack_mixtures(nodes)), day, data.get("stream"))
-    if GaussianMixture.from_dict(prior).to_dict() != state.prior.to_dict():
-        raise ConfigError("snapshot prior differs from its node 0, the prior replay reads")
-    return state

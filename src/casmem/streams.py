@@ -120,14 +120,6 @@ def _ring_target(cfg: StreamConfig, m: int, radii=None, walk=None) -> GaussianMi
     return GaussianMixture(np.full(cfg.K, 1.0 / cfg.K), means, covs)
 
 
-def ring_stream(cfg: StreamConfig) -> list[GaussianMixture]:
-    """Equal-weight K-component ring around the circular drift (triangle: K = 3).
-
-    The crowding ratio chi = r / sqrt(cov_scale) controls component overlap.
-    """
-    return [_ring_target(cfg, m) for m in range(1, cfg.n_days + 1)]
-
-
 def crowding_ratio(cfg: StreamConfig) -> float:
     return cfg.r / float(np.sqrt(cfg.cov_scale))
 
@@ -149,12 +141,15 @@ def nuisance_walks(cfg: StreamConfig) -> np.ndarray:
     return walks
 
 
-def embedded_stream(cfg: StreamConfig) -> list[GaussianMixture]:
-    """The K=3 ring signal placed in a d-dimensional ambient space.
+def ring_stream(cfg: StreamConfig) -> list[GaussianMixture]:
+    """Equal-weight K-component ring around the circular drift, in d dimensions.
 
-    Coordinates beyond the first two are nuisance: mean zero, or a slow
-    seeded random walk shared by all components; covariance is isotropic
-    at the same scale, so d = 2 reduces exactly to the base stream.
+    Triangle is K = 3, crowding varies K and r, and embedded places the
+    K = 3 ring in a d-dimensional ambient space. The crowding ratio
+    chi = r / sqrt(cov_scale) controls component overlap. Coordinates
+    beyond the first two are nuisance: zero, or a slow seeded random walk
+    shared by all components; covariance is isotropic at the same scale,
+    so d = 2 is the plane ring.
     """
     walks = nuisance_walks(cfg)
     return [_ring_target(cfg, m, walk=walks[m - 1]) for m in range(1, cfg.n_days + 1)]
@@ -283,7 +278,7 @@ _KINDS = {
     "triangle": _Kind(ring_stream, dict(K=3, cov_scale=0.3), min_d=2, K=(3,)),
     "crowding": _Kind(ring_stream, dict(K=3, cov_scale=0.3), min_d=2, K=(2, 3, 5, 8)),
     "embedded": _Kind(
-        embedded_stream, dict(K=3, cov_scale=0.3, d=8), min_d=2, nuisance=("none", "random_walk")
+        ring_stream, dict(K=3, cov_scale=0.3, d=8), min_d=2, nuisance=("none", "random_walk")
     ),
     "split_merge": _Kind(
         split_merge_stream, dict(K=3, cov_scale=0.3), min_d=2, K=(3,), n_days=100

@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from casmem.harness import (
     sweep,
 )
 from casmem.metrics import RECORD_CSV_HEADER, records_csv_lines
-from casmem.streams import default_prior, generate, make_config
+from casmem.streams import (
+    class_prior, default_prior, generate, make_config, synthetic_class_mixture,
+)
 
 
 def small_cfg(**kw):
@@ -94,6 +97,25 @@ def test_run_is_deterministic_and_exports_are_byte_identical(tmp_path):
         export(run_experiment(cfg), str(out))
     for name in ("records.csv", "age_curve.csv", "summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_age_0_recall_is_exact_on_rotating_dominance():
+    # node L is the day's target bit for bit, so recall at age 0 scores exactly 0
+    res = run_experiment(small_cfg(kind="rotating_dominance", d=4, n_days=40))
+    age0 = res.records.F_raw[res.records.age == 0]
+    assert len(age0) == 40 and np.all(age0 == 0.0)
+
+
+def test_scores_do_not_depend_on_memory_layout():
+    # synthetic_class_mixture builds Fortran-ordered means; mixtures store them C-ordered,
+    # so a round trip through the JSON form (C-ordered lists) scores bit for bit the same
+    prior = class_prior(synthetic_class_mixture(12, 3, seed=7))  # demo 04's prior
+    assert prior.means.flags.c_contiguous
+    stream = make_config("rotating_dominance", n_days=20)
+    straight = run_experiment(RunConfig(stream=stream, prior=prior)).records
+    copied = GaussianMixture.from_dict(prior.to_dict())
+    round_trip = run_experiment(RunConfig(stream=stream, prior=copied)).records
+    assert straight.tobytes() == round_trip.tobytes()
 
 
 def test_export_schemas(tmp_path):
@@ -273,9 +295,9 @@ def test_snapshot_restore_resume_bisimulation(tmp_path):
     full = run_experiment(cfg)
     mid = small_cfg(n_days=10)
     mid_state = build_final_state(mid)
-    path = snapshot_state(mid_state, str(tmp_path))
+    path = snapshot_state(mid, mid_state, str(tmp_path))
     assert path == str(tmp_path / "snapshot_day0010.json")
-    resumed = run_experiment(cfg, restore_state(path))
+    resumed = run_experiment(cfg, restore_state(cfg, path))
     assert resumed.final_state.day == 18
     full_rows = {(r.m, r.n): r for r in full.records}
     for rec in resumed.records:
@@ -289,25 +311,30 @@ def test_snapshot_restore_resume_bisimulation(tmp_path):
 def snapshot_file(cfg, day, directory):
     """Run cfg's stream to the given day and save the state as a snapshot file in directory."""
     short = replace(cfg, stream=replace(cfg.stream, n_days=day), outputs=None)
-    return snapshot_state(build_final_state(short), str(directory))
+    return snapshot_state(short, build_final_state(short), str(directory))
 
 
 def test_resumed_run_writes_the_periodic_snapshots_of_a_straight_run(tmp_path):
-    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    straight = tmp_path / "straight"
     cfg = small_cfg(kind="triangle", n_days=30, L=6, snapshot_every=7)
     run_experiment(replace(cfg, outputs=str(straight)))
-    state = restore_state(snapshot_file(cfg, 12, tmp_path))
-    run_experiment(replace(cfg, outputs=str(resumed)), state)
-    names = sorted(p.name for p in resumed.glob("snapshot_day*.json"))
-    assert names == ["snapshot_day0014.json", "snapshot_day0021.json", "snapshot_day0028.json"]
-    for name in names:
-        assert (resumed / name).read_bytes() == (straight / name).read_bytes()
+    path = snapshot_file(cfg, 12, tmp_path)
+    # a schema-v2 file records no stream; the snapshots written after it record the config's
+    v2 = {key: value for key, value in json.loads(Path(path).read_text()).items() if key != "stream"}
+    v2_path = tmp_path / "v2.json"
+    v2_path.write_text(json.dumps(dict(v2, schema_version=2)))
+    for source, out in ((path, tmp_path / "resumed"), (v2_path, tmp_path / "resumed_v2")):
+        run_experiment(replace(cfg, outputs=str(out)), restore_state(cfg, str(source)))
+        names = sorted(p.name for p in out.glob("snapshot_day*.json"))
+        assert names == ["snapshot_day0014.json", "snapshot_day0021.json", "snapshot_day0028.json"]
+        for name in names:
+            assert (out / name).read_bytes() == (straight / name).read_bytes()
 
 
 def test_partial_flush_on_resumed_midrun_failure(tmp_path, monkeypatch):
     cfg = small_cfg(n_days=16)
     full = records_csv_lines(run_experiment(cfg).records)
-    state = restore_state(snapshot_file(cfg, 10, tmp_path))
+    state = restore_state(cfg, snapshot_file(cfg, 10, tmp_path))
     real = harness.incorporate
     calls = {"n": 0}
 
@@ -328,12 +355,13 @@ def test_partial_flush_on_resumed_midrun_failure(tmp_path, monkeypatch):
 
 
 def test_restore_rejects_garbage(tmp_path):
+    tri = small_cfg(kind="triangle")
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(ConfigError):
-        restore_state(str(bad))
-    path = snapshot_file(small_cfg(kind="triangle"), 6, tmp_path)
-    assert restore_state(path).day == 6
+        restore_state(tri, str(bad))
+    path = snapshot_file(tri, 6, tmp_path)
+    assert restore_state(tri, path).day == 6
     good = json.loads((tmp_path / "snapshot_day0006.json").read_text())
     bad_weights, non_pd, moved = (json.loads(json.dumps(good)) for _ in range(3))
     bad_weights["nodes"][2]["weights"] = [1.5, -0.25, -0.25]
@@ -349,15 +377,35 @@ def test_restore_rejects_garbage(tmp_path):
         non_pd,
         {**good, "prior": {**good["prior"], "weights": [0.5, 0.5, 0.5]}},
         moved,
+        # L and day are integers as config fields are: no fractions, strings, bools or Infinity
+        {**good, "day": 5.9},
+        {**good, "day": "6"},
+        {**good, "day": True},
+        {**good, "day": float("inf")},
+        {**good, "L": 5.5},
+        {**good, "L": "5"},
+        {**good, "nodes": 5},
+        {**good, "schema_version": True},
+        {**good, "schema_version": 3.0},
+        # the stream is an object or null
+        {**good, "stream": 5},
+        {**good, "stream": [1]},
+        {**good, "stream": "x"},
+        # another stream config
+        {**good, "stream": {**good["stream"], "P": 20.0}},
     ]
     for i, data in enumerate(garbage):
         path = tmp_path / f"garbage{i}.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError):
-            restore_state(str(path))
+            restore_state(tri, str(path))
     for path in (tmp_path / "absent.json", tmp_path):
         with pytest.raises(ConfigError):
-            restore_state(str(path))
+            restore_state(tri, str(path))
+    # a v3 snapshot with a null stream, as v1 and v2 files, is not compared
+    null_stream = tmp_path / "null_stream.json"
+    null_stream.write_text(json.dumps({**good, "stream": None}))
+    assert restore_state(small_cfg(kind="triangle", P=20.0), str(null_stream)).day == 6
     cfg = small_cfg(n_days=5)
     state = build_final_state(small_cfg(n_days=8))
     with pytest.raises(ConfigError):
@@ -424,8 +472,12 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     non_pd["nodes"][3]["covs"][0] = [[0.0, 1.0], [1.0, 0.0]]
     moved["nodes"][0]["means"][0] = [0.5, -0.5]  # node 0 no longer equals the prior
     no_day = {key: value for key, value in snap.items() if key != "day"}
+    # L and day are typed as config fields are; the stream is an object or null
+    mistyped = [{**snap, "day": 15.9}, {**snap, "day": "15"}, {**snap, "day": float("inf")},
+                {**snap, "L": 5.5}, {**snap, "stream": 5}, {**snap, "stream": [1]},
+                {**snap, "stream": "x"}]
     states = [missing, str(tmp_path)]
-    for i, data in enumerate([[snap], no_day, bad_weights, non_pd, moved]):
+    for i, data in enumerate([[snap], no_day, bad_weights, non_pd, moved, *mistyped]):
         states.append(str(tmp_path / f"state{i}.json"))
         (tmp_path / f"state{i}.json").write_text(json.dumps(data))
     for state in states:

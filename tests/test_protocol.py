@@ -1,7 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from casmem.gm import GaussianMixture
+from casmem.harness import RunConfig, restore_state, snapshot_state
 from casmem.protocol import (
     MemoryState,
     ProtocolGrid,
@@ -16,9 +20,8 @@ from casmem.protocol import (
     replay,
     replay_block,
     smooth,
-    snapshot_dict,
-    state_from_snapshot,
 )
+from casmem.streams import make_config
 
 
 def day_target(m, k=2, d=2):
@@ -253,16 +256,29 @@ def test_memory_footprint_formula():
     assert stored == memory_footprint(6, 3, 4)
 
 
-def test_snapshot_round_trip_and_count_audit():
+def snapshot_cfg(L):
+    """A config whose stream has day_target's shape (K = 2, d = 2); snapshots record that stream."""
+    return RunConfig(stream=make_config("crowding", K=2), L=L)
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_snapshot_round_trip_and_count_audit(tmp_path):
     L = 5
+    cfg = snapshot_cfg(L)
     state = new_memory(standard_prior(), day_target(1), L)
     for m in range(2, 7):
         state = incorporate(state, day_target(m))
-    snap = snapshot_dict(state)
+    path = snapshot_state(cfg, state, str(tmp_path))
+    snap = json.loads(Path(path).read_text())
     # schema v2 has no stream config; v1 also carries a readout table, which is ignored
     v2 = {key: value for key, value in snap.items() if key != "stream"} | {"schema_version": 2}
     v1 = dict(v2, schema_version=1, readout={str(m): 1.0 for m in range(1, state.day + 1)})
-    for back in map(state_from_snapshot, (snap, v2, v1)):
+    files = [path, write_json(tmp_path / "v2.json", v2), write_json(tmp_path / "v1.json", v1)]
+    for back in (restore_state(cfg, file) for file in files):
         assert back.day == state.day
         for a, b in ((back.grid.weights, state.grid.weights), (back.grid.means, state.grid.means),
                      (back.grid.covs, state.grid.covs)):
@@ -283,20 +299,18 @@ def test_snapshot_round_trip_and_count_audit():
     assert node_reals + prior_reals == memory_footprint(L, k, d) + k * (d * d + d + 1)
 
 
-def test_snapshot_rejects_bad_schema():
+def test_snapshot_rejects_bad_schema(tmp_path):
+    cfg = snapshot_cfg(3)
     state = new_memory(standard_prior(), day_target(1), L=3)
-    snap = snapshot_dict(state)
-    bad = dict(snap)
-    bad["schema_version"] = 99
+    snap = json.loads(Path(snapshot_state(cfg, state, str(tmp_path))).read_text())
     with pytest.raises(ValueError):
-        state_from_snapshot(bad)
-    truncated = dict(snap)
-    truncated["nodes"] = snap["nodes"][:-1]
+        restore_state(cfg, write_json(tmp_path / "bad.json", dict(snap, schema_version=99)))
+    truncated = dict(snap, nodes=snap["nodes"][:-1])
     with pytest.raises(ValueError):
-        state_from_snapshot(truncated)
+        restore_state(cfg, write_json(tmp_path / "truncated.json", truncated))
 
 
-def test_resume_bisimulation():
+def test_resume_bisimulation(tmp_path):
     # restoring mid-run and continuing must reproduce the uninterrupted run
     L, n_days, cut = 6, 12, 7
     prior = standard_prior()
@@ -309,7 +323,8 @@ def test_resume_bisimulation():
     half = new_memory(prior, targets[0], L)
     for target in targets[1:cut]:
         half = incorporate(half, target)
-    resumed = state_from_snapshot(snapshot_dict(half))
+    cfg = snapshot_cfg(L)
+    resumed = restore_state(cfg, snapshot_state(cfg, half, str(tmp_path)))
     for target in targets[cut:]:
         resumed = incorporate(resumed, target)
 
