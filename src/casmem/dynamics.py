@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, NumericalError
-from .gm import DENSITY_FLOOR, GaussianMixture, _as_points, _frozen, _mix
+from .gm import DENSITY_FLOOR, GaussianMixture, _as_points, _frozen, _mix, _param_arrays
 from .protocol import ProtocolGrid, _segment, eval_at
 
 # Weight rates below this (summed over components) switch the Poisson
@@ -46,7 +46,10 @@ _GL_WEIGHTS[0, : len(_FINE_W)], _GL_WEIGHTS[1, len(_FINE_W) :] = _FINE_W, _COARS
 
 @dataclass(frozen=True)
 class PathSlice:
-    """Mixture parameters and their time rates at one instant of the path."""
+    """Mixture parameters and their time rates at one instant of the path.
+
+    The rates take the mixture's shape rule (``gm._param_arrays``) and its shape.
+    """
 
     gm: GaussianMixture
     weight_rates: np.ndarray
@@ -54,14 +57,9 @@ class PathSlice:
     cov_rates: np.ndarray
 
     def __post_init__(self):
-        wr = np.asarray(self.weight_rates, dtype=float)
-        mr = np.asarray(self.mean_rates, dtype=float)
-        cr = np.asarray(self.cov_rates, dtype=float)
-        k, d = self.gm.k, self.gm.d
-        if wr.shape != (k,) or mr.shape != (k, d) or cr.shape != (k, d, d):
-            raise ValueError(
-                f"rate shapes {wr.shape}, {mr.shape}, {cr.shape} do not match mixture ({k}, {d})"
-            )
+        wr, mr, cr = _param_arrays(self.weight_rates, self.mean_rates, self.cov_rates)
+        if mr.shape != self.gm.means.shape:
+            raise ValueError(f"rate shape {mr.shape} does not match mixture {self.gm.means.shape}")
         if abs(wr.sum()) > WEIGHT_RATE_TOL:
             raise ValueError(f"weight rates must sum to zero, got {wr.sum()!r}")
         object.__setattr__(self, "weight_rates", _frozen(wr))
@@ -104,10 +102,8 @@ def _slice_parts(sl: PathSlice, pts: np.ndarray):
 def shape_current(sl: PathSlice, x) -> np.ndarray:
     """Probability current of the moving components, sum_k pi_k g_k (mdot_k
     + Sigmadot_k Sigma_k^{-1} (x - m_k) / 2)."""
-    pts, single = _as_points(x, sl.gm.d)
-    logd, r, _, vel = _slice_parts(sl, pts)
-    out = _mix(np.exp(logd)[:, None] * r, vel)
-    return out[0] if single else out
+    logd, r, _, vel = _slice_parts(sl, _as_points(x, sl.gm.d))
+    return _mix(np.exp(logd)[:, None] * r, vel)
 
 
 def _adaptive_integral(f, tol: float, max_panels: int, edges=(0.0, 1.0)):
@@ -224,20 +220,16 @@ def poisson_psi_grad(sl: PathSlice, x, panels=None) -> np.ndarray:
     edges its quadrature starts from and receives the edges it ended
     on; None starts every component from [0, 1].
     """
-    pts, single = _as_points(x, sl.gm.d)
-    grad, _ = _psi_terms(sl, pts, with_potential=False, panels=panels)
-    return grad[0] if single else grad
+    return _psi_terms(sl, _as_points(x, sl.gm.d), with_potential=False, panels=panels)[0]
 
 
-def psi_potential(sl: PathSlice, x) -> np.ndarray | float:
+def psi_potential(sl: PathSlice, x) -> np.ndarray:
     """The potential itself (d >= 3 only; the integral diverges below).
 
     Defined up to an additive constant, which the drift never sees; this
     particular normalization decays to zero at infinity.
     """
-    pts, single = _as_points(x, sl.gm.d)
-    _, pot = _psi_terms(sl, pts, with_potential=True)
-    return float(pot[0]) if single else pot
+    return _psi_terms(sl, _as_points(x, sl.gm.d), with_potential=True)[1]
 
 
 def drift_with_stats(sl: PathSlice, x, panels=None) -> tuple[np.ndarray, int]:
@@ -249,7 +241,7 @@ def drift_with_stats(sl: PathSlice, x, panels=None) -> tuple[np.ndarray, int]:
     ``panels`` is passed on to ``poisson_psi_grad``: the quadrature panel
     edges per component to start from, updated in place.
     """
-    pts, single = _as_points(x, sl.gm.d)
+    pts = _as_points(x, sl.gm.d)
     logd, r, siy, vel = _slice_parts(sl, pts)
     out = _mix(r, vel) - 0.5 * _mix(r, siy)
     clamped = 0
@@ -257,7 +249,7 @@ def drift_with_stats(sl: PathSlice, x, panels=None) -> tuple[np.ndarray, int]:
         dens = np.exp(logd)
         clamped = int(np.count_nonzero(dens < DENSITY_FLOOR))
         out -= poisson_psi_grad(sl, pts, panels) / np.maximum(dens, DENSITY_FLOOR)[:, None]
-    return (out[0] if single else out), clamped
+    return out, clamped
 
 
 def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
@@ -269,9 +261,7 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
     drift call so the quadrature error is common mode and cancels in
     the differences.
     """
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"expected points of shape (n, d), got {pts.shape}")
+    pts = _as_points(pts, grid.d)
     n, d = pts.shape
     dt = 1e-5
     h = 1e-4
@@ -290,7 +280,7 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
     idx = np.arange(d)
     div = (current[:, idx, idx] - current[:, d + idx, idx]).sum(axis=1) / (2.0 * h)
 
-    scale = float(np.asarray(sl.gm.density(pts)).max())
+    scale = float(sl.gm.density(pts).max())
     rel = np.abs(dpdt + div) / np.maximum(np.abs(dpdt), scale)
     return float(rel.max())
 
@@ -375,7 +365,7 @@ def sample_bulk_points(
     have = 0
     for _ in range(64):
         cand = gm.sample_with(rng, max(4 * n, 64))
-        dens = np.asarray(gm.density(cand))
+        dens = gm.density(cand)
         good = cand[dens >= floor_ratio * dens.max()]
         kept.append(good)
         have += len(good)

@@ -36,13 +36,10 @@ def _param_arrays(weights, means, covs, lead: int = 0):
     """Weights (n, K), means (n, K, d) and covs (n, K, d, d), n being ``lead`` leading axes.
 
     Every array comes back C-ordered, so sums over the same values add in one order whatever
-    the input's layout; a C-ordered float array comes back as itself, others are copied. With
-    no leading axes a lone component may drop its axis: a (d,) mean and a (d, d) cov.
-    ValueError on misfit shapes.
+    the input's layout; a C-ordered float array comes back as itself, others are copied.
+    ValueError on misfit shapes, a lone component written without its K axis included.
     """
     w, m, c = (np.ascontiguousarray(a, dtype=float) for a in (weights, means, covs))
-    if lead == 0:
-        w, m, c = np.atleast_1d(w), np.atleast_2d(m), c[None] if c.ndim == 2 else c
     if w.ndim != lead + 1 or m.ndim != lead + 2 or c.ndim != lead + 3:
         head = "n, " * lead
         raise ValueError(f"expected shapes ({head}K), ({head}K, d), ({head}K, d, d)")
@@ -57,16 +54,12 @@ def has_non_numbers(a) -> bool:
     return not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entries)
 
 
-def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
-    """Coerce x to shape (n, d); the flag reports whether input was a single point."""
+def _as_points(x, d: int) -> np.ndarray:
+    """x as a float (n, d) batch of points; ValueError on any other shape, a lone (d,) point too."""
     a = np.asarray(x, dtype=float)
-    if a.ndim == 1:
-        if a.shape != (d,):
-            raise ValueError(f"point has dimension {a.shape[0]}, expected {d}")
-        return a[None, :], True
-    if a.ndim == 2 and a.shape[1] == d:
-        return a, False
-    raise ValueError(f"expected shape (n, {d}) or ({d},), got {a.shape}")
+    if a.ndim != 2 or a.shape[1] != d:
+        raise ValueError(f"expected points of shape (n, {d}), got {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -85,7 +78,8 @@ class GaussianMixture:
     ``covs`` (K, d, d). Covariances are symmetrized on construction and
     all arrays are frozen. Construction only checks shapes; use
     :func:`validate` for the probabilistic invariants, which keeps
-    construction cheap inside interpolation loops.
+    construction cheap inside interpolation loops. Methods taking points
+    take an (n, d) batch and return one entry or row per point.
     """
 
     weights: np.ndarray
@@ -143,16 +137,12 @@ class GaussianMixture:
         return (peak + np.log(total))[:, 0], r / total, siy
 
     def component_log_density(self, x) -> np.ndarray:
-        pts, single = _as_points(x, self.d)
-        logg, _ = self._eval_parts(pts)
-        return logg[0] if single else logg
+        return self._eval_parts(_as_points(x, self.d))[0]
 
-    def log_density(self, x) -> np.ndarray | float:
-        pts, single = _as_points(x, self.d)
-        out = self._evaluate(pts)[0]
-        return float(out[0]) if single else out
+    def log_density(self, x) -> np.ndarray:
+        return self._evaluate(_as_points(x, self.d))[0]
 
-    def density(self, x) -> np.ndarray | float:
+    def density(self, x) -> np.ndarray:
         """Mixture density; underflows smoothly to 0.0 far from all components."""
         return np.exp(self.log_density(x))
 
@@ -162,9 +152,7 @@ class GaussianMixture:
         Stays well defined arbitrarily far into the tails, where the
         density itself underflows.
         """
-        pts, single = _as_points(x, self.d)
-        r = self._evaluate(pts)[1]
-        return r[0] if single else r
+        return self._evaluate(_as_points(x, self.d))[1]
 
     def score(self, x) -> np.ndarray:
         """Gradient of log density at x.
@@ -172,10 +160,8 @@ class GaussianMixture:
         Evaluated through responsibilities, so no density division occurs
         and the result stays finite wherever the quadratic forms do.
         """
-        pts, single = _as_points(x, self.d)
-        _, r, siy = self._evaluate(pts)
-        s = -_mix(r, siy)
-        return s[0] if single else s
+        _, r, siy = self._evaluate(_as_points(x, self.d))
+        return -_mix(r, siy)
 
     def overall_moments(self) -> Moments:
         """First two moments of the full mixture (law of total covariance)."""

@@ -79,7 +79,7 @@ class RunResult:
     curve: AgeCurve
     half_life: int | None
     summary: dict
-    final_state: MemoryState
+    final_state: MemoryState | None  # None for the FIFO baseline, which keeps no memory
 
 
 def resolve_prior(cfg: RunConfig, first_target: GaussianMixture) -> GaussianMixture:
@@ -208,7 +208,7 @@ def _concat(blocks) -> np.recarray:
     return np.concatenate(blocks or [np.recarray(0, dtype=RECORD_DTYPE)]).view(np.recarray)
 
 
-def _result(cfg: RunConfig, blocks, state: MemoryState) -> RunResult:
+def _result(cfg: RunConfig, blocks, state: MemoryState | None) -> RunResult:
     records = _concat(blocks)
     curve = age_curve(records)
     hl = half_life(curve, cfg.theta)
@@ -250,16 +250,14 @@ def _apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
     if axis in ("L", "theta"):
         return replace(cfg, **{axis: value})
     if axis == "K":
-        # The K families differ: K = 1 is the plain circular drift, K >= 2
-        # the ring mixture at the same centre track.
-        base = cfg.stream
-        shared = dict(K=value, n_days=base.n_days, R=base.R, P=base.P, seed=base.seed)
-        if value == 1:
-            stream = make_config("circular", **shared)
-        else:
-            r = base.r if base.kind in ("triangle", "crowding", "split_merge") else 0.8
-            stream = make_config("crowding", r=r, **shared)
-        return replace(cfg, stream=stream)
+        # K = 1 is the plain circular drift, K >= 2 the crowding ring on the same
+        # centre track. Each kind keeps its own cov_scale default (circular 0.5,
+        # crowding 0.3, which criterion 5 is stated at); a nuisance walk that
+        # neither kind takes is refused, never dropped.
+        fields = ("n_days", "d", "R", "P", "r", "nuisance", "seed")
+        kept = {f: getattr(cfg.stream, f) for f in fields}
+        kind = "circular" if value == 1 else "crowding"
+        return replace(cfg, stream=make_config(kind, K=value, **kept))
     if axis == "kind" or axis not in StreamConfig.__dataclass_fields__:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     return replace(cfg, stream=replace(cfg.stream, **{axis: value}))
@@ -315,7 +313,7 @@ def fifo_baseline(cfg: RunConfig) -> RunResult:
         recalled = [a[rows] for a in pool]
         originals = [a[m - 1] for a in pool]
         blocks.append(score_recall(recalled, originals, prior.overall_moments(), m, n))
-    return _result(cfg, blocks, new_memory(prior, targets[0], cfg.L))
+    return _result(cfg, blocks, None)
 
 
 def export(result: RunResult, path: str) -> list[str]:

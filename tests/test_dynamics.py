@@ -58,6 +58,19 @@ def test_path_slice_validates_rates():
         PathSlice(gm, np.array([0.5, 0.1]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
         PathSlice(gm, np.zeros(2), np.zeros((3, 2)), np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
+        PathSlice(gm, np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2, 2)))
+
+
+def test_path_slice_rates_come_back_c_ordered():
+    gm = default_prior(2, 3)
+    rng = np.random.default_rng(8)
+    mr = np.asfortranarray(rng.normal(size=(2, 3)))
+    cr = np.asfortranarray(rng.normal(size=(2, 3, 3)))
+    sl = PathSlice(gm, np.array([0.25, -0.25]), mr, cr)
+    assert sl.mean_rates.flags.c_contiguous and sl.cov_rates.flags.c_contiguous
+    assert np.array_equal(sl.mean_rates, mr)
+    assert np.array_equal(sl.cov_rates, 0.5 * (cr + np.swapaxes(cr, 1, 2)))
 
 
 def test_shape_current_single_component_closed_form():
@@ -67,7 +80,6 @@ def test_shape_current_single_component_closed_form():
     pts = np.random.default_rng(0).normal(0.0, 1.0, (9, 2))
     expect = gm.density(pts)[:, None] * mdot
     assert np.allclose(shape_current(sl, pts), expect, rtol=1e-12)
-    assert shape_current(sl, pts[0]).shape == (2,)
 
 
 def test_poisson_gradient_matches_1d_closed_form():
@@ -127,9 +139,6 @@ def test_drift_reduces_to_half_score_when_frozen():
     vel, clamped = drift_with_stats(sl, pts)
     assert clamped == 0
     assert np.allclose(vel, 0.5 * gm.score(pts), atol=1e-12)
-    single, clamped = drift_with_stats(sl, pts[0])
-    assert single.shape == (2,) and clamped == 0
-    assert np.allclose(single, vel[0])
 
 
 def counted(g, calls):
@@ -281,6 +290,10 @@ def test_fp_residual_rejects_node_times():
         fp_residual(grid, 0.3, np.zeros(2))
 
 
+# Euler paths on moving weights diverge (the Poisson drift grows super-linearly
+# in the tails); their diverging steps raise these two warnings.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning:casmem.gm")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning:casmem.dynamics")
 def test_integrate_sde_is_deterministic_per_path():
     grid = small_grid("circular", n_days=8, L=4)
     a = integrate_sde(grid, n_paths=3, steps=30, seed=9)
@@ -310,6 +323,8 @@ def test_integrate_sde_is_deterministic_per_path():
     assert np.allclose(lone.states, batch[0].states, rtol=0.0, atol=1e-6, equal_nan=True)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning:casmem.gm")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning:casmem.dynamics")
 @pytest.mark.parametrize("d, n_days, L, atol", [(3, 8, 4, 1e-6), (12, 30, 5, 1e-10)])
 def test_integrate_sde_carried_panels_match_fresh_panels(monkeypatch, d, n_days, L, atol):
     # each step of a segment starts its quadrature from the panels the
@@ -395,7 +410,7 @@ def test_integrate_sde_draws_follow_each_paths_generator():
         vel, _ = drift_with_stats(path_slice(grid, 0.0), x0)
         assert np.array_equal(trajs[i].states[0], x0[0])
         assert np.array_equal(trajs[i].states[1], (x0 + vel * dt + np.sqrt(dt) * z[:1])[0])
-        comps.add(int(start.responsibilities(x0[0]).argmax()))
+        comps.add(int(start.responsibilities(x0)[0].argmax()))
     assert comps == {0, 1, 2}
     # a path does not depend on how many siblings were drawn
     for m in (1, 17):

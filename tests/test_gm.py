@@ -1,6 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from casmem import dynamics
 from casmem.errors import ConfigError
 from casmem.gm import (
     GaussianMixture,
@@ -50,6 +53,9 @@ def test_validate_reports():
     assert "inconsistent shapes" in validate_arrays([0.5, 0.5], np.zeros((3, 2)), eyes)
     assert "inconsistent shapes" in validate_arrays([0.5, 0.5], np.zeros((2, 2)), eyes[:, :1])
     assert "expected shapes" in validate_arrays([[0.5, 0.5]], np.zeros((2, 2)), eyes)
+    # a lone component keeps its K axis: (d,) means and (d, d) covs are misshapen
+    assert "expected shapes" in validate_arrays([1.0], np.zeros(2), np.eye(2))
+    assert "expected shapes" in validate_arrays(1.0, np.zeros(2), np.eye(2))
     # float conversion takes strings, bools and None, but they are no numbers
     for weights in (["1.0"], [True], [None]):
         assert "numbers" in validate_arrays(weights, np.zeros((1, 2)), eyes[:1])
@@ -107,12 +113,21 @@ def test_density_matches_naive_sum():
     assert np.allclose(np.exp(gm.log_density(pts)), naive, rtol=1e-12)
 
 
-def test_single_point_returns_scalar():
+@pytest.mark.parametrize("name", [
+    "component_log_density", "log_density", "density", "responsibilities", "score",
+    "shape_current", "poisson_psi_grad", "psi_potential", "drift_with_stats",
+])
+def test_point_functions_take_batches_only(name):
     gm = random_mixture(np.random.default_rng(5))
-    x = np.zeros(gm.d)
-    assert np.isscalar(gm.log_density(x))
-    assert np.isscalar(gm.density(x))
-    assert gm.score(x).shape == (gm.d,)
+    if hasattr(gm, name):
+        f = getattr(gm, name)
+    else:
+        sl = dynamics.PathSlice(gm, [0.2, -0.2, 0.0], np.zeros((3, 3)), np.zeros((3, 3, 3)))
+        f = partial(getattr(dynamics, name), sl)
+    out = f(np.zeros((1, gm.d)))
+    assert (out[0] if name == "drift_with_stats" else out).shape[0] == 1
+    with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+        f(np.zeros(gm.d))
 
 
 def test_log_density_far_tail_is_finite():

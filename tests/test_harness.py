@@ -11,6 +11,7 @@ from casmem.cli import main as cli_main
 from casmem.errors import ConfigError, NumericalError
 from casmem.gm import GaussianMixture
 from casmem.harness import (
+    SWEEP_COLUMNS,
     RunConfig,
     build_final_state,
     capacity_diagnostics,
@@ -222,6 +223,23 @@ def test_sweep_rows_match_individual_runs():
     assert res.fit is not None and "c" in res.fit and "t_star" in res.fit
 
 
+@pytest.mark.parametrize("kind, value, stream", [
+    ("circular", 1, {"d": 4}),
+    ("embedded", 3, {"d": 6, "r": 0.5}),
+])
+def test_k_sweep_point_keeps_the_config(kind, value, stream):
+    # the K point keeps d, r and nuisance: it is the run of the same config at that K
+    cfg = RunConfig(stream=make_config(kind, n_days=30, **stream), L=5)
+    row = sweep(cfg, "K", [value]).rows[0]
+    solo = run_experiment(cfg).summary
+    for key in SWEEP_COLUMNS[2:]:
+        assert row[key] == solo[key], key
+    # a nuisance walk neither K family takes is refused, not swept without it
+    walk = RunConfig(stream=make_config("embedded", n_days=30, nuisance="random_walk"), L=5)
+    with pytest.raises(ConfigError, match="nuisance"):
+        sweep(walk, "K", [value])
+
+
 def test_apply_axis_dispatch():
     cfg = small_cfg(n_days=20)
     assert harness._apply_axis(cfg, "L", 7).L == 7
@@ -280,6 +298,7 @@ def test_fifo_half_life_equals_window(L):
 
 def test_fifo_records_are_step_shaped():
     res = fifo_baseline(small_cfg(n_days=12, L=4))
+    assert res.final_state is None  # a sliding window keeps no memory state
     for rec in res.records:
         if rec.age < 4:
             assert rec.F_raw == 0.0
@@ -492,15 +511,17 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                {"kind": "file", "path": 0}]
     for i, stream in enumerate(streams):
         assert cli_main(["run", "--config", write_cfg(tmp_path, f"s{i}.json", stream=stream)]) == 2
-    for var in (0, -1):
-        point = {"kind": "point", "x0": [0.0, 0.0], "var": var}
-        assert cli_main(["run", "--config", write_cfg(tmp_path, "pt.json", prior=point)]) == 2
+    # point priors without a positive variance; a mixture keeps its component axis, a lone one too
+    priors = [{"kind": "point", "x0": [0.0, 0.0], "var": var} for var in (0, -1)]
+    priors.append({"weights": [1.0], "means": [0.0, 0.0], "covs": [[1.0, 0.0], [0.0, 1.0]]})
+    for prior in priors:
+        assert cli_main(["run", "--config", write_cfg(tmp_path, "prior.json", prior=prior)]) == 2
     flags = [["sweep", "--axis", "path", "--values", "1"], ["sweep", "--axis", "L", "--values", ","],
              ["drift-check", "--t", "abc"], ["drift-check", "--t", ","]]
     for args in flags:
         assert cli_main([*args, "--config", good]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 + len(states) + len(streams) + 2 + len(flags)
+    assert len(err) == 2 + len(states) + len(streams) + len(priors) + len(flags)
     assert all(line.startswith("config error:") for line in err)
     # run settings, the seed and point priors take numbers, never bools or strings
     bodies = [{"L": True}, {"snapshot_every": True}, {"seed": True},
