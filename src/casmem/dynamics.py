@@ -73,7 +73,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    seed: int
     path_id: int
     diverged_at: int | None = None
 
@@ -85,11 +84,10 @@ def path_slice(grid: ProtocolGrid, t: float) -> PathSlice:
     linear, so the drift may jump at node times and a convention is
     needed there.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    gm = eval_at(grid, t)
     j, _ = _segment(t, grid.L)
     rates = ((a[j + 1] - a[j]) * grid.L for a in (grid.weights, grid.means, grid.covs))
-    return PathSlice(eval_at(grid, t), *rates)
+    return PathSlice(gm, *rates)
 
 
 def _slice_parts(sl: PathSlice, pts: np.ndarray):
@@ -338,7 +336,7 @@ def integrate_sde(
                 break
         states[alive, s + 1] = x[alive]
     return [
-        Trajectory(times, states[i], seed, i, None if flag < 0 else int(flag))
+        Trajectory(times, states[i], i, None if flag < 0 else int(flag))
         for i, flag in enumerate(diverged)
     ]
 

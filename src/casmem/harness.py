@@ -74,7 +74,6 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    config: RunConfig
     records: np.recarray
     curve: AgeCurve
     half_life: int | None
@@ -223,7 +222,7 @@ def _result(cfg: RunConfig, blocks, state: MemoryState | None) -> RunResult:
         # Per-run capacity diagnostic; lives beside (not inside) the exported summary.
         "t_star": math.exp(-hl / cfg.L) if hl is not None else None,
     }
-    return RunResult(cfg, records, curve, hl, summary, state)
+    return RunResult(records, curve, hl, summary, state)
 
 
 def _maybe_snapshot(cfg: RunConfig, state: MemoryState) -> None:
@@ -300,20 +299,21 @@ def capacity_diagnostics(lengths, half_lives) -> dict:
 
 
 def fifo_baseline(cfg: RunConfig) -> RunResult:
-    """Sliding-window reference: perfect recall for L days, then the prior."""
+    """Sliding-window reference: perfect recall for L days, then the prior.
+
+    Each day is scored twice, as itself and as the prior; each pair takes one of those rows.
+    """
     targets = generate(cfg.stream)
     prior = resolve_prior(cfg, targets[0])
-    pool = stack_mixtures([*targets, prior])  # day m at row m - 1, the prior last
-    all_m, all_n = stored_pairs(np.arange(1, len(targets) + 1))
-    size = _block_pairs(prior)
-    blocks = []
-    for start in range(0, len(all_m), size):
-        m, n = all_m[start : start + size], all_n[start : start + size]
-        rows = np.where(n - m < cfg.L, m - 1, len(targets))
-        recalled = [a[rows] for a in pool]
-        originals = [a[m - 1] for a in pool]
-        blocks.append(score_recall(recalled, originals, prior.overall_moments(), m, n))
-    return _result(cfg, blocks, None)
+    days = np.arange(1, len(targets) + 1)
+    stacked, moments = stack_mixtures(targets), prior.overall_moments()
+    kept = score_recall(stacked, stacked, moments, days, days)
+    lost = score_recall(stack_mixtures([prior] * len(days)), stacked, moments, days, days)
+    m, n = stored_pairs(days)
+    records, recent = lost[m - 1], n - m < cfg.L
+    records[recent] = kept[m[recent] - 1]
+    records.n, records.age = n, n - m
+    return _result(cfg, [records], None)
 
 
 def export(result: RunResult, path: str) -> list[str]:

@@ -130,6 +130,8 @@ def rebin_indices(L: int) -> tuple[np.ndarray, np.ndarray]:
     arithmetic is done on integers so alpha is an exact rational r / L.
     Both arrays have L + 1 entries.
     """
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
     num = np.arange(L + 1) * (L + 1)
     k = np.minimum(num // L, L)
     return k, (num - k * L) / L
@@ -137,8 +139,6 @@ def rebin_indices(L: int) -> tuple[np.ndarray, np.ndarray]:
 
 def rebin_matrix(L: int) -> np.ndarray:
     """Dense (L + 1, L + 2) form of the rebin operator that smooth applies."""
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
     k, alpha = rebin_indices(L)
     W = np.zeros((L + 1, L + 2))
     rows = np.arange(L + 1)
@@ -147,11 +147,9 @@ def rebin_matrix(L: int) -> np.ndarray:
     return W
 
 
-def smooth(aug, L: int) -> ProtocolGrid:
+def smooth(aug) -> ProtocolGrid:
     """Rebin add's stacked L+2-node path onto L + 1 nodes: one gather-and-lerp."""
-    if len(aug[0]) != L + 2:
-        raise ValueError(f"augmented path has {len(aug[0])} nodes, expected {L + 2}")
-    return ProtocolGrid(*_lerp_nodes(aug, *rebin_indices(L)))
+    return ProtocolGrid(*_lerp_nodes(aug, *rebin_indices(len(aug[0]) - 2)))
 
 
 def new_memory(prior: GaussianMixture, target1: GaussianMixture, L: int) -> MemoryState:
@@ -165,8 +163,7 @@ def new_memory(prior: GaussianMixture, target1: GaussianMixture, L: int) -> Memo
 
 def incorporate(state: MemoryState, target: GaussianMixture) -> MemoryState:
     """One day of the recursion; returns the next state, inputs untouched."""
-    grid = smooth(add(state.grid, target), state.grid.L)
-    return MemoryState(grid, state.day + 1)
+    return MemoryState(smooth(add(state.grid, target)), state.day + 1)
 
 
 def readout_time(L: int, age: int) -> float:

@@ -361,7 +361,7 @@ def test_criterion_15_oracle_equivalences():
         for t in targets[1:6]:
             state = incorporate(state, t)
         aug = add(state.grid, targets[6])
-        direct = smooth(aug, L)
+        direct = smooth(aug)
         W = rebin_matrix(L)
         for x, y in zip((direct.weights, direct.means, direct.covs), aug):
             stacked = y.reshape(L + 2, -1)

@@ -48,8 +48,9 @@ def test_path_slice_rates_are_segment_differences():
     assert np.allclose(sl.mean_rates, sl2.mean_rates)
     end = path_slice(grid, 1.0)
     assert np.allclose(end.mean_rates, (grid.means[3] - grid.means[2]) * segs)
-    with pytest.raises(ValueError):
-        path_slice(grid, 1.2)
+    for t in (-0.01, 1.01, 1.2):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            path_slice(grid, t)
 
 
 def test_path_slice_validates_rates():

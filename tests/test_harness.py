@@ -9,7 +9,7 @@ import pytest
 import casmem.harness as harness
 from casmem.cli import main as cli_main
 from casmem.errors import ConfigError, NumericalError
-from casmem.gm import GaussianMixture
+from casmem.gm import GaussianMixture, stack_mixtures
 from casmem.harness import (
     SWEEP_COLUMNS,
     RunConfig,
@@ -23,9 +23,10 @@ from casmem.harness import (
     snapshot_state,
     sweep,
 )
-from casmem.metrics import RECORD_CSV_HEADER, records_csv_lines
+from casmem.metrics import RECORD_CSV_HEADER, records_csv_lines, score_recall
+from casmem.protocol import stored_pairs
 from casmem.streams import (
-    class_prior, default_prior, generate, make_config, synthetic_class_mixture,
+    class_prior, default_prior, generate, make_config, save_gm_file, synthetic_class_mixture,
 )
 
 
@@ -304,6 +305,35 @@ def test_fifo_records_are_step_shaped():
             assert rec.F_raw == 0.0
         else:
             assert rec.F_norm == pytest.approx(1.0)
+
+
+def per_pair_fifo_records(cfg):
+    """Every stored (m, n) pair scored as a pair: day m below age L, the prior after."""
+    targets = generate(cfg.stream)
+    prior = resolve_prior(cfg, targets[0])
+    m, n = stored_pairs(np.arange(1, len(targets) + 1))
+    recalled = [targets[i - 1] if j - i < cfg.L else prior for i, j in zip(m, n)]
+    originals = [targets[i - 1] for i in m]
+    return score_recall(
+        stack_mixtures(recalled), stack_mixtures(originals), prior.overall_moments(), m, n
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [("circular", {}), ("triangle", {}), ("crowding", {"K": 8}), ("file", {})],
+)
+def test_fifo_records_equal_per_pair_scoring(tmp_path, kind, extra):
+    if kind == "file":  # every day is the prior: every baseline is 0, every F_norm NaN
+        path = tmp_path / "prior.json"
+        save_gm_file(default_prior(2, 2), path)
+        cfg = RunConfig(stream=make_config("file", path=str(path), n_days=20), L=4)
+    else:
+        cfg = small_cfg(kind=kind, n_days=40, L=6, **extra)
+    got = fifo_baseline(cfg).records
+    assert got.tobytes() == per_pair_fifo_records(cfg).tobytes()
+    if kind == "file":
+        assert np.isnan(got.F_norm).all()
 
 
 # ---------------------------------------------------------------- snapshots

@@ -1,10 +1,11 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from casmem.gm import GaussianMixture
+from casmem.gm import GaussianMixture, stack_mixtures
 from casmem.harness import RunConfig, restore_state, snapshot_state
 from casmem.protocol import (
     MemoryState,
@@ -159,7 +160,7 @@ def test_smooth_direct_equals_matrix(L):
     for m in range(2, 6):
         state = incorporate(state, day_target(m))
     aug_w, aug_m, aug_c = aug = add(state.grid, day_target(6))
-    a = smooth(aug, L)
+    a = smooth(aug)
     W = rebin_matrix(L)
     b = ProtocolGrid(
         np.einsum("ja,ak->jk", W, aug_w),
@@ -171,8 +172,19 @@ def test_smooth_direct_equals_matrix(L):
         for x, y in ((a.weights, b.weights), (a.means, b.means), (a.covs, b.covs))
     )
     assert worst <= 1e-14
-    with pytest.raises(ValueError):
-        smooth(aug, L + 1)
+
+
+def test_rebin_refuses_fewer_than_one_segment():
+    two_nodes = stack_mixtures([standard_prior(), day_target(1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        calls = (
+            lambda: rebin_indices(0), lambda: rebin_indices(-2), lambda: rebin_matrix(0),
+            lambda: smooth(two_nodes),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="L must be >= 1"):
+                call()
 
 
 def test_same_day_replay_is_exact():
