@@ -27,8 +27,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, NumericalError
-from .gm import DENSITY_FLOOR, GaussianMixture, _as_points, _frozen, _mix, _param_arrays
-from .protocol import ProtocolGrid, _segment, eval_at
+from .gm import DENSITY_FLOOR, GaussianMixture, _as_points, _evaluate, _factor, _frozen
+from .gm import _log_weights, _mix, _param_arrays, _symmetrize
+from .protocol import ProtocolGrid, _lerp_nodes, _nodes, _segment, eval_at
 
 # Weight rates below this (summed over components) switch the Poisson
 # term off entirely; constant-weight curricula produce exact zeros.
@@ -57,14 +58,25 @@ class PathSlice:
     cov_rates: np.ndarray
 
     def __post_init__(self):
-        wr, mr, cr = _param_arrays(self.weight_rates, self.mean_rates, self.cov_rates)
+        wr, mr, cr = _checked_rates(self.weight_rates, self.mean_rates, self.cov_rates)
         if mr.shape != self.gm.means.shape:
             raise ValueError(f"rate shape {mr.shape} does not match mixture {self.gm.means.shape}")
-        if abs(wr.sum()) > WEIGHT_RATE_TOL:
-            raise ValueError(f"weight rates must sum to zero, got {wr.sum()!r}")
-        object.__setattr__(self, "weight_rates", _frozen(wr))
-        object.__setattr__(self, "mean_rates", _frozen(mr))
-        object.__setattr__(self, "cov_rates", _frozen(0.5 * (cr + np.swapaxes(cr, 1, 2))))
+        for name, a in zip(("weight_rates", "mean_rates", "cov_rates"), (wr, mr, cr)):
+            object.__setattr__(self, name, _frozen(a))
+
+
+def _checked_rates(weight_rates, mean_rates, cov_rates):
+    """Rates in the mixture shape rule, with cov rates symmetrized; ValueError unless the
+    weight rates sum to zero."""
+    wr, mr, cr = _param_arrays(weight_rates, mean_rates, cov_rates)
+    if abs(wr.sum()) > WEIGHT_RATE_TOL:
+        raise ValueError(f"weight rates must sum to zero, got {wr.sum()!r}")
+    return wr, mr, _symmetrize(cr)
+
+
+def _moving(weight_rates: np.ndarray) -> bool:
+    """Whether the weights move enough for the Poisson term to be on."""
+    return np.abs(weight_rates).sum() > WEIGHT_RATE_TOL
 
 
 @dataclass(frozen=True)
@@ -85,22 +97,29 @@ def path_slice(grid: ProtocolGrid, t: float) -> PathSlice:
     needed there.
     """
     gm = eval_at(grid, t)
-    j, _ = _segment(t, grid.L)
-    rates = ((a[j + 1] - a[j]) * grid.L for a in (grid.weights, grid.means, grid.covs))
-    return PathSlice(gm, *rates)
+    return PathSlice(gm, *_segment_rates(grid, _segment(t, grid.L)[0]))
 
 
-def _slice_parts(sl: PathSlice, pts: np.ndarray):
-    """Log density, responsibilities, and (K, n, d) solves and velocities for the drift."""
-    logd, r, siy = sl.gm._evaluate(pts)
-    vel = sl.mean_rates[:, None, :] + 0.5 * (siy @ np.swapaxes(sl.cov_rates, 1, 2))
+def _segment_rates(grid: ProtocolGrid, j: int):
+    """Unchecked time rates (weights, means, covs) of the parameters along segment j."""
+    return tuple((a[j + 1] - a[j]) * grid.L for a in _nodes(grid))
+
+
+def _slice_parts(pts: np.ndarray, kernel, mean_rates, cov_rates):
+    """Log density, responsibilities, and (K, n, d) solves and velocities for the drift.
+
+    ``kernel`` is the mixture as ``gm._evaluate`` takes it after the points.
+    """
+    _, logd, r, siy = _evaluate(pts, *kernel)
+    vel = mean_rates[:, None, :] + 0.5 * (siy @ np.swapaxes(cov_rates, 1, 2))
     return logd, r, siy, vel
 
 
 def shape_current(sl: PathSlice, x) -> np.ndarray:
     """Probability current of the moving components, sum_k pi_k g_k (mdot_k
     + Sigmadot_k Sigma_k^{-1} (x - m_k) / 2)."""
-    logd, r, _, vel = _slice_parts(sl, _as_points(x, sl.gm.d))
+    pts = _as_points(x, sl.gm.d)
+    logd, r, _, vel = _slice_parts(pts, sl.gm._kernel, sl.mean_rates, sl.cov_rates)
     return _mix(np.exp(logd)[:, None] * r, vel)
 
 
@@ -170,7 +189,7 @@ def _psi_terms(sl: PathSlice, pts: np.ndarray, with_potential: bool, panels=None
     n, d = pts.shape
     grad = np.zeros((n, d))
     pot = np.zeros(n) if with_potential else None
-    if np.abs(sl.weight_rates).sum() <= WEIGHT_RATE_TOL:
+    if not _moving(sl.weight_rates):
         return grad, pot
     if with_potential and d <= 2:
         raise ValueError("the potential integral diverges for d <= 2; use the gradient")
@@ -240,14 +259,25 @@ def drift_with_stats(sl: PathSlice, x, panels=None) -> tuple[np.ndarray, int]:
     edges per component to start from, updated in place.
     """
     pts = _as_points(x, sl.gm.d)
-    logd, r, siy, vel = _slice_parts(sl, pts)
-    out = _mix(r, vel) - 0.5 * _mix(r, siy)
+    return _drift(pts, sl.gm._kernel, sl.mean_rates, sl.cov_rates, sl, panels)[:2]
+
+
+def _drift(pts, kernel, mean_rates, cov_rates, sl=None, panels=None):
+    """Drift (n, d), density clamp count, log density (n,) and score (n, d) at points (n, d).
+
+    ``kernel`` is the mixture as ``gm._evaluate`` takes it after the points,
+    and the rates are a PathSlice's. ``sl`` is the instant's PathSlice, which
+    the Poisson term reads; it may be None while the weights do not move.
+    """
+    logd, r, siy, vel = _slice_parts(pts, kernel, mean_rates, cov_rates)
+    score = -_mix(r, siy)
+    out = _mix(r, vel) + 0.5 * score
     clamped = 0
-    if np.abs(sl.weight_rates).sum() > WEIGHT_RATE_TOL:
+    if sl is not None and _moving(sl.weight_rates):
         dens = np.exp(logd)
         clamped = int(np.count_nonzero(dens < DENSITY_FLOOR))
         out -= poisson_psi_grad(sl, pts, panels) / np.maximum(dens, DENSITY_FLOOR)[:, None]
-    return out, clamped
+    return out, clamped, logd, score
 
 
 def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
@@ -272,8 +302,8 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
     stencil = np.concatenate(
         [pts[:, None, :] + offsets[None, :, :], pts[:, None, :] - offsets[None, :, :]], axis=1
     ).reshape(-1, d)
-    vel, _ = drift_with_stats(sl, stencil)
-    current = sl.gm.density(stencil)[:, None] * (vel - 0.5 * sl.gm.score(stencil))
+    vel, _, logd, score = _drift(stencil, sl.gm._kernel, sl.mean_rates, sl.cov_rates, sl)
+    current = np.exp(logd)[:, None] * (vel - 0.5 * score)
     current = current.reshape(n, 2 * d, d)
     idx = np.arange(d)
     div = (current[:, idx, idx] - current[:, d + idx, idx]).sum(axis=1) / (2.0 * h)
@@ -281,6 +311,29 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
     scale = float(sl.gm.density(pts).max())
     rel = np.abs(dpdt + div) / np.maximum(np.abs(dpdt), scale)
     return float(rel.max())
+
+
+def _step_drift_args(grid: ProtocolGrid, times: np.ndarray):
+    """Yield ``_drift``'s arguments after the points for each of the ascending times.
+
+    Each segment's times are interpolated in one gather, their covariances
+    symmetrized as GaussianMixture does and factored in one batched call,
+    and the segment's rates are checked once, as PathSlice checks them. A
+    PathSlice is built per time only when the weights move, for the
+    Poisson term, whose panels dict is shared along the segment.
+    """
+    seg, alpha = _segment(times, grid.L)
+    starts = np.flatnonzero(np.diff(seg, prepend=-1))
+    for a, b in zip(starts, np.append(starts[1:], len(times))):
+        wr, mr, cr = _checked_rates(*_segment_rates(grid, seg[a]))
+        w, m, c = _lerp_nodes(_nodes(grid), seg[a:b], alpha[a:b])
+        c = _symmetrize(c)
+        _, inv, log_norms = _factor(c)
+        log_w = _log_weights(w)
+        moving, panels = _moving(wr), {}
+        for i in range(b - a):
+            sl = PathSlice(GaussianMixture(w[i], m[i], c[i]), wr, mr, cr) if moving else None
+            yield (log_w[i], m[i], inv[i], log_norms[i]), mr, cr, sl, panels
 
 
 def integrate_sde(
@@ -300,6 +353,11 @@ def integrate_sde(
     alive batch and starts each step from the panels the segment's last
     step ended on, so each drift depends on the siblings and the earlier
     steps at quadrature accuracy.
+
+    Along a grid segment the parameters are linear in t and the rates
+    constant, so each segment is gathered and factored once
+    (``_step_drift_args``) and the steps do point work only; each step's
+    drift equals ``drift_with_stats(path_slice(grid, t), ...)`` bit for bit.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -318,13 +376,8 @@ def integrate_sde(
     states[:, 0] = x
     diverged = np.full(n_paths, -1)
     rows, alive = np.arange(n_paths), slice(None)
-    seg, panels = None, {}
-    for s in range(steps):
-        t = float(times[s])
-        j, _ = _segment(t, grid.L)
-        if j != seg:
-            seg, panels = j, {}
-        vel, _ = drift_with_stats(path_slice(grid, t), x[alive], panels=panels)
+    for s, step in enumerate(_step_drift_args(grid, times[:-1])):
+        vel = _drift(x[alive], *step)[0]
         x[alive] = x[alive] + vel * dt + root * states[alive, s + 1]
         ok = np.isfinite(x[alive]).all(axis=1)
         if not ok.all():
@@ -345,7 +398,8 @@ def movie_frames(grid: ProtocolGrid, n_frames: int) -> list[GaussianMixture]:
     """Mixtures at n_frames uniformly spaced times, endpoints included."""
     if n_frames < 2:
         raise ValueError(f"need at least 2 frames, got {n_frames}")
-    return [eval_at(grid, float(t)) for t in np.linspace(0.0, 1.0, n_frames)]
+    params = _lerp_nodes(_nodes(grid), *_segment(np.linspace(0.0, 1.0, n_frames), grid.L))
+    return [GaussianMixture(*p) for p in zip(*params)]
 
 
 def sample_bulk_points(

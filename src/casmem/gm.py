@@ -88,10 +88,9 @@ class GaussianMixture:
 
     def __post_init__(self):
         w, m, c = _param_arrays(self.weights, self.means, self.covs)
-        c = 0.5 * (c + np.swapaxes(c, 1, 2))
         object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "means", _frozen(m))
-        object.__setattr__(self, "covs", _frozen(c))
+        object.__setattr__(self, "covs", _frozen(_symmetrize(c)))
 
     @property
     def k(self) -> int:
@@ -101,46 +100,22 @@ class GaussianMixture:
     def d(self) -> int:
         return self.means.shape[1]
 
-    # Cholesky factors and derived solves are cached per instance; frozen
+    # The factors and the point kernel's arrays are cached per instance; frozen
     # dataclasses still allow cached_property because it writes to __dict__.
     @cached_property
-    def _chols(self) -> np.ndarray:
-        return np.linalg.cholesky(self.covs)
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _factor(self.covs)
 
     @cached_property
-    def _inv_chols(self) -> np.ndarray:
-        return np.linalg.inv(self._chols)
-
-    @cached_property
-    def _log_norms(self) -> np.ndarray:
-        logdets = 2.0 * np.log(np.diagonal(self._chols, axis1=1, axis2=2)).sum(axis=1)
-        return -0.5 * (self.d * _LOG_2PI + logdets)
-
-    def _eval_parts(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-component log densities (n, K) and solves Sigma_k^{-1}(x - m_k) (K, n, d).
-
-        Component-major: with y = x - m_k (K, n, d) and Cholesky factors L_k,
-        z = y L^{-T} and then z L^{-1} are one batched matmul each."""
-        inv = self._inv_chols
-        z = (pts[None, :, :] - self.means[:, None, :]) @ np.swapaxes(inv, 1, 2)
-        logg = self._log_norms[None, :] - 0.5 * np.einsum("kni,kni->nk", z, z)
-        return logg, z @ inv
-
-    def _evaluate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Log density (n,), responsibilities (n, K) and solves (K, n, d) in one log-space pass."""
-        logg, siy = self._eval_parts(pts)
-        with np.errstate(divide="ignore"):
-            lw = np.log(self.weights)[None, :] + logg
-        peak = lw.max(axis=1, keepdims=True)
-        r = np.exp(lw - peak)
-        total = r.sum(axis=1, keepdims=True)
-        return (peak + np.log(total))[:, 0], r / total, siy
+    def _kernel(self) -> tuple:
+        """The arguments of ``_evaluate`` after the points."""
+        return (_log_weights(self.weights), self.means, *self._factors[1:])
 
     def component_log_density(self, x) -> np.ndarray:
-        return self._eval_parts(_as_points(x, self.d))[0]
+        return _evaluate(_as_points(x, self.d), *self._kernel)[0]
 
     def log_density(self, x) -> np.ndarray:
-        return self._evaluate(_as_points(x, self.d))[0]
+        return _evaluate(_as_points(x, self.d), *self._kernel)[1]
 
     def density(self, x) -> np.ndarray:
         """Mixture density; underflows smoothly to 0.0 far from all components."""
@@ -152,7 +127,7 @@ class GaussianMixture:
         Stays well defined arbitrarily far into the tails, where the
         density itself underflows.
         """
-        return self._evaluate(_as_points(x, self.d))[1]
+        return _evaluate(_as_points(x, self.d), *self._kernel)[2]
 
     def score(self, x) -> np.ndarray:
         """Gradient of log density at x.
@@ -160,7 +135,7 @@ class GaussianMixture:
         Evaluated through responsibilities, so no density division occurs
         and the result stays finite wherever the quadratic forms do.
         """
-        _, r, siy = self._evaluate(_as_points(x, self.d))
+        _, _, r, siy = _evaluate(_as_points(x, self.d), *self._kernel)
         return -_mix(r, siy)
 
     def overall_moments(self) -> Moments:
@@ -188,7 +163,7 @@ class GaussianMixture:
         cdf = w.cumsum()
         cdf /= cdf[-1]
         comps = cdf.searchsorted(u, side="right")
-        return self.means[comps] + np.einsum("nij,nj->ni", self._chols[comps], z)
+        return self.means[comps] + np.einsum("nij,nj->ni", self._factors[0][comps], z)
 
     def to_dict(self) -> dict:
         return {
@@ -206,6 +181,45 @@ class GaussianMixture:
         if report is not None:
             raise ConfigError(f"invalid mixture: {report}")
         return cls(data["weights"], data["means"], data["covs"])
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2 over the last two axes: the symmetric part every covariance is stored as."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _factor(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cholesky factors L, their inverses and the Gaussian log-normalizers
+    -(d log 2 pi + log det Sigma) / 2 of covariances (..., d, d) stacked along any leading axes."""
+    chols = np.linalg.cholesky(covs)
+    logdets = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
+    return chols, np.linalg.inv(chols), -0.5 * (covs.shape[-1] * _LOG_2PI + logdets)
+
+
+def _log_weights(weights: np.ndarray) -> np.ndarray:
+    """log w, -inf for a zero weight."""
+    with np.errstate(divide="ignore"):
+        return np.log(weights)
+
+
+def _evaluate(pts, log_weights, means, inv_chols, log_norms):
+    """The point kernel of a K-component mixture at points pts (n, d).
+
+    Returns per-component log densities (n, K), the log density (n,), the
+    responsibilities (n, K) and the solves Sigma_k^{-1}(x - m_k) (K, n, d), in
+    one log-space pass. The mixture comes as raw arrays: log weights (K,),
+    means (K, d), inverse Cholesky factors (K, d, d) and log-normalizers (K,),
+    as ``_log_weights`` and ``_factor`` give them. Component-major: with
+    y = x - m_k (K, n, d), z = y L^{-T} and then z L^{-1} are one batched
+    matmul each.
+    """
+    z = (pts[None, :, :] - means[:, None, :]) @ np.swapaxes(inv_chols, 1, 2)
+    logg = log_norms[None, :] - 0.5 * np.einsum("kni,kni->nk", z, z)
+    lw = log_weights[None, :] + logg
+    peak = lw.max(axis=1, keepdims=True)
+    r = np.exp(lw - peak)
+    total = r.sum(axis=1, keepdims=True)
+    return logg, (peak + np.log(total))[:, 0], r / total, z @ inv_chols
 
 
 def _mix(r: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -227,7 +241,7 @@ def mixture_moments(weights, means, covs) -> Moments:
     outer = means[..., :, None] * means[..., None, :]
     second = np.einsum("...k,...kij->...ij", weights, covs + outer)
     cov = second - mean[..., :, None] * mean[..., None, :]
-    return Moments(mean, 0.5 * (cov + np.swapaxes(cov, -1, -2)))
+    return Moments(mean, _symmetrize(cov))
 
 
 def validate_arrays(weights, means, covs) -> str | None:
@@ -253,8 +267,7 @@ def validate_arrays(weights, means, covs) -> str | None:
     if np.any(asym > SYMMETRY_TOL):
         i = int(np.argmax(asym))
         return f"cov {i} is asymmetric: max |S - S^T| = {asym[i]:.3e}"
-    sym = 0.5 * (c + np.swapaxes(c, 1, 2))
-    for i, s in enumerate(sym):
+    for i, s in enumerate(_symmetrize(c)):
         eigs = np.linalg.eigvalsh(s)
         if eigs[0] <= 0.0 or eigs[0] < PD_RTOL * eigs[-1]:
             return f"cov {i} is not positive definite: eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"

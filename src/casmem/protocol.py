@@ -21,7 +21,7 @@ t = (L / (L + 1)) ** (n - m) after n days.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -122,19 +122,21 @@ def add(grid: ProtocolGrid, target: GaussianMixture) -> tuple[np.ndarray, np.nda
     )
 
 
+@cache
 def rebin_indices(L: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact segments k and positions alpha locating each new node on the augmented path.
 
     New node j sits at position j (L + 1) / L in augmented-node units, so
     k = min(j (L + 1) // L, L) and alpha = (j (L + 1) - k L) / L; the
     arithmetic is done on integers so alpha is an exact rational r / L.
-    Both arrays have L + 1 entries.
+    Both arrays have L + 1 entries. They are computed once per L and
+    returned read-only.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     num = np.arange(L + 1) * (L + 1)
     k = np.minimum(num // L, L)
-    return k, (num - k * L) / L
+    return _frozen(k), _frozen((num - k * L) / L)
 
 
 def rebin_matrix(L: int) -> np.ndarray:

@@ -280,6 +280,31 @@ def test_fp_residual_with_moving_weights():
     assert fp_residual(grid, 0.37, pts) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "kind, kw, t", [("circular", {}, 0.45), ("rotating_dominance", {"d": 3}, 0.37)]
+)
+def test_fp_residual_equals_separate_evaluations(kind, kw, t):
+    # the stencil's density and score come from the drift's own evaluation;
+    # the residual must equal the one assembled from separate calls
+    grid = small_grid(kind, n_days=8, L=4, **kw)
+    pts = sample_bulk_points(eval_at(grid, t), 12, seed=4)
+    n, d = pts.shape
+    dt, h = 1e-5, 1e-4
+    dpdt = (eval_at(grid, t + dt).density(pts) - eval_at(grid, t - dt).density(pts)) / (2.0 * dt)
+    sl = path_slice(grid, t)
+    offsets = h * np.eye(d)
+    stencil = np.concatenate(
+        [pts[:, None, :] + offsets[None, :, :], pts[:, None, :] - offsets[None, :, :]], axis=1
+    ).reshape(-1, d)
+    vel, _ = drift_with_stats(sl, stencil)
+    current = sl.gm.density(stencil)[:, None] * (vel - 0.5 * sl.gm.score(stencil))
+    current = current.reshape(n, 2 * d, d)
+    idx = np.arange(d)
+    div = (current[:, idx, idx] - current[:, d + idx, idx]).sum(axis=1) / (2.0 * h)
+    rel = np.abs(dpdt + div) / np.maximum(np.abs(dpdt), float(sl.gm.density(pts).max()))
+    assert fp_residual(grid, t, pts) == float(rel.max())
+
+
 def test_fp_residual_rejects_node_times():
     grid = small_grid("circular", n_days=8, L=4)
     pts = np.zeros((3, 2))
@@ -337,8 +362,8 @@ def test_integrate_sde_carried_panels_match_fresh_panels(monkeypatch, d, n_days,
     # the same reason); at d = 12 they agree to rounding.
     grid = small_grid("rotating_dominance", n_days=n_days, L=L, d=d)
     carried = integrate_sde(grid, n_paths=20, steps=40, seed=3)
-    real = dyn.drift_with_stats
-    monkeypatch.setattr(dyn, "drift_with_stats", lambda sl, x, panels=None: real(sl, x))
+    real = dyn.poisson_psi_grad
+    monkeypatch.setattr(dyn, "poisson_psi_grad", lambda sl, x, panels=None: real(sl, x))
     fresh = integrate_sde(grid, n_paths=20, steps=40, seed=3)
     assert [t.diverged_at for t in carried] == [t.diverged_at for t in fresh]
     bulk = [
@@ -349,6 +374,58 @@ def test_integrate_sde_carried_panels_match_fresh_panels(monkeypatch, d, n_days,
     assert len(bulk) >= 12
     for a, b in bulk:
         assert np.allclose(a, b, rtol=0.0, atol=atol)
+
+
+def reference_integrate_sde(grid, n_paths, steps, seed):
+    """States and diverged_at of a plain step loop: one path_slice and one
+    drift_with_stats per step, panels carried along each segment."""
+    times, dt = np.linspace(0.0, 1.0, steps + 1), 1.0 / steps
+    u = np.empty(n_paths)
+    states = np.empty((n_paths, steps + 1, grid.d))
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
+        rng = np.random.default_rng(child)
+        u[i] = rng.random()
+        rng.standard_normal(out=states[i])
+    x = eval_at(grid, 0.0)._sample_from(u, states[:, 0])
+    states[:, 0] = x
+    diverged = np.full(n_paths, -1)
+    rows, alive = np.arange(n_paths), slice(None)
+    seg, panels = None, {}
+    for s in range(steps):
+        t = float(times[s])
+        j = min(int(t * grid.L), grid.L - 1)
+        if j != seg:
+            seg, panels = j, {}
+        vel, _ = drift_with_stats(path_slice(grid, t), x[alive], panels)
+        x[alive] = x[alive] + vel * dt + np.sqrt(dt) * states[alive, s + 1]
+        ok = np.isfinite(x[alive]).all(axis=1)
+        if not ok.all():
+            idx = rows[alive]
+            diverged[idx[~ok]] = s + 1
+            states[idx[~ok], s + 1 :] = np.nan
+            alive = idx[ok]
+            if alive.size == 0:
+                break
+        states[alive, s + 1] = x[alive]
+    return states, diverged
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning:casmem.gm")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning:casmem.dynamics")
+@pytest.mark.parametrize(
+    "kind, kw, L, steps",
+    # L = 4 does not divide 30 steps, so segments hold 7 or 8 steps, and
+    # step 15 falls on node time 0.5 exactly
+    [("circular", {}, 4, 30), ("triangle", {}, 4, 30), ("rotating_dominance", {"d": 3}, 4, 30)],
+)
+def test_integrate_sde_equals_plain_step_loop(kind, kw, L, steps):
+    grid = small_grid(kind, n_days=8, L=L, **kw)
+    assert float(np.linspace(0.0, 1.0, steps + 1)[15]) * L == 2.0
+    states, diverged = reference_integrate_sde(grid, 12, steps, seed=7)
+    trajs = integrate_sde(grid, n_paths=12, steps=steps, seed=7)
+    assert [t.diverged_at for t in trajs] == [None if f < 0 else int(f) for f in diverged]
+    for tr, want in zip(trajs, states):
+        assert np.array_equal(tr.states, want, equal_nan=True)
 
 
 def test_integrate_sde_stationary_mixture():
@@ -374,16 +451,16 @@ def test_integrate_sde_stationary_mixture():
 
 def test_integrate_sde_flags_divergence(monkeypatch):
     grid = small_grid("circular", n_days=6, L=3)
-    real = dyn.drift_with_stats
+    real = dyn._drift
 
-    def exploding(sl, x, panels=None, _step=[0]):
-        vel, clamped = real(sl, x, panels=panels)
+    def exploding(x, *args, _step=[0]):
+        vel, *rest = real(x, *args)
         _step[0] += 1
         if _step[0] > 3:
             vel = vel + np.inf
-        return vel, clamped
+        return vel, *rest
 
-    monkeypatch.setattr(dyn, "drift_with_stats", exploding)
+    monkeypatch.setattr(dyn, "_drift", exploding)
     tr = integrate_sde(grid, n_paths=2, steps=10, seed=1)[0]
     assert tr.diverged_at == 4
     assert np.isfinite(tr.states[:4]).all()
@@ -431,16 +508,16 @@ def test_integrate_sde_single_divergence_leaves_the_other_paths_alone(monkeypatc
     # from there the other 29 step as an index subset, bit for bit as before
     grid = small_grid("triangle", n_days=10, L=4)
     clean = integrate_sde(grid, n_paths=30, steps=20, seed=4)
-    real, sizes = dyn.drift_with_stats, []
+    real, sizes = dyn._drift, []
 
-    def one_bad(sl, x, panels=None):
-        vel, clamped = real(sl, x, panels=panels)
+    def one_bad(x, *args):
+        vel, *rest = real(x, *args)
         sizes.append(len(x))
         if len(sizes) == 6:
             vel[7] = np.inf
-        return vel, clamped
+        return vel, *rest
 
-    monkeypatch.setattr(dyn, "drift_with_stats", one_bad)
+    monkeypatch.setattr(dyn, "_drift", one_bad)
     trajs = integrate_sde(grid, n_paths=30, steps=20, seed=4)
     assert sizes == [30] * 6 + [29] * 14
     bad = trajs[7]
@@ -468,6 +545,11 @@ def test_movie_frames_endpoints():
         assert np.array_equal(frame.weights, grid.weights[j])
         assert np.array_equal(frame.means, grid.means[j])
         assert np.array_equal(frame.covs, grid.covs[j])
+    # the frames are one gather; each equals eval_at at its time
+    for frame, t in zip(frames, np.linspace(0.0, 1.0, 7)):
+        want = eval_at(grid, float(t))
+        for f in ("weights", "means", "covs"):
+            assert np.array_equal(getattr(frame, f), getattr(want, f))
     with pytest.raises(ValueError):
         movie_frames(grid, 1)
 

@@ -145,6 +145,13 @@ def test_rebin_indices_partition_of_unity(L):
     assert np.count_nonzero(W > 0, axis=1).max() <= 2
     # each new node must land at position j*(L+1)/L exactly
     assert k + alpha == pytest.approx(np.arange(L + 1) * (L + 1) / L, abs=1e-12)
+    # computed once per L: a repeat call returns the same read-only arrays
+    again = rebin_indices(L)
+    assert again[0] is k and again[1] is alpha
+    for a in (k, alpha):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
 
 
 def test_rebin_indices_equal_reference_loop():
