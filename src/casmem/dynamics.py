@@ -137,8 +137,8 @@ def _adaptive_integral(f, tol: float, max_panels: int, edges=(0.0, 1.0)):
     15-vs-7-point discrepancy until the pooled error estimate drops below
     ``tol`` relative to the largest column; the starting panels count
     toward ``max_panels``. Returns the fine-rule total (B,) and the final
-    panel edges, which can start the next integral of a similar
-    integrand.
+    ascending panel edges, ``edges`` as given if no panel split; they can
+    start the next integral of a similar integrand.
     """
 
     def evaluate(a: np.ndarray, b: np.ndarray):
@@ -155,7 +155,7 @@ def _adaptive_integral(f, tol: float, max_panels: int, edges=(0.0, 1.0)):
         scale = max(float(np.abs(total).max()), DENSITY_FLOOR)
         pooled = sum(err.tolist())
         if pooled <= tol * scale:
-            return total, np.append(np.sort(lo), hi.max())
+            return total, edges if len(lo) == len(edges) - 1 else np.append(np.sort(lo), hi.max())
         if len(lo) >= max_panels:
             raise NumericalError(
                 f"potential quadrature stalled at {len(lo)} panels "
@@ -171,35 +171,43 @@ def _adaptive_integral(f, tol: float, max_panels: int, edges=(0.0, 1.0)):
         err = np.concatenate([err[keep], halves[1]])
 
 
-def _psi_terms(sl: PathSlice, pts: np.ndarray, with_potential: bool, panels=None):
+def _poisson_inputs(weight_rates, means, covs):
+    """Rates, means, covariance eigenvalues and eigenbases of the components with a nonzero
+    weight rate, over the leading axes of ``means`` (one batched eigh); None while the
+    weights do not move."""
+    if not _moving(weight_rates):
+        return None
+    active = np.nonzero(np.abs(weight_rates) > 0.0)[0]
+    means, covs = means[..., active, :], covs[..., active, :, :]
+    return (np.broadcast_to(weight_rates[active], means.shape[:-1]), means, *np.linalg.eigh(covs))
+
+
+def _psi_terms(pts: np.ndarray, poisson, with_potential: bool, panels=None):
     """Quadrature for grad psi (n, d) and, optionally, psi itself (n,).
 
-    Both are zero, and no quadrature runs, while the weight rates vanish.
-    Maps s = lam_max u / (1 - u) onto the unit interval and integrates
-    in the eigenbasis of each active component; the gradient rotates
-    back afterwards. Only the kernel and the denominators depend on the
-    node, so the rule weights fold into the small (P, d, q) inverse
-    denominators: one batched (P, 2 d, q) @ (P, q, n) matmul gives both
-    rules' sums of kernel / den, z multiplies them, and no (q, n, d)
-    node tensor is built. The columns are dimension-major, (d, n).
-    ``panels`` maps a component to the panel edges its integral starts
-    from (default [0, 1]) and receives its final edges.
+    ``poisson`` is one instant's ``_poisson_inputs``; both are zero, and no quadrature
+    runs, when it is None. One batched matmul projects the points onto every moving
+    component's eigenbasis, where each integral maps s = lam_max u / (1 - u) onto the unit
+    interval; the gradient rotates back afterwards. Only the kernel and the denominators
+    depend on the node, so the rule weights fold into the small (P, d, q) inverse
+    denominators: one batched (P, 2 d, q) @ (P, q, n) matmul gives both rules' sums of
+    kernel / den, z multiplies them, and no (q, n, d) node tensor is built. The columns are
+    dimension-major, (d, n). ``panels`` maps a moving component's position in ``poisson``
+    to the panel edges its integral starts from (default [0, 1]) and receives its final edges.
     """
-    gm = sl.gm
     n, d = pts.shape
     grad = np.zeros((n, d))
     pot = np.zeros(n) if with_potential else None
-    if not _moving(sl.weight_rates):
+    if poisson is None:
         return grad, pot
     if with_potential and d <= 2:
         raise ValueError("the potential integral diverges for d <= 2; use the gradient")
     panels = {} if panels is None else panels
     norm = (2.0 * np.pi) ** (-0.5 * d)
-    active = np.nonzero(np.abs(sl.weight_rates) > 0.0)[0]
-    lams, bases = np.linalg.eigh(gm.covs[active])
-    for k, lam, q_basis in zip(active, lams, bases):
-        z_t = ((pts - gm.means[k]) @ q_basis).T
-        zz_t = z_t * z_t
+    rates, means, lams, bases = poisson
+    projected = (pts[None, :, :] - means[:, None, :]) @ bases
+    for k, (lam, q_basis, z) in enumerate(zip(lams, bases, projected)):
+        z_t, zz_t = z.T, z.T * z.T
         lmax = float(lam[-1])
 
         def integrand(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -221,11 +229,16 @@ def _psi_terms(sl: PathSlice, pts: np.ndarray, with_potential: bool, panels=None
         total, panels[k] = _adaptive_integral(
             integrand, QUAD_REL_TOL, QUAD_MAX_PANELS, panels.get(k, (0.0, 1.0))
         )
-        rate = float(sl.weight_rates[k])
+        rate = float(rates[k])
         grad += rate * norm * total[: n * d].reshape(d, n).T @ q_basis.T
         if with_potential:
             pot -= rate * norm * total[n * d :]
     return grad, pot
+
+
+def _poisson_of(sl: PathSlice):
+    """``_poisson_inputs`` at a PathSlice's instant: the front end of ``_psi_terms``."""
+    return _poisson_inputs(sl.weight_rates, sl.gm.means, sl.gm.covs)
 
 
 def poisson_psi_grad(sl: PathSlice, x, panels=None) -> np.ndarray:
@@ -233,11 +246,11 @@ def poisson_psi_grad(sl: PathSlice, x, panels=None) -> np.ndarray:
 
     Zero whenever the weight rates vanish; otherwise one adaptive
     quadrature per component with a nonzero rate, batched over points.
-    ``panels``, a dict the caller owns, maps each component to the panel
-    edges its quadrature starts from and receives the edges it ended
-    on; None starts every component from [0, 1].
+    ``panels``, a dict the caller owns, maps each component with a nonzero rate (numbered
+    from 0 in index order) to the panel edges its quadrature starts from and receives the
+    edges it ended on; None starts every component from [0, 1].
     """
-    return _psi_terms(sl, _as_points(x, sl.gm.d), with_potential=False, panels=panels)[0]
+    return _psi_terms(_as_points(x, sl.gm.d), _poisson_of(sl), False, panels)[0]
 
 
 def psi_potential(sl: PathSlice, x) -> np.ndarray:
@@ -246,7 +259,7 @@ def psi_potential(sl: PathSlice, x) -> np.ndarray:
     Defined up to an additive constant, which the drift never sees; this
     particular normalization decays to zero at infinity.
     """
-    return _psi_terms(sl, _as_points(x, sl.gm.d), with_potential=True)[1]
+    return _psi_terms(_as_points(x, sl.gm.d), _poisson_of(sl), True)[1]
 
 
 def drift_with_stats(sl: PathSlice, x, panels=None) -> tuple[np.ndarray, int]:
@@ -255,28 +268,28 @@ def drift_with_stats(sl: PathSlice, x, panels=None) -> tuple[np.ndarray, int]:
     The component-transport part and the half-score are evaluated
     through responsibilities and never divide by the density; only the
     Poisson term needs the division, clamped at the floor in far tails.
-    ``panels`` is passed on to ``poisson_psi_grad``: the quadrature panel
-    edges per component to start from, updated in place.
+    ``panels`` is as in ``poisson_psi_grad``: the quadrature panel edges
+    per moving component to start from, updated in place.
     """
     pts = _as_points(x, sl.gm.d)
-    return _drift(pts, sl.gm._kernel, sl.mean_rates, sl.cov_rates, sl, panels)[:2]
+    return _drift(pts, sl.gm._kernel, sl.mean_rates, sl.cov_rates, _poisson_of(sl), panels)[:2]
 
 
-def _drift(pts, kernel, mean_rates, cov_rates, sl=None, panels=None):
+def _drift(pts, kernel, mean_rates, cov_rates, poisson=None, panels=None):
     """Drift (n, d), density clamp count, log density (n,) and score (n, d) at points (n, d).
 
     ``kernel`` is the mixture as ``gm._evaluate`` takes it after the points,
-    and the rates are a PathSlice's. ``sl`` is the instant's PathSlice, which
-    the Poisson term reads; it may be None while the weights do not move.
+    and the rates are a PathSlice's. ``poisson`` is the Poisson term's arrays
+    (``_psi_terms``), None while the weights do not move.
     """
     logd, r, siy, vel = _slice_parts(pts, kernel, mean_rates, cov_rates)
     score = -_mix(r, siy)
     out = _mix(r, vel) + 0.5 * score
     clamped = 0
-    if sl is not None and _moving(sl.weight_rates):
+    if poisson is not None:
         dens = np.exp(logd)
         clamped = int(np.count_nonzero(dens < DENSITY_FLOOR))
-        out -= poisson_psi_grad(sl, pts, panels) / np.maximum(dens, DENSITY_FLOOR)[:, None]
+        out -= _psi_terms(pts, poisson, False, panels)[0] / np.maximum(dens, DENSITY_FLOOR)[:, None]
     return out, clamped, logd, score
 
 
@@ -302,7 +315,9 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
     stencil = np.concatenate(
         [pts[:, None, :] + offsets[None, :, :], pts[:, None, :] - offsets[None, :, :]], axis=1
     ).reshape(-1, d)
-    vel, _, logd, score = _drift(stencil, sl.gm._kernel, sl.mean_rates, sl.cov_rates, sl)
+    vel, _, logd, score = _drift(
+        stencil, sl.gm._kernel, sl.mean_rates, sl.cov_rates, _poisson_of(sl)
+    )
     current = np.exp(logd)[:, None] * (vel - 0.5 * score)
     current = current.reshape(n, 2 * d, d)
     idx = np.arange(d)
@@ -317,10 +332,10 @@ def _step_drift_args(grid: ProtocolGrid, times: np.ndarray):
     """Yield ``_drift``'s arguments after the points for each of the ascending times.
 
     Each segment's times are interpolated in one gather, their covariances
-    symmetrized as GaussianMixture does and factored in one batched call,
-    and the segment's rates are checked once, as PathSlice checks them. A
-    PathSlice is built per time only when the weights move, for the
-    Poisson term, whose panels dict is shared along the segment.
+    symmetrized as GaussianMixture does, factored in one batched call and, on
+    moving weights, diagonalized in one more (``_poisson_inputs``); its rates are
+    checked once, as PathSlice checks them. No step builds a mixture or a
+    PathSlice, and the Poisson term's panels dict is shared along the segment.
     """
     seg, alpha = _segment(times, grid.L)
     starts = np.flatnonzero(np.diff(seg, prepend=-1))
@@ -330,10 +345,10 @@ def _step_drift_args(grid: ProtocolGrid, times: np.ndarray):
         c = _symmetrize(c)
         _, inv, log_norms = _factor(c)
         log_w = _log_weights(w)
-        moving, panels = _moving(wr), {}
+        poisson, panels = _poisson_inputs(wr, m, c), {}
         for i in range(b - a):
-            sl = PathSlice(GaussianMixture(w[i], m[i], c[i]), wr, mr, cr) if moving else None
-            yield (log_w[i], m[i], inv[i], log_norms[i]), mr, cr, sl, panels
+            step = None if poisson is None else tuple(p[i] for p in poisson)
+            yield (log_w[i], m[i], inv[i], log_norms[i]), mr, cr, step, panels
 
 
 def integrate_sde(
@@ -346,7 +361,7 @@ def integrate_sde(
     block: row 0 places the start in that component, row s + 1 is step
     s's increment. Each row is overwritten by the state it leads to. All
     paths step as one array until one turns non-finite; that path is
-    NaN-filled from there and the rest step as an index subset. Repeat
+    NaN-filled from there and the rest step as one compact array. Repeat
     calls with the same n_paths reproduce bit for bit, and on
     constant-weight grids a path does not depend on n_paths. When the
     weights move, the Poisson quadrature pools its error test over the
@@ -355,9 +370,10 @@ def integrate_sde(
     steps at quadrature accuracy.
 
     Along a grid segment the parameters are linear in t and the rates
-    constant, so each segment is gathered and factored once
-    (``_step_drift_args``) and the steps do point work only; each step's
-    drift equals ``drift_with_stats(path_slice(grid, t), ...)`` bit for bit.
+    constant, so each segment is gathered, factored and, on moving weights,
+    diagonalized once (``_step_drift_args``); a step does point work and one
+    batched projection per Poisson term, and its drift equals
+    ``drift_with_stats(path_slice(grid, t), ...)`` bit for bit.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -375,19 +391,18 @@ def integrate_sde(
     x = eval_at(grid, 0.0)._sample_from(u, states[:, 0])
     states[:, 0] = x
     diverged = np.full(n_paths, -1)
-    rows, alive = np.arange(n_paths), slice(None)
+    rows, alive = np.arange(n_paths), slice(None)  # x holds the rows alive of states
     for s, step in enumerate(_step_drift_args(grid, times[:-1])):
-        vel = _drift(x[alive], *step)[0]
-        x[alive] = x[alive] + vel * dt + root * states[alive, s + 1]
-        ok = np.isfinite(x[alive]).all(axis=1)
+        x = x + _drift(x, *step)[0] * dt + root * states[alive, s + 1]
+        ok = np.isfinite(x).all(axis=1)
         if not ok.all():
             idx = rows[alive]
             diverged[idx[~ok]] = s + 1
             states[idx[~ok], s + 1 :] = np.nan
-            alive = idx[ok]
+            alive, x = idx[ok], x[ok]
             if alive.size == 0:
                 break
-        states[alive, s + 1] = x[alive]
+        states[alive, s + 1] = x
     return [
         Trajectory(times, states[i], i, None if flag < 0 else int(flag))
         for i, flag in enumerate(diverged)

@@ -362,9 +362,13 @@ def test_integrate_sde_carried_panels_match_fresh_panels(monkeypatch, d, n_days,
     # the same reason); at d = 12 they agree to rounding.
     grid = small_grid("rotating_dominance", n_days=n_days, L=L, d=d)
     carried = integrate_sde(grid, n_paths=20, steps=40, seed=3)
-    real = dyn.poisson_psi_grad
-    monkeypatch.setattr(dyn, "poisson_psi_grad", lambda sl, x, panels=None: real(sl, x))
+    real = dyn._psi_terms
+    monkeypatch.setattr(
+        dyn, "_psi_terms", lambda pts, poisson, pot, panels=None: real(pts, poisson, pot)
+    )
     fresh = integrate_sde(grid, n_paths=20, steps=40, seed=3)
+    # the injection reaches the step loop: dropping the panels moves the paths
+    assert any(not np.array_equal(a.states, b.states, equal_nan=True) for a, b in zip(carried, fresh))
     assert [t.diverged_at for t in carried] == [t.diverged_at for t in fresh]
     bulk = [
         (a.states, b.states)
@@ -416,7 +420,12 @@ def reference_integrate_sde(grid, n_paths, steps, seed):
     "kind, kw, L, steps",
     # L = 4 does not divide 30 steps, so segments hold 7 or 8 steps, and
     # step 15 falls on node time 0.5 exactly
-    [("circular", {}, 4, 30), ("triangle", {}, 4, 30), ("rotating_dominance", {"d": 3}, 4, 30)],
+    [
+        ("circular", {}, 4, 30),
+        ("triangle", {}, 4, 30),
+        ("rotating_dominance", {"d": 3}, 4, 30),
+        ("rotating_dominance", {"d": 12}, 4, 30),
+    ],
 )
 def test_integrate_sde_equals_plain_step_loop(kind, kw, L, steps):
     grid = small_grid(kind, n_days=8, L=L, **kw)
@@ -426,6 +435,41 @@ def test_integrate_sde_equals_plain_step_loop(kind, kw, L, steps):
     assert [t.diverged_at for t in trajs] == [None if f < 0 else int(f) for f in diverged]
     for tr, want in zip(trajs, states):
         assert np.array_equal(tr.states, want, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning:casmem.gm")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning:casmem.dynamics")
+def test_integrate_sde_sets_up_each_moving_segment_once(monkeypatch):
+    # on moving weights the steps build no mixture or PathSlice: the start's
+    # mixture is the one built, and each segment's covariances go through
+    # one batched eigh with a leading axis of the segment's steps
+    grid = small_grid("rotating_dominance", n_days=8, L=4, d=3)
+    steps = 30
+    seg = np.minimum((np.linspace(0.0, 1.0, steps + 1)[:-1] * grid.L).astype(int), grid.L - 1)
+    assert all(dyn._moving(dyn._segment_rates(grid, j)[0]) for j in range(grid.L))
+    want = integrate_sde(grid, n_paths=8, steps=steps, seed=2)
+    counts, shapes = {"GaussianMixture": 0, "PathSlice": 0}, []
+    for cls in (GaussianMixture, PathSlice):
+        post_init = cls.__post_init__
+
+        def counted(self, _post_init=post_init, _name=cls.__name__):
+            counts[_name] += 1
+            _post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    got = integrate_sde(grid, n_paths=8, steps=steps, seed=2)
+    assert counts == {"GaussianMixture": 1, "PathSlice": 0}
+    assert [s[0] for s in shapes] == np.bincount(seg).tolist()
+    for a, b in zip(want, got):
+        assert a.diverged_at == b.diverged_at
+        assert np.array_equal(a.states, b.states, equal_nan=True)
 
 
 def test_integrate_sde_stationary_mixture():
