@@ -132,6 +132,13 @@ def cmd_movie(args) -> int:
                 coords = ",".join(repr(float(v)) for v in tr.states[s])
                 lines.append(f"{tr.path_id},{s},{float(t)!r},{coords}")
         write_text(os.path.join(args.out or ".", "trajectories.csv"), "\n".join(lines) + "\n")
+        if np.diff(state.grid.weights, axis=0).any():  # else every log-weight is 0
+            rows = ["path_id,step,t,log_w"] + [
+                f"{tr.path_id},{s},{float(t)!r},{float(w)!r}"
+                for tr in trajs
+                for s, (t, w) in enumerate(zip(tr.times, tr.log_weight))
+            ]
+            write_text(os.path.join(args.out or ".", "log_weights.csv"), "\n".join(rows) + "\n")
         diverged = sum(tr.diverged_at is not None for tr in trajs)
         print(json.dumps({"paths": len(trajs), "diverged": diverged}))
     return 0

@@ -1,23 +1,21 @@
 """Sample-path view of the memory: drift reconstruction and replay SDE.
 
 The protocol grid defines a density path p(x, t) over [0, 1], piecewise
-linear in the mixture parameters. The same object can be realised as an
-ensemble of sample paths dX_t = s_t(X_t) dt + dW_t with unit diffusion,
-where the drift splits into three parts:
+linear in the mixture parameters. integrate_sde realises it as weighted
+sample paths dX_t = s_t(X_t) dt + dW_t with unit diffusion. The drift is
+the transport of the moving, deforming components plus the entropic
+correction (1/2) grad log p. The weight change rides on each path's
+log-weight, with rate sum_k pidot_k g_k(x) / p(x) (the Fisher-Rao half of
+Wasserstein-Fisher-Rao), so the step loop runs no quadrature.
 
-* a transport term from the moving, deforming components,
-* a weight-transport term, the gradient of a potential psi solving
-  Delta psi = sum_k pidot_k g_k (probability created by one component
-  must flow out of the others),
-* the entropic correction (1/2) grad log p that converts the
-  probability-flow field into the drift of a unit-diffusion SDE.
-
-The potential has a one-dimensional integral representation through the
-heat kernel: psi_k(x) = -(2 pi)^{-d/2} int_0^inf exp(-q^T (Sigma_k +
-2 s I)^{-1} q / 2) / sqrt(det(Sigma_k + 2 s I)) ds with q = x - m_k,
-so grad psi_k costs one adaptive quadrature per component.
-fp_residual closes the loop by checking the continuity equation
-numerically against the reconstructed drift.
+Unweighted paths carry the weight change in the drift instead, as
+-grad psi / p with Delta psi = sum_k pidot_k g_k (probability created by
+one component must flow out of the others). drift_with_stats,
+psi_potential and fp_residual use this Poisson form. Through the heat
+kernel, psi_k(x) = -(2 pi)^{-d/2} int_0^inf exp(-q^T (Sigma_k + 2 s I)^{-1} q / 2)
+/ sqrt(det(Sigma_k + 2 s I)) ds with q = x - m_k, so grad psi_k costs one
+adaptive quadrature per component. fp_residual checks the continuity
+equation numerically against that drift.
 """
 from __future__ import annotations
 
@@ -32,7 +30,8 @@ from .gm import _log_weights, _mix, _param_arrays, _symmetrize
 from .protocol import ProtocolGrid, _lerp_nodes, _nodes, _segment, eval_at
 
 # Weight rates below this (summed over components) switch the Poisson
-# term off entirely; constant-weight curricula produce exact zeros.
+# term and the replay's log-weights off entirely; constant-weight
+# curricula produce exact zeros.
 WEIGHT_RATE_TOL = 1e-12
 QUAD_REL_TOL = 1e-8
 QUAD_MAX_PANELS = 200
@@ -75,16 +74,17 @@ def _checked_rates(weight_rates, mean_rates, cov_rates):
 
 
 def _moving(weight_rates: np.ndarray) -> bool:
-    """Whether the weights move enough for the Poisson term to be on."""
+    """Whether the weights move enough for the Poisson term and the log-weights to be on."""
     return np.abs(weight_rates).sum() > WEIGHT_RATE_TOL
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One replay sample path on the uniform time grid."""
+    """One replay sample path on the uniform time grid, with its log-weight at each time."""
 
     times: np.ndarray
     states: np.ndarray
+    log_weight: np.ndarray
     path_id: int
     diverged_at: int | None = None
 
@@ -106,39 +106,41 @@ def _segment_rates(grid: ProtocolGrid, j: int):
 
 
 def _slice_parts(pts: np.ndarray, kernel, mean_rates, cov_rates):
-    """Log density, responsibilities, and (K, n, d) solves and velocities for the drift.
+    """``gm._evaluate``'s outputs and the (K, n, d) component velocities for the drift.
 
-    ``kernel`` is the mixture as ``gm._evaluate`` takes it after the points.
+    ``kernel`` is the mixture as ``gm._evaluate`` takes it after the points. A lone point
+    goes through as a doubled batch: numpy's matmul hands a single row to gemv, whose sums
+    may run in another order than gemm's, and a point's drift should not depend on its batch.
     """
-    _, logd, r, siy = _evaluate(pts, *kernel)
+    if len(pts) == 1:
+        parts = _slice_parts(np.concatenate([pts, pts]), kernel, mean_rates, cov_rates)
+        return tuple(a[:, :1] if a.ndim == 3 else a[:1] for a in parts)
+    logg, logd, r, siy = _evaluate(pts, *kernel)
     vel = mean_rates[:, None, :] + 0.5 * (siy @ np.swapaxes(cov_rates, 1, 2))
-    return logd, r, siy, vel
+    return logg, logd, r, siy, vel
 
 
 def shape_current(sl: PathSlice, x) -> np.ndarray:
     """Probability current of the moving components, sum_k pi_k g_k (mdot_k
     + Sigmadot_k Sigma_k^{-1} (x - m_k) / 2)."""
     pts = _as_points(x, sl.gm.d)
-    logd, r, _, vel = _slice_parts(pts, sl.gm._kernel, sl.mean_rates, sl.cov_rates)
+    _, logd, r, _, vel = _slice_parts(pts, sl.gm._kernel, sl.mean_rates, sl.cov_rates)
     return _mix(np.exp(logd)[:, None] * r, vel)
 
 
-def _adaptive_integral(f, tol: float, max_panels: int, edges=(0.0, 1.0)):
+def _adaptive_integral(f, tol: float, max_panels: int):
     """Integrate a batch of columns over u in [0, 1] with shared panels.
 
     ``f(u, w)`` takes the 22 nodes u (P, q) of P panels' 15- and 7-point
     Gauss-Legendre rules and their weights w (P, 2, q), each rule's row
     zero on the other rule's nodes, and returns the weighted sums
-    (P, 2, B), fine rule first. The panels between ``edges`` go through
-    one call, and each split evaluates its two halves in one more call.
+    (P, 2, B), fine rule first. The panel [0, 1] goes through one call,
+    and each split evaluates its two halves in one more call.
     All columns are refined together on a common panel set, so
     differences of nearby columns (finite-difference stencils) see the
     same quadrature error and it cancels. Panels split at the largest
     15-vs-7-point discrepancy until the pooled error estimate drops below
-    ``tol`` relative to the largest column; the starting panels count
-    toward ``max_panels``. Returns the fine-rule total (B,) and the final
-    ascending panel edges, ``edges`` as given if no panel split; they can
-    start the next integral of a similar integrand.
+    ``tol`` relative to the largest column. Returns the fine-rule total (B,).
     """
 
     def evaluate(a: np.ndarray, b: np.ndarray):
@@ -147,15 +149,14 @@ def _adaptive_integral(f, tol: float, max_panels: int, edges=(0.0, 1.0)):
         sums = f(u, half[:, None, None] * _GL_WEIGHTS)
         return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1]).max(axis=1)
 
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
+    lo, hi = np.zeros(1), np.ones(1)
     fine, err = evaluate(lo, hi)
     while True:
         total = fine.sum(axis=0)
         scale = max(float(np.abs(total).max()), DENSITY_FLOOR)
         pooled = sum(err.tolist())
         if pooled <= tol * scale:
-            return total, edges if len(lo) == len(edges) - 1 else np.append(np.sort(lo), hi.max())
+            return total
         if len(lo) >= max_panels:
             raise NumericalError(
                 f"potential quadrature stalled at {len(lo)} panels "
@@ -171,29 +172,17 @@ def _adaptive_integral(f, tol: float, max_panels: int, edges=(0.0, 1.0)):
         err = np.concatenate([err[keep], halves[1]])
 
 
-def _poisson_inputs(weight_rates, means, covs):
-    """Rates, means, covariance eigenvalues and eigenbases of the components with a nonzero
-    weight rate, over the leading axes of ``means`` (one batched eigh); None while the
-    weights do not move."""
-    if not _moving(weight_rates):
-        return None
-    active = np.nonzero(np.abs(weight_rates) > 0.0)[0]
-    means, covs = means[..., active, :], covs[..., active, :, :]
-    return (np.broadcast_to(weight_rates[active], means.shape[:-1]), means, *np.linalg.eigh(covs))
-
-
-def _psi_terms(pts: np.ndarray, poisson, with_potential: bool, panels=None):
+def _psi_terms(pts: np.ndarray, poisson, with_potential: bool):
     """Quadrature for grad psi (n, d) and, optionally, psi itself (n,).
 
-    ``poisson`` is one instant's ``_poisson_inputs``; both are zero, and no quadrature
+    ``poisson`` is one instant's ``_poisson_of``; both are zero, and no quadrature
     runs, when it is None. One batched matmul projects the points onto every moving
     component's eigenbasis, where each integral maps s = lam_max u / (1 - u) onto the unit
     interval; the gradient rotates back afterwards. Only the kernel and the denominators
     depend on the node, so the rule weights fold into the small (P, d, q) inverse
     denominators: one batched (P, 2 d, q) @ (P, q, n) matmul gives both rules' sums of
     kernel / den, z multiplies them, and no (q, n, d) node tensor is built. The columns are
-    dimension-major, (d, n). ``panels`` maps a moving component's position in ``poisson``
-    to the panel edges its integral starts from (default [0, 1]) and receives its final edges.
+    dimension-major, (d, n).
     """
     n, d = pts.shape
     grad = np.zeros((n, d))
@@ -202,7 +191,6 @@ def _psi_terms(pts: np.ndarray, poisson, with_potential: bool, panels=None):
         return grad, pot
     if with_potential and d <= 2:
         raise ValueError("the potential integral diverges for d <= 2; use the gradient")
-    panels = {} if panels is None else panels
     norm = (2.0 * np.pi) ** (-0.5 * d)
     rates, means, lams, bases = poisson
     projected = (pts[None, :, :] - means[:, None, :]) @ bases
@@ -226,9 +214,7 @@ def _psi_terms(pts: np.ndarray, poisson, with_potential: bool, panels=None):
                 out = np.concatenate([out, w @ kernel], axis=2)
             return out
 
-        total, panels[k] = _adaptive_integral(
-            integrand, QUAD_REL_TOL, QUAD_MAX_PANELS, panels.get(k, (0.0, 1.0))
-        )
+        total = _adaptive_integral(integrand, QUAD_REL_TOL, QUAD_MAX_PANELS)
         rate = float(rates[k])
         grad += rate * norm * total[: n * d].reshape(d, n).T @ q_basis.T
         if with_potential:
@@ -237,20 +223,21 @@ def _psi_terms(pts: np.ndarray, poisson, with_potential: bool, panels=None):
 
 
 def _poisson_of(sl: PathSlice):
-    """``_poisson_inputs`` at a PathSlice's instant: the front end of ``_psi_terms``."""
-    return _poisson_inputs(sl.weight_rates, sl.gm.means, sl.gm.covs)
+    """The front end of ``_psi_terms``: rates, means, covariance eigenvalues and eigenbases of
+    the slice's components with a nonzero weight rate; None while the weights do not move."""
+    if not _moving(sl.weight_rates):
+        return None
+    active = np.nonzero(np.abs(sl.weight_rates) > 0.0)[0]
+    return (sl.weight_rates[active], sl.gm.means[active], *np.linalg.eigh(sl.gm.covs[active]))
 
 
-def poisson_psi_grad(sl: PathSlice, x, panels=None) -> np.ndarray:
+def poisson_psi_grad(sl: PathSlice, x) -> np.ndarray:
     """Gradient of the weight-transport potential at x.
 
     Zero whenever the weight rates vanish; otherwise one adaptive
     quadrature per component with a nonzero rate, batched over points.
-    ``panels``, a dict the caller owns, maps each component with a nonzero rate (numbered
-    from 0 in index order) to the panel edges its quadrature starts from and receives the
-    edges it ended on; None starts every component from [0, 1].
     """
-    return _psi_terms(_as_points(x, sl.gm.d), _poisson_of(sl), False, panels)[0]
+    return _psi_terms(_as_points(x, sl.gm.d), _poisson_of(sl), False)[0]
 
 
 def psi_potential(sl: PathSlice, x) -> np.ndarray:
@@ -262,35 +249,36 @@ def psi_potential(sl: PathSlice, x) -> np.ndarray:
     return _psi_terms(_as_points(x, sl.gm.d), _poisson_of(sl), True)[1]
 
 
-def drift_with_stats(sl: PathSlice, x, panels=None) -> tuple[np.ndarray, int]:
-    """SDE drift at x plus the number of density-clamped evaluations.
+def drift_with_stats(sl: PathSlice, x) -> tuple[np.ndarray, int]:
+    """Drift of unweighted paths at x, Poisson term included, plus the number of
+    density-clamped evaluations.
 
     The component-transport part and the half-score are evaluated
     through responsibilities and never divide by the density; only the
     Poisson term needs the division, clamped at the floor in far tails.
-    ``panels`` is as in ``poisson_psi_grad``: the quadrature panel edges
-    per moving component to start from, updated in place.
     """
     pts = _as_points(x, sl.gm.d)
-    return _drift(pts, sl.gm._kernel, sl.mean_rates, sl.cov_rates, _poisson_of(sl), panels)[:2]
+    return _drift(pts, sl.gm._kernel, sl.mean_rates, sl.cov_rates, _poisson_of(sl))[:2]
 
 
-def _drift(pts, kernel, mean_rates, cov_rates, poisson=None, panels=None):
-    """Drift (n, d), density clamp count, log density (n,) and score (n, d) at points (n, d).
+def _drift(pts, kernel, mean_rates, cov_rates, poisson=None):
+    """Drift (n, d), density clamp count, log density (n,), score (n, d) and component log
+    densities (n, K) at points (n, d).
 
     ``kernel`` is the mixture as ``gm._evaluate`` takes it after the points,
     and the rates are a PathSlice's. ``poisson`` is the Poisson term's arrays
-    (``_psi_terms``), None while the weights do not move.
+    (``_poisson_of``); without them the drift is the component transport plus
+    the half-score, the weighted replay's drift.
     """
-    logd, r, siy, vel = _slice_parts(pts, kernel, mean_rates, cov_rates)
+    logg, logd, r, siy, vel = _slice_parts(pts, kernel, mean_rates, cov_rates)
     score = -_mix(r, siy)
     out = _mix(r, vel) + 0.5 * score
     clamped = 0
     if poisson is not None:
         dens = np.exp(logd)
         clamped = int(np.count_nonzero(dens < DENSITY_FLOOR))
-        out -= _psi_terms(pts, poisson, False, panels)[0] / np.maximum(dens, DENSITY_FLOOR)[:, None]
-    return out, clamped, logd, score
+        out -= _psi_terms(pts, poisson, False)[0] / np.maximum(dens, DENSITY_FLOOR)[:, None]
+    return out, clamped, logd, score, logg
 
 
 def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
@@ -315,7 +303,7 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
     stencil = np.concatenate(
         [pts[:, None, :] + offsets[None, :, :], pts[:, None, :] - offsets[None, :, :]], axis=1
     ).reshape(-1, d)
-    vel, _, logd, score = _drift(
+    vel, _, logd, score, _ = _drift(
         stencil, sl.gm._kernel, sl.mean_rates, sl.cov_rates, _poisson_of(sl)
     )
     current = np.exp(logd)[:, None] * (vel - 0.5 * score)
@@ -329,51 +317,47 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
 
 
 def _step_drift_args(grid: ProtocolGrid, times: np.ndarray):
-    """Yield ``_drift``'s arguments after the points for each of the ascending times.
+    """Yield the point kernel, the mean and cov rates and the weight rates (None while the
+    weights do not move) for each of the ascending times.
 
     Each segment's times are interpolated in one gather, their covariances
-    symmetrized as GaussianMixture does, factored in one batched call and, on
-    moving weights, diagonalized in one more (``_poisson_inputs``); its rates are
-    checked once, as PathSlice checks them. No step builds a mixture or a
-    PathSlice, and the Poisson term's panels dict is shared along the segment.
+    symmetrized as GaussianMixture does and factored in one batched call; its
+    rates are checked once, as PathSlice checks them. No step builds a mixture
+    or a PathSlice.
     """
     seg, alpha = _segment(times, grid.L)
     starts = np.flatnonzero(np.diff(seg, prepend=-1))
     for a, b in zip(starts, np.append(starts[1:], len(times))):
         wr, mr, cr = _checked_rates(*_segment_rates(grid, seg[a]))
         w, m, c = _lerp_nodes(_nodes(grid), seg[a:b], alpha[a:b])
-        c = _symmetrize(c)
-        _, inv, log_norms = _factor(c)
+        _, inv, log_norms = _factor(_symmetrize(c))
         log_w = _log_weights(w)
-        poisson, panels = _poisson_inputs(wr, m, c), {}
+        wr = wr if _moving(wr) else None
         for i in range(b - a):
-            step = None if poisson is None else tuple(p[i] for p in poisson)
-            yield (log_w[i], m[i], inv[i], log_norms[i]), mr, cr, step, panels
+            yield (log_w[i], m[i], inv[i], log_norms[i]), mr, cr, wr
 
 
 def integrate_sde(
     grid: ProtocolGrid, n_paths: int = 1000, steps: int = 400, seed: int = 0
 ) -> list[Trajectory]:
-    """Euler-Maruyama replay paths from t = 0 to t = 1, unit diffusion.
+    """Weighted Euler-Maruyama replay paths from t = 0 to t = 1, unit diffusion.
 
     Path i has its own generator, the i-th spawn of the seed. It draws a
     uniform that picks the start component, then a (steps + 1, d) normal
     block: row 0 places the start in that component, row s + 1 is step
-    s's increment. Each row is overwritten by the state it leads to. All
-    paths step as one array until one turns non-finite; that path is
-    NaN-filled from there and the rest step as one compact array. Repeat
-    calls with the same n_paths reproduce bit for bit, and on
-    constant-weight grids a path does not depend on n_paths. When the
-    weights move, the Poisson quadrature pools its error test over the
-    alive batch and starts each step from the panels the segment's last
-    step ended on, so each drift depends on the siblings and the earlier
-    steps at quadrature accuracy.
+    s's increment. Each row is overwritten by the state it leads to. The
+    drift is the component transport plus the half-score; step s adds
+    dt sum_k pidot_k g_k(x) / p(x) at its start to the path's log-weight,
+    which starts at 0 and stays there while the weights do not move. A
+    marginal is the average with weights exp(log_weight) normalised over
+    the paths. All paths step as one array until one turns non-finite
+    (state or log-weight); that path is NaN-filled from there and the rest
+    step as one compact array. A path depends only on its own draws, so it
+    does not depend on n_paths, and repeat calls reproduce it bit for bit.
 
-    Along a grid segment the parameters are linear in t and the rates
-    constant, so each segment is gathered, factored and, on moving weights,
-    diagonalized once (``_step_drift_args``); a step does point work and one
-    batched projection per Poisson term, and its drift equals
-    ``drift_with_stats(path_slice(grid, t), ...)`` bit for bit.
+    Each segment is gathered and factored once (``_step_drift_args``), so a
+    step does point work only; its drift equals ``drift_with_stats`` bit for
+    bit on ``path_slice(grid, t)`` with the weight rates zeroed.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -390,21 +374,29 @@ def integrate_sde(
         rng.standard_normal(out=states[i])
     x = eval_at(grid, 0.0)._sample_from(u, states[:, 0])
     states[:, 0] = x
+    log_w, lw, weighted = np.zeros((n_paths, steps + 1)), np.zeros(n_paths), False
     diverged = np.full(n_paths, -1)
-    rows, alive = np.arange(n_paths), slice(None)  # x holds the rows alive of states
-    for s, step in enumerate(_step_drift_args(grid, times[:-1])):
-        x = x + _drift(x, *step)[0] * dt + root * states[alive, s + 1]
+    rows, alive = np.arange(n_paths), slice(None)  # x and lw hold the rows alive
+    for s, (kernel, mr, cr, wr) in enumerate(_step_drift_args(grid, times[:-1])):
+        vel, _, logd, _, logg = _drift(x, kernel, mr, cr)
+        x = x + vel * dt + root * states[alive, s + 1]
         ok = np.isfinite(x).all(axis=1)
+        if wr is not None:
+            lw = lw + (np.exp(logg - logd[:, None]) * wr).sum(axis=1) * dt
+            ok &= np.isfinite(lw)
+            weighted = True
         if not ok.all():
             idx = rows[alive]
             diverged[idx[~ok]] = s + 1
-            states[idx[~ok], s + 1 :] = np.nan
-            alive, x = idx[ok], x[ok]
+            states[idx[~ok], s + 1 :] = log_w[idx[~ok], s + 1 :] = np.nan
+            alive, x, lw = idx[ok], x[ok], lw[ok]
             if alive.size == 0:
                 break
         states[alive, s + 1] = x
+        if weighted:  # log_w stays untouched, all zero, until the weights move
+            log_w[alive, s + 1] = lw
     return [
-        Trajectory(times, states[i], i, None if flag < 0 else int(flag))
+        Trajectory(times, states[i], log_w[i], i, None if flag < 0 else int(flag))
         for i, flag in enumerate(diverged)
     ]
 

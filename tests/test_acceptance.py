@@ -312,6 +312,35 @@ def test_criterion_14_dynamics_properties():
     assert sde_time < 30.0
 
 
+def test_criterion_14_weighted_replay_on_moving_weights():
+    # on moving weights the replay paths carry log-weights, not a Poisson drift:
+    # they stay in the bulk, and the self-normalised weighted terminal moments
+    # match the grid endpoint within 4 effective-sample-size (ESS) based SE
+    grid = build_final_state(RunConfig(stream=make_config("rotating_dominance", d=12))).grid
+    mom = eval_at(grid, 1.0).overall_moments()
+    for seed in range(4):
+        trajs = integrate_sde(grid, n_paths=2000, steps=100, seed=seed)
+        farthest = max(float(np.linalg.norm(t.states, axis=1).max()) for t in trajs)
+        terminal = np.stack([t.states[-1] for t in trajs])
+        log_w = np.array([t.log_weight[-1] for t in trajs])
+        w = np.exp(log_w - log_w.max())
+        w /= w.sum()
+        ess = 1.0 / (w @ w)
+        mean = w @ terminal
+        centred = terminal - mean
+        prods = centred[:, :, None] * centred[:, None, :]
+        cov = np.einsum("n,nij->ij", w, prods)
+        mean_dev = np.abs(mean - mom.mean) / np.sqrt(w @ centred**2 / ess)
+        cov_se = np.sqrt(np.einsum("n,nij->ij", w, (prods - cov) ** 2) / ess)
+        dev = max(mean_dev.max(), (np.abs(cov - mom.cov) / cov_se).max())
+        flagged = sum(t.diverged_at is not None for t in trajs)
+        report(14, dev < 4.0 and farthest <= 50.0 and flagged == 0,
+               f"weighted SDE seed {seed}: ESS={ess:.0f}, dev={dev:.2f} SE (< 4), "
+               f"max |x|={farthest:.1f} (<= 50), {flagged} flagged")
+        assert flagged == 0 and farthest <= 50.0
+        assert dev < 4.0
+
+
 def test_criterion_15_oracle_equivalences():
     rng = np.random.default_rng(15)
 

@@ -8,6 +8,7 @@ import pytest
 
 import casmem.harness as harness
 from casmem.cli import main as cli_main
+from casmem.dynamics import integrate_sde
 from casmem.errors import ConfigError, NumericalError
 from casmem.gm import GaussianMixture, stack_mixtures
 from casmem.harness import (
@@ -671,6 +672,26 @@ def test_cli_movie_and_trajectories(tmp_path, capsys):
         assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
     by_file = (tmp_path / "file" / "trajectories.csv").read_bytes()
     assert by_file != (out / "trajectories.csv").read_bytes()
+    # constant weights: every log-weight is 0, and no log_weights.csv is written
+    assert sorted(p.name for p in out.iterdir()) == ["frames.json", "trajectories.csv"]
+
+
+def test_cli_movie_writes_log_weights_when_weights_move(tmp_path, capsys):
+    stream = {"kind": "rotating_dominance", "n_days": 12, "d": 3}
+    cfg = write_cfg(tmp_path, stream=stream, L=4)
+    out = tmp_path / "mv"
+    argv = ["movie", "--config", cfg, "--frames", "3", "--paths", "4", "--steps", "10"]
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {"paths": 4, "diverged": 0}
+    rows = (out / "log_weights.csv").read_text().splitlines()
+    assert rows[0] == "path_id,step,t,log_w" and len(rows) == 1 + 4 * 11
+    # the rows follow trajectories.csv's (path_id, step, t) and hold each path's log_weight
+    paths = (out / "trajectories.csv").read_text().splitlines()
+    assert [r.rsplit(",", 1)[0] for r in rows[1:]] == [",".join(r.split(",")[:3]) for r in paths[1:]]
+    grid = build_final_state(small_cfg(kind="rotating_dominance", n_days=12, d=3, L=4)).grid
+    want = [w for tr in integrate_sde(grid, 4, 10, seed=0) for w in tr.log_weight]
+    assert [float(r.rsplit(",", 1)[1]) for r in rows[1:]] == want
+    assert want[0] == 0.0 and any(w != 0.0 for w in want)
 
 
 def test_cli_drift_check(tmp_path, capsys):
