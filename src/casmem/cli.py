@@ -132,7 +132,7 @@ def cmd_movie(args) -> int:
                 coords = ",".join(repr(float(v)) for v in tr.states[s])
                 lines.append(f"{tr.path_id},{s},{float(t)!r},{coords}")
         write_text(os.path.join(args.out or ".", "trajectories.csv"), "\n".join(lines) + "\n")
-        if np.diff(state.grid.weights, axis=0).any():  # else every log-weight is 0
+        if any(tr.log_weight.any() for tr in trajs):  # some segment's weights move
             rows = ["path_id,step,t,log_w"] + [
                 f"{tr.path_id},{s},{float(t)!r},{float(w)!r}"
                 for tr in trajs

@@ -109,8 +109,8 @@ def _slice_parts(pts: np.ndarray, kernel, mean_rates, cov_rates):
     """``gm._evaluate``'s outputs and the (K, n, d) component velocities for the drift.
 
     ``kernel`` is the mixture as ``gm._evaluate`` takes it after the points. A lone point
-    goes through as a doubled batch: numpy's matmul hands a single row to gemv, whose sums
-    may run in another order than gemm's, and a point's drift should not depend on its batch.
+    goes through as a doubled batch, as numpy's matmul hands one row to gemv; a row then
+    matches any batch bit for bit if gemm sums rows alike at every count (OpenBLAS 0.3.31 does).
     """
     if len(pts) == 1:
         parts = _slice_parts(np.concatenate([pts, pts]), kernel, mean_rates, cov_rates)
@@ -292,8 +292,7 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
     """
     pts = _as_points(pts, grid.d)
     n, d = pts.shape
-    dt = 1e-5
-    h = 1e-4
+    dt, h = 1e-5, 1e-4
     if not dt < t < 1.0 - dt or _segment(t - dt, grid.L)[0] != _segment(t + dt, grid.L)[0]:
         raise ValueError(f"t = {t!r} is not inside a segment interior at time step {dt}")
     dpdt = (eval_at(grid, t + dt).density(pts) - eval_at(grid, t - dt).density(pts)) / (2.0 * dt)
@@ -348,12 +347,13 @@ def integrate_sde(
     s's increment. Each row is overwritten by the state it leads to. The
     drift is the component transport plus the half-score; step s adds
     dt sum_k pidot_k g_k(x) / p(x) at its start to the path's log-weight,
-    which starts at 0 and stays there while the weights do not move. A
-    marginal is the average with weights exp(log_weight) normalised over
-    the paths. All paths step as one array until one turns non-finite
-    (state or log-weight); that path is NaN-filled from there and the rest
-    step as one compact array. A path depends only on its own draws, so it
-    does not depend on n_paths, and repeat calls reproduce it bit for bit.
+    which starts at 0; if no step's weights move, every path shares one
+    read-only row of zeros. A marginal is the average with weights
+    exp(log_weight) normalised over the paths. All paths step as one array
+    until one turns non-finite (state or log-weight); that path is
+    NaN-filled from there and the rest step as one compact array. A path
+    depends only on its own draws (``_slice_parts`` says when its bits do
+    not depend on n_paths); repeat calls reproduce it bit for bit.
 
     Each segment is gathered and factored once (``_step_drift_args``), so a
     step does point work only; its drift equals ``drift_with_stats`` bit for
@@ -365,7 +365,6 @@ def integrate_sde(
         raise ValueError(f"steps must be >= 1, got {steps}")
     times = np.linspace(0.0, 1.0, steps + 1)
     dt = 1.0 / steps
-    root = np.sqrt(dt)
     u = np.empty(n_paths)
     states = np.empty((n_paths, steps + 1, grid.d))
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
@@ -379,7 +378,7 @@ def integrate_sde(
     rows, alive = np.arange(n_paths), slice(None)  # x and lw hold the rows alive
     for s, (kernel, mr, cr, wr) in enumerate(_step_drift_args(grid, times[:-1])):
         vel, _, logd, _, logg = _drift(x, kernel, mr, cr)
-        x = x + vel * dt + root * states[alive, s + 1]
+        x = x + vel * dt + np.sqrt(dt) * states[alive, s + 1]
         ok = np.isfinite(x).all(axis=1)
         if wr is not None:
             lw = lw + (np.exp(logg - logd[:, None]) * wr).sum(axis=1) * dt
@@ -395,6 +394,7 @@ def integrate_sde(
         states[alive, s + 1] = x
         if weighted:  # log_w stays untouched, all zero, until the weights move
             log_w[alive, s + 1] = lw
+    log_w = log_w if weighted else [_frozen(np.zeros(steps + 1))] * n_paths
     return [
         Trajectory(times, states[i], log_w[i], i, None if flag < 0 else int(flag))
         for i, flag in enumerate(diverged)

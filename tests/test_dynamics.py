@@ -340,6 +340,8 @@ def test_integrate_sde_is_deterministic_per_path():
         assert x.diverged_at is None and y.diverged_at is None
         assert np.array_equal(x.states, y.states)
         assert np.array_equal(x.log_weight, y.log_weight)
+    # bit equality across batch sizes needs gemm to sum a row alike at every row count,
+    # which the OpenBLAS build these tests run on does (see dynamics._slice_parts)
     lone = integrate_sde(rot, n_paths=1, steps=30, seed=9)[0]
     assert lone.diverged_at is None
     assert np.array_equal(lone.states, batch[0].states)
@@ -360,11 +362,12 @@ def reference_integrate_sde(grid, n_paths, steps, seed):
         rng.standard_normal(out=states[i])
     x = eval_at(grid, 0.0)._sample_from(u, states[:, 0])
     states[:, 0] = x
-    log_w, lw = np.zeros((n_paths, steps + 1)), np.zeros(n_paths)
+    log_w, lw, moved = np.zeros((n_paths, steps + 1)), np.zeros(n_paths), False
     diverged = np.full(n_paths, -1)
     rows, alive = np.arange(n_paths), slice(None)
     for s in range(steps):
         sl = path_slice(grid, float(times[s]))
+        moved |= bool(np.any(sl.weight_rates != 0.0))
         frozen = PathSlice(sl.gm, np.zeros(sl.gm.k), sl.mean_rates, sl.cov_rates)
         xa = x[alive]
         vel, _ = drift_with_stats(frozen, xa)
@@ -381,6 +384,8 @@ def reference_integrate_sde(grid, n_paths, steps, seed):
                 break
         states[alive, s + 1] = x[alive]
         log_w[alive, s + 1] = lw[alive]
+    if not moved:  # constant weights: every log-weight is 0, a flagged path's too
+        log_w[:] = 0.0
     return states, log_w, diverged
 
 
@@ -501,10 +506,40 @@ def test_integrate_sde_flags_divergence(monkeypatch):
         return vel, *rest
 
     monkeypatch.setattr(dyn, "_drift", exploding)
-    tr = integrate_sde(grid, n_paths=2, steps=10, seed=1)[0]
+    trajs = integrate_sde(grid, n_paths=2, steps=10, seed=1)
+    tr = trajs[0]
     assert tr.diverged_at == 4
     assert np.isfinite(tr.states[:4]).all()
     assert np.isnan(tr.states[4:]).all()
+    # constant weights: the paths share one read-only row of zeros, flagged or not
+    assert tr.log_weight is trajs[1].log_weight and not tr.log_weight.flags.writeable
+    assert np.array_equal(tr.log_weight, np.zeros(11))
+
+
+def test_integrate_sde_flags_a_non_finite_log_weight(monkeypatch):
+    # moving weights: a log-weight that turns non-finite flags its path, and
+    # the path's states and log-weight are NaN from that step on
+    grid = small_grid("rotating_dominance", n_days=8, L=4, d=3)
+    clean = integrate_sde(grid, n_paths=3, steps=10, seed=1)
+    real, calls = dyn._drift, []
+
+    def poisoned(x, *args):
+        vel, clamped, logd, score, logg = real(x, *args)
+        calls.append(len(x))
+        if len(calls) == 4:
+            logg = logg.copy()
+            logg[1, 0] = np.inf
+        return vel, clamped, logd, score, logg
+
+    monkeypatch.setattr(dyn, "_drift", poisoned)
+    trajs = integrate_sde(grid, n_paths=3, steps=10, seed=1)
+    assert [t.diverged_at for t in trajs] == [None, 4, None]
+    assert np.array_equal(trajs[1].states[:4], clean[1].states[:4])
+    assert np.array_equal(trajs[1].log_weight[:4], clean[1].log_weight[:4])
+    assert np.isnan(trajs[1].states[4:]).all() and np.isnan(trajs[1].log_weight[4:]).all()
+    for i in (0, 2):
+        assert np.array_equal(trajs[i].states, clean[i].states)
+        assert np.array_equal(trajs[i].log_weight, clean[i].log_weight)
 
 
 def test_integrate_sde_draws_follow_each_paths_generator():
