@@ -292,7 +292,8 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
     """
     pts = _as_points(pts, grid.d)
     n, d = pts.shape
-    dt, h = 1e-5, 1e-4
+    dt = 1e-5
+    h = 1e-4
     if not dt < t < 1.0 - dt or _segment(t - dt, grid.L)[0] != _segment(t + dt, grid.L)[0]:
         raise ValueError(f"t = {t!r} is not inside a segment interior at time step {dt}")
     dpdt = (eval_at(grid, t + dt).density(pts) - eval_at(grid, t - dt).density(pts)) / (2.0 * dt)
@@ -351,9 +352,8 @@ def integrate_sde(
     read-only row of zeros. A marginal is the average with weights
     exp(log_weight) normalised over the paths. All paths step as one array
     until one turns non-finite (state or log-weight); that path is
-    NaN-filled from there and the rest step as one compact array. A path
-    depends only on its own draws (``_slice_parts`` says when its bits do
-    not depend on n_paths); repeat calls reproduce it bit for bit.
+    NaN-filled from there and the rest step as one compact array. Repeat
+    calls reproduce a path bit for bit, as do other n_paths (``_slice_parts``).
 
     Each segment is gathered and factored once (``_step_drift_args``), so a
     step does point work only; its drift equals ``drift_with_stats`` bit for
