@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ConfigError
 
 SIMPLEX_TOL = 1e-12
+# Simplex bound for weights derived from valid ones: lerps, and L-scaled node
+# differences, which sum to 0 within 2 L SIMPLEX_TOL (covered up to L of about 7,000).
+DERIVED_WEIGHT_TOL = float(np.sqrt(np.finfo(float).eps))
 SYMMETRY_TOL = 1e-10
 # Positive-definiteness is judged relative to the largest eigenvalue, so
 # near-point mixtures (covariance eps * I) remain valid.
@@ -158,7 +161,7 @@ class GaussianMixture:
         """Samples from uniforms u (n,) and normals z (n, d), picking components as
         ``Generator.choice`` does: the first whose weight CDF exceeds u."""
         w = self.weights
-        if np.any(w < 0.0) or not abs(w.sum() - 1.0) <= np.sqrt(np.finfo(float).eps):
+        if np.any(w < 0.0) or not abs(w.sum() - 1.0) <= DERIVED_WEIGHT_TOL:
             raise ValueError(f"weights are not probabilities: {w.tolist()}")
         cdf = w.cumsum()
         cdf /= cdf[-1]

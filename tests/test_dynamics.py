@@ -542,6 +542,34 @@ def test_integrate_sde_flags_a_non_finite_log_weight(monkeypatch):
         assert np.array_equal(trajs[i].log_weight, clean[i].log_weight)
 
 
+def test_integrate_sde_flags_a_path_before_the_weights_move(monkeypatch):
+    # segment 0 keeps the weights, segment 1 moves them: a path flagged in
+    # segment 0 has a NaN log-weight from its flag on, like its states
+    means, covs = np.array([[0.0, 0.0], [1.5, 0.0]]), np.stack([np.eye(2), np.eye(2)])
+    weights = ([0.5, 0.5], [0.5, 0.5], [0.7, 0.3])
+    nodes = [GaussianMixture(np.array(w), means, covs) for w in weights]
+    grid = ProtocolGrid(*stack_mixtures(nodes))
+    clean = integrate_sde(grid, n_paths=3, steps=10, seed=3)
+    real, calls = dyn._drift, []
+
+    def one_bad(x, *args):
+        vel, *rest = real(x, *args)
+        calls.append(len(x))
+        if len(calls) == 2:
+            vel[1] = np.inf
+        return vel, *rest
+
+    monkeypatch.setattr(dyn, "_drift", one_bad)
+    trajs = integrate_sde(grid, n_paths=3, steps=10, seed=3)
+    assert [t.diverged_at for t in trajs] == [None, 2, None]
+    assert np.array_equal(trajs[1].log_weight[:2], np.zeros(2))
+    assert np.isnan(trajs[1].log_weight[2:]).all() and np.isnan(trajs[1].states[2:]).all()
+    for i in (0, 2):
+        assert np.array_equal(trajs[i].states, clean[i].states)
+        assert np.array_equal(trajs[i].log_weight, clean[i].log_weight)
+        assert trajs[i].log_weight[-1] != 0.0
+
+
 def test_integrate_sde_draws_follow_each_paths_generator():
     # path i's generator draws the uniform that picks the start component,
     # then the start's normals, then one row of normals per step: the start
@@ -579,8 +607,8 @@ def test_integrate_sde_refuses_start_weights_off_the_simplex(weights):
 
 
 def test_integrate_sde_single_divergence_leaves_the_other_paths_alone(monkeypatch):
-    # the batch steps as a whole until path 7 turns non-finite at step 5;
-    # from there the other 29 step as an index subset, bit for bit as before
+    # path 7 turns non-finite at step 5 and is NaN from there; every step's
+    # drift still takes all 30 rows, and the other 29 are bit for bit as before
     grid = small_grid("triangle", n_days=10, L=4)
     clean = integrate_sde(grid, n_paths=30, steps=20, seed=4)
     real, sizes = dyn._drift, []
@@ -594,7 +622,7 @@ def test_integrate_sde_single_divergence_leaves_the_other_paths_alone(monkeypatc
 
     monkeypatch.setattr(dyn, "_drift", one_bad)
     trajs = integrate_sde(grid, n_paths=30, steps=20, seed=4)
-    assert sizes == [30] * 6 + [29] * 14
+    assert sizes == [30] * 20
     bad = trajs[7]
     assert bad.diverged_at == 6
     assert np.array_equal(bad.states[:6], clean[7].states[:6])

@@ -8,7 +8,7 @@ import pytest
 
 import casmem.harness as harness
 from casmem.cli import main as cli_main
-from casmem.dynamics import integrate_sde
+from casmem.dynamics import PathSlice, integrate_sde
 from casmem.errors import ConfigError, NumericalError
 from casmem.gm import GaussianMixture, stack_mixtures
 from casmem.harness import (
@@ -719,6 +719,25 @@ def test_cli_drift_check(tmp_path, capsys):
     by_flag = (tmp_path / "flag" / "drift_check.json").read_bytes()
     assert by_flag == (tmp_path / "file" / "drift_check.json").read_bytes()
     assert by_flag != (out / "drift_check.json").read_bytes()
+
+
+def test_cli_paths_accept_weights_on_the_simplex_within_its_tolerance(tmp_path):
+    # prior and target each sum to 1 within SIMPLEX_TOL, in opposite directions, so the
+    # L-scaled weight rates sum to about -2.8e-12: rounding, not a rate that creates mass
+    means, covs = [[0.0, 0.0], [1.0, 0.0]], [np.eye(2).tolist()] * 2
+    prior = {"weights": [0.5, 0.5 + 9e-13], "means": means, "covs": covs}
+    target = GaussianMixture(np.array([0.5, 0.5 - 9e-13]), np.array(means), np.array(covs))
+    path = tmp_path / "target.json"
+    save_gm_file(target, path)
+    stream = {"kind": "file", "path": str(path), "n_days": 3, "K": 2, "d": 2}
+    cfg = write_cfg(tmp_path, stream=stream, L=4, prior=prior)
+    out = str(tmp_path / "o")
+    assert cli_main(["run", "--config", cfg]) == 0
+    assert cli_main(["movie", "--config", cfg, "--frames", "3", "--paths", "5", "--steps", "10",
+                     "--out", out]) == 0
+    assert cli_main(["drift-check", "--config", cfg, "--t", "0.3", "--points", "10"]) == 0
+    with pytest.raises(ValueError, match="sum to zero"):
+        PathSlice(default_prior(2, 2), np.array([0.5, 0.1]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
 
 
 def test_cli_fifo(tmp_path, capsys):

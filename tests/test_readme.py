@@ -13,14 +13,17 @@ def python_blocks(text):
     return re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
 
 
-def test_readme_python_blocks_run_in_order():
+def test_readme_python_blocks_run_on_their_own():
+    # each block runs in a fresh namespace, so a block that leans on an
+    # earlier block's imports or names fails here as it would for a reader
     blocks = python_blocks(README.read_text())
     assert len(blocks) >= 2
-    namespace = {"__name__": "readme"}
+    namespaces = []
     for i, block in enumerate(blocks):
-        exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
-    assert namespace["result"].half_life == 30
-    assert len(namespace["trajs"]) == 100
+        namespaces.append({"__name__": "readme"})
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), namespaces[-1])
+    assert namespaces[0]["result"].half_life == 30
+    assert len(namespaces[1]["trajs"]) == 100
 
 
 def test_all_lists_resolvable_non_module_names():
