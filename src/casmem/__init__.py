@@ -23,8 +23,8 @@ from .harness import (
     export, fifo_baseline, restore_state, run_experiment, snapshot_state, sweep,
 )
 from .metrics import (
-    RECORD_DTYPE, AgeCurve, age_curve, channel_shares, day_records, decomposed_forgetting,
-    half_life, match_components, moment_gap, score_recall,
+    RECORD_DTYPE, AgeCurve, RunTargets, age_curve, channel_shares, day_records,
+    decomposed_forgetting, half_life, match_components, moment_gap, run_targets, score_recall,
 )
 from .protocol import (
     MemoryState, ProtocolGrid, add, eval_at, incorporate, memory_footprint, new_memory,
@@ -44,8 +44,9 @@ __all__ = [
     "new_memory", "readout_time", "rebin_indices", "rebin_matrix", "replay", "replay_block",
     "smooth", "stored_pairs",
     # metrics
-    "RECORD_DTYPE", "AgeCurve", "age_curve", "channel_shares", "day_records",
-    "decomposed_forgetting", "half_life", "match_components", "moment_gap", "score_recall",
+    "RECORD_DTYPE", "AgeCurve", "RunTargets", "age_curve", "channel_shares", "day_records",
+    "decomposed_forgetting", "half_life", "match_components", "moment_gap", "run_targets",
+    "score_recall",
     # streams
     "StreamConfig", "class_prior", "default_prior", "generate", "load_gm_file", "make_config",
     "save_gm_file", "synthetic_class_mixture",

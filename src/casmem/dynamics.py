@@ -29,10 +29,6 @@ from .gm import DENSITY_FLOOR, DERIVED_WEIGHT_TOL, GaussianMixture, _as_points, 
 from .gm import _factor, _frozen, _log_weights, _mix, _param_arrays, _symmetrize
 from .protocol import ProtocolGrid, _lerp_nodes, _nodes, _segment, eval_at
 
-# Weight rates below this (summed over components) switch the Poisson term and the
-# replay's log-weights off. Constant-weight curricula leave rounding noise, not exact
-# zeros (up to 2.8e-15 per segment on crowding K = 5, L = 10); this keeps them constant.
-WEIGHT_RATE_TOL = 1e-12
 QUAD_REL_TOL = 1e-8
 QUAD_MAX_PANELS = 200
 
@@ -74,8 +70,13 @@ def _checked_rates(weight_rates, mean_rates, cov_rates):
 
 
 def _moving(weight_rates: np.ndarray) -> bool:
-    """Whether the weights move enough for the Poisson term and the log-weights to be on."""
-    return np.abs(weight_rates).sum() > WEIGHT_RATE_TOL
+    """Whether the weights move enough for the Poisson term and the log-weights to be on.
+
+    Nodes whose weights agree up to the simplex rounding of valid inputs leave rates of
+    order L SIMPLEX_TOL, not zeros; the threshold is the bound _checked_rates puts on the
+    rates' sum, so such segments stay constant.
+    """
+    return np.abs(weight_rates).sum() > DERIVED_WEIGHT_TOL
 
 
 @dataclass(frozen=True)

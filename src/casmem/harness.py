@@ -31,6 +31,7 @@ from .metrics import (
     day_records,
     half_life,
     records_csv_lines,
+    run_targets,
     score_recall,
 )
 from .protocol import MemoryState, ProtocolGrid, incorporate, new_memory, stored_pairs
@@ -149,21 +150,24 @@ def run_experiment(cfg: RunConfig, state: MemoryState | None = None) -> RunResul
     out.
     """
     targets = generate(cfg.stream)
+    prior = resolve_prior(cfg, targets[0])
     if state is not None:
-        _check_resumable(cfg, targets, state)
-    stacked = stack_mixtures(targets)
+        _check_resumable(cfg, targets, state, prior)
+    scored = run_targets(targets, prior)
     block_pairs = _block_pairs(targets[0])
-    blocks, pending = [], []
+    blocks, pending, pairs = [], [], 0
     try:
         for state in daily_states(cfg, targets, state):
             pending.append(state)
+            pairs += state.day
             _maybe_snapshot(cfg, state)
-            if sum(s.day for s in pending) >= block_pairs:
-                _score_pending(pending, blocks, stacked)
-        _score_pending(pending, blocks, stacked)
+            if pairs >= block_pairs:
+                _score_pending(pending, blocks, scored)
+                pairs = 0
+        _score_pending(pending, blocks, scored)
     except Exception:
         if cfg.outputs:
-            _score_pending(pending, blocks, stacked)
+            _score_pending(pending, blocks, scored)
             _flush_partial(cfg, blocks)
         raise
     return _result(cfg, blocks, state)
@@ -175,7 +179,7 @@ def _block_pairs(target: GaussianMixture) -> int:
     return max(1, min(BLOCK_PAIRS, BLOCK_PARAMS // per_pair))
 
 
-def _score_pending(pending: list, blocks: list, stacked) -> None:
+def _score_pending(pending: list, blocks: list, targets) -> None:
     """Score the pending states as one block onto ``blocks``.
 
     ``pending`` is emptied before scoring, so a block whose scoring fails
@@ -184,12 +188,13 @@ def _score_pending(pending: list, blocks: list, stacked) -> None:
     block = pending[:]
     pending.clear()
     if block:
-        blocks.append(day_records(block, stacked))
+        blocks.append(day_records(block, targets))
 
 
-def _check_resumable(cfg: RunConfig, targets, state: MemoryState) -> None:
+def _check_resumable(cfg: RunConfig, targets, state: MemoryState, prior) -> None:
     """Refuse a state made under another L or prior (node 0), or past the stream's end.
 
+    ``prior`` is the prior cfg resolves to.
     restore_state has compared a snapshot's stream config with cfg's already.
     """
     if state.day > len(targets):
@@ -198,7 +203,7 @@ def _check_resumable(cfg: RunConfig, targets, state: MemoryState) -> None:
         )
     if state.grid.L != cfg.L:
         raise ConfigError(f"snapshot was made with L = {state.grid.L}, config has L = {cfg.L}")
-    if state.prior.to_dict() != resolve_prior(cfg, targets[0]).to_dict():
+    if state.prior.to_dict() != prior.to_dict():
         raise ConfigError("snapshot prior differs from the prior this config resolves to")
 
 
@@ -210,9 +215,15 @@ def _concat(blocks) -> np.recarray:
 def _result(cfg: RunConfig, blocks, state: MemoryState | None) -> RunResult:
     records = _concat(blocks)
     curve = age_curve(records)
+    summary = _summary(cfg, records, curve)
+    return RunResult(records, curve, summary["half_life"], summary, state)
+
+
+def _summary(cfg: RunConfig, records, curve: AgeCurve) -> dict:
+    """The summary of a run's records and age curve, at cfg's theta."""
     hl = half_life(curve, cfg.theta)
     shares = channel_shares(records) or (None, None, None)
-    summary = {
+    return {
         "half_life": hl,
         "theta": cfg.theta,
         "max_Fbar": float(curve.values.max()) if curve.values.size else None,
@@ -222,7 +233,6 @@ def _result(cfg: RunConfig, blocks, state: MemoryState | None) -> RunResult:
         # Per-run capacity diagnostic; lives beside (not inside) the exported summary.
         "t_star": math.exp(-hl / cfg.L) if hl is not None else None,
     }
-    return RunResult(records, curve, hl, summary, state)
 
 
 def _maybe_snapshot(cfg: RunConfig, state: MemoryState) -> None:
@@ -270,11 +280,21 @@ class SweepResult:
 
 
 def sweep(cfg: RunConfig, axis: str, values) -> SweepResult:
-    """Independent runs along one config axis; fits capacity when axis is L."""
-    rows = []
-    for value in values:
-        summary = run_experiment(_apply_axis(cfg, axis, value)).summary
-        rows.append({"axis": axis, "value": value, **{k: summary[k] for k in SWEEP_COLUMNS[2:]}})
+    """Independent runs along one config axis; fits capacity when axis is L.
+
+    The records do not depend on theta, so a theta sweep runs once and
+    reads every point from that run's records and curve.
+    """
+    points = [_apply_axis(cfg, axis, value) for value in values]
+    if axis == "theta" and points:
+        run = run_experiment(cfg)
+        summaries = [_summary(point, run.records, run.curve) for point in points]
+    else:
+        summaries = [run_experiment(point).summary for point in points]
+    rows = [
+        {"axis": axis, "value": value, **{k: summary[k] for k in SWEEP_COLUMNS[2:]}}
+        for value, summary in zip(values, summaries)
+    ]
     fit = None
     if axis == "L":
         usable = [(r["value"], r["half_life"]) for r in rows if r["half_life"] is not None]
@@ -306,9 +326,9 @@ def fifo_baseline(cfg: RunConfig) -> RunResult:
     targets = generate(cfg.stream)
     prior = resolve_prior(cfg, targets[0])
     days = np.arange(1, len(targets) + 1)
-    stacked, moments = stack_mixtures(targets), prior.overall_moments()
-    kept = score_recall(stacked, stacked, moments, days, days)
-    lost = score_recall(stack_mixtures([prior] * len(days)), stacked, moments, days, days)
+    scored = run_targets(targets, prior)
+    kept = score_recall(scored.params, scored, days, days)
+    lost = score_recall(stack_mixtures([prior] * len(days)), scored, days, days)
     m, n = stored_pairs(days)
     records, recent = lost[m - 1], n - m < cfg.L
     records[recent] = kept[m[recent] - 1]

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .gm import Moments, mixture_moments
+from .gm import GaussianMixture, Moments, mixture_moments, stack_mixtures
 from .protocol import replay_block
 
 # One row per (m, n) replay comparison; a missing value is NaN: F_norm on a
@@ -103,15 +103,17 @@ def decomposed_forgetting(replayed, original) -> tuple:
     three channels are reported on their own scale; their sum is not the
     overall-moment raw forgetting except in the single-component case.
     """
-    r_w, r_m, r_c = replayed
-    o_w, o_m, o_c = original
-    perm = match_components(r_m, o_m)
-    flat = perm.reshape(-1, perm.shape[-1])
-    rows = np.arange(len(flat))[:, None]
-    o_w, o_m, o_c = (
-        a.reshape(flat.shape + a.shape[perm.ndim :])[rows, flat].reshape(a.shape)
-        for a in (o_w, o_m, o_c)
+    perm = match_components(replayed[1], original[1])
+    matched = (
+        np.take_along_axis(a, perm.reshape(perm.shape + (1,) * (a.ndim - perm.ndim)), perm.ndim - 1)
+        for a in original
     )
+    return _channels(replayed, *matched)
+
+
+def _channels(replayed, o_w, o_m, o_c) -> tuple:
+    """decomposed_forgetting's channels against original components already matched to replayed's."""
+    r_w, r_m, r_c = replayed
     w_bar = np.maximum(r_w, o_w)
     dm = r_m - o_m
     f_mean = np.einsum("...k,...k->...", w_bar, np.einsum("...kd,...kd->...k", dm, dm))
@@ -121,47 +123,72 @@ def decomposed_forgetting(replayed, original) -> tuple:
     return f_mean, f_cov, np.einsum("...k,...k->...", dw, dw)
 
 
-def score_recall(recalled, targets, prior_moments: Moments, m, n) -> np.recarray:
+@dataclass(frozen=True)
+class RunTargets:
+    """A run's daily targets, scored once: day m is row m - 1 of every field.
+
+    ``params`` are the stacked (weights, means, covs), ``moments`` their
+    overall moments and ``baseline`` their amnesia baselines, the moment
+    gap between the prior and each target.
+    """
+
+    params: tuple
+    moments: Moments
+    baseline: np.ndarray
+
+
+def run_targets(targets, prior: GaussianMixture) -> RunTargets:
+    """The daily targets (mixtures, day m at index m - 1) stacked and scored against prior."""
+    params = stack_mixtures(targets)
+    moments = mixture_moments(*params)
+    return RunTargets(params, moments, moment_gap(prior.overall_moments(), moments))
+
+
+def score_recall(recalled, targets: RunTargets, m, n) -> np.recarray:
     """Records of the pairs (m, n): day m recalled on day n.
 
-    ``recalled`` and ``targets`` are stacked (weights, means, covs) triples
-    of the recalled and the original mixtures, one row per pair; ``m`` and
-    ``n`` are the pairs' days. Every pair is scored at once: overall
-    moments and raw gaps, the amnesia baseline (the gap between the prior
-    and each target) and, for K > 1 components, the channel split. The
-    result is one RECORD_DTYPE array in pair order: F_norm is NaN where
-    the baseline is 0, the channels are NaN for K = 1.
+    ``recalled`` is the stacked (weights, means, covs) triple of the
+    recalled mixtures, one row per pair; ``targets`` are the run's daily
+    targets (run_targets); ``m`` and ``n`` are the pairs' days. Every pair
+    is scored at once: raw gaps of the overall moments, normalized by day
+    m's amnesia baseline, and, for K > 1 components, the channel split,
+    whose matching permutes day m's components in one gather. The result
+    is one RECORD_DTYPE array in pair order: F_norm is NaN where the
+    baseline is 0, the channels are NaN for K = 1.
     """
-    count, k = targets[0].shape
-    if not len(recalled[0]) == len(m) == len(n) == count:
-        raise ValueError(
-            f"{len(recalled[0])} recalled mixtures, {count} targets, {len(m)} m and {len(n)} n"
-        )
-    orig = mixture_moments(*targets)
+    rows = np.asarray(m) - 1
+    count, k = recalled[0].shape
+    if not len(rows) == len(n) == count:
+        raise ValueError(f"{count} recalled mixtures, {len(rows)} m and {len(n)} n")
+    if count and not 0 <= rows.min() <= rows.max() < len(targets.baseline):
+        raise ValueError(f"days m must lie in 1..{len(targets.baseline)}")
     rec = np.recarray(count, dtype=RECORD_DTYPE)
     rec.m = m
     rec.n = n
     rec.age = rec.n - rec.m
+    orig = Moments(targets.moments.mean[rows], targets.moments.cov[rows])
     rec.F_raw = moment_gap(mixture_moments(*recalled), orig)
-    baseline = moment_gap(prior_moments, orig)
+    baseline = targets.baseline[rows]
     rec.F_norm = np.divide(rec.F_raw, baseline, out=np.full(count, np.nan), where=baseline > 0.0)
-    rec.F_mean, rec.F_cov, rec.F_weight = (
-        decomposed_forgetting(recalled, targets) if k > 1 else (np.nan,) * 3
-    )
+    if k > 1:
+        perm = match_components(recalled[1], targets.params[1][rows])
+        matched = (a[rows[:, None], perm] for a in targets.params)
+        rec.F_mean, rec.F_cov, rec.F_weight = _channels(recalled, *matched)
+    else:
+        rec.F_mean = rec.F_cov = rec.F_weight = np.nan
     return rec
 
 
-def day_records(states, targets) -> np.recarray:
+def day_records(states, targets: RunTargets) -> np.recarray:
     """Records (m, n) of a block of states of one run: every stored day m <= n of each.
 
     ``states`` are the states after days n, in order; ``targets`` are the
-    stacked (weights, means, covs) of the run's daily targets, day m at
-    row m - 1. The block is replayed in one gather and scored in one
-    score_recall call; records run state by state, in day order.
+    run's daily targets (run_targets). The block is replayed in one gather
+    and scored in one score_recall call; records run state by state, in
+    day order.
     """
     m, n, recalled = replay_block(states)
-    days = tuple(a[m - 1] for a in targets)
-    return score_recall(recalled, days, states[0].prior.overall_moments(), m, n)
+    return score_recall(recalled, targets, m, n)
 
 
 def age_curve(records) -> AgeCurve:

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import casmem.dynamics as dyn
 import casmem.harness as harness
 from casmem.cli import main as cli_main
 from casmem.dynamics import PathSlice, integrate_sde
 from casmem.errors import ConfigError, NumericalError
-from casmem.gm import GaussianMixture, stack_mixtures
+from casmem.gm import GaussianMixture, mixture_moments, stack_mixtures
 from casmem.harness import (
     SWEEP_COLUMNS,
     RunConfig,
@@ -24,7 +25,9 @@ from casmem.harness import (
     snapshot_state,
     sweep,
 )
-from casmem.metrics import RECORD_CSV_HEADER, records_csv_lines, score_recall
+from casmem.metrics import (
+    RECORD_CSV_HEADER, RECORD_DTYPE, decomposed_forgetting, moment_gap, records_csv_lines,
+)
 from casmem.protocol import stored_pairs
 from casmem.streams import (
     class_prior, default_prior, generate, make_config, save_gm_file, synthetic_class_mixture,
@@ -225,6 +228,28 @@ def test_sweep_rows_match_individual_runs():
     assert res.fit is not None and "c" in res.fit and "t_star" in res.fit
 
 
+def test_theta_sweep_runs_once(monkeypatch):
+    # the records do not depend on theta: one run gives every point's row
+    cfg = small_cfg(n_days=40)
+    values = [0.2, 0.5, 0.8]
+    solo = [run_experiment(replace(cfg, theta=value)).summary for value in values]
+    runs = []
+    real = harness.run_experiment
+    monkeypatch.setattr(harness, "run_experiment", lambda point: runs.append(point) or real(point))
+    rows = sweep(cfg, "theta", values).rows
+    assert len(runs) == 1
+    assert rows == [
+        {"axis": "theta", "value": value, **{k: summary[k] for k in SWEEP_COLUMNS[2:]}}
+        for value, summary in zip(values, solo)
+    ]
+    assert len({row["half_life"] for row in rows}) == 3
+    # a bad theta is refused before anything runs
+    runs.clear()
+    with pytest.raises(ConfigError, match="theta"):
+        sweep(cfg, "theta", [0.5, 1.5])
+    assert runs == []
+
+
 @pytest.mark.parametrize("kind, value, stream", [
     ("circular", 1, {"d": 4}),
     ("embedded", 3, {"d": 6, "r": 0.5}),
@@ -313,16 +338,25 @@ def per_pair_fifo_records(cfg):
     targets = generate(cfg.stream)
     prior = resolve_prior(cfg, targets[0])
     m, n = stored_pairs(np.arange(1, len(targets) + 1))
-    recalled = [targets[i - 1] if j - i < cfg.L else prior for i, j in zip(m, n)]
-    originals = [targets[i - 1] for i in m]
-    return score_recall(
-        stack_mixtures(recalled), stack_mixtures(originals), prior.overall_moments(), m, n
-    )
+    recalled = stack_mixtures([targets[i - 1] if j - i < cfg.L else prior for i, j in zip(m, n)])
+    originals = stack_mixtures([targets[i - 1] for i in m])
+    orig = mixture_moments(*originals)
+    rec = np.recarray(len(m), dtype=RECORD_DTYPE)
+    rec.m, rec.n, rec.age = m, n, n - m
+    rec.F_raw = moment_gap(mixture_moments(*recalled), orig)
+    baseline = moment_gap(prior.overall_moments(), orig)
+    rec.F_norm = np.divide(rec.F_raw, baseline, out=np.full(len(m), np.nan), where=baseline > 0.0)
+    channels = decomposed_forgetting(recalled, originals) if prior.k > 1 else (np.nan,) * 3
+    rec.F_mean, rec.F_cov, rec.F_weight = channels
+    return rec
 
 
 @pytest.mark.parametrize(
     "kind, extra",
-    [("circular", {}), ("triangle", {}), ("crowding", {"K": 8}), ("file", {})],
+    [
+        ("circular", {}), ("triangle", {}), ("crowding", {"K": 8}), ("file", {}),
+        ("embedded", {"d": 16}), ("rotating_dominance", {"d": 12}),
+    ],
 )
 def test_fifo_records_equal_per_pair_scoring(tmp_path, kind, extra):
     if kind == "file":  # every day is the prior: every baseline is 0, every F_norm NaN
@@ -721,16 +755,23 @@ def test_cli_drift_check(tmp_path, capsys):
     assert by_flag != (out / "drift_check.json").read_bytes()
 
 
-def test_cli_paths_accept_weights_on_the_simplex_within_its_tolerance(tmp_path):
-    # prior and target each sum to 1 within SIMPLEX_TOL, in opposite directions, so the
-    # L-scaled weight rates sum to about -2.8e-12: rounding, not a rate that creates mass
+def rounded_weights_cfg(tmp_path):
+    """A config whose prior and target weights agree up to rounding (K = 2, d = 2, 3 days, L = 4).
+
+    Each sums to 1 within SIMPLEX_TOL, in opposite directions, so the L-scaled weight rates
+    sum to about -2.8e-12: rounding, not a rate that creates mass.
+    """
     means, covs = [[0.0, 0.0], [1.0, 0.0]], [np.eye(2).tolist()] * 2
     prior = {"weights": [0.5, 0.5 + 9e-13], "means": means, "covs": covs}
     target = GaussianMixture(np.array([0.5, 0.5 - 9e-13]), np.array(means), np.array(covs))
     path = tmp_path / "target.json"
     save_gm_file(target, path)
     stream = {"kind": "file", "path": str(path), "n_days": 3, "K": 2, "d": 2}
-    cfg = write_cfg(tmp_path, stream=stream, L=4, prior=prior)
+    return write_cfg(tmp_path, stream=stream, L=4, prior=prior)
+
+
+def test_cli_paths_accept_weights_on_the_simplex_within_its_tolerance(tmp_path):
+    cfg = rounded_weights_cfg(tmp_path)
     out = str(tmp_path / "o")
     assert cli_main(["run", "--config", cfg]) == 0
     assert cli_main(["movie", "--config", cfg, "--frames", "3", "--paths", "5", "--steps", "10",
@@ -738,6 +779,20 @@ def test_cli_paths_accept_weights_on_the_simplex_within_its_tolerance(tmp_path):
     assert cli_main(["drift-check", "--config", cfg, "--t", "0.3", "--points", "10"]) == 0
     with pytest.raises(ValueError, match="sum to zero"):
         PathSlice(default_prior(2, 2), np.array([0.5, 0.1]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
+
+
+def test_cli_paths_hold_weights_constant_under_simplex_rounding(tmp_path, monkeypatch):
+    # rates of about 7e-12 in absolute value are rounding: no log-weights, no Poisson term
+    cfg = rounded_weights_cfg(tmp_path)
+    quadratures = []
+    psi_terms = dyn._psi_terms
+    monkeypatch.setattr(dyn, "_psi_terms", lambda *args: quadratures.append(1) or psi_terms(*args))
+    out = tmp_path / "o"
+    assert cli_main(["movie", "--config", cfg, "--frames", "3", "--paths", "5", "--steps", "10",
+                     "--out", str(out)]) == 0
+    assert (out / "trajectories.csv").is_file() and not (out / "log_weights.csv").exists()
+    assert cli_main(["drift-check", "--config", cfg, "--t", "0.3", "--points", "10"]) == 0
+    assert quadratures == []
 
 
 def test_cli_fifo(tmp_path, capsys):

@@ -2,12 +2,15 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from casmem.gm import GaussianMixture, Moments, stack_mixtures
+import casmem.harness as harness
+import casmem.metrics as metrics
+from casmem.gm import GaussianMixture, Moments, mixture_moments, stack_mixtures
 from casmem.metrics import (
     AGE_CURVE_CSV_HEADER,
     MAX_TABLE_K,
@@ -23,6 +26,7 @@ from casmem.metrics import (
     match_components,
     moment_gap,
     records_csv_lines,
+    run_targets,
     score_recall,
 )
 from casmem.harness import BLOCK_PAIRS, RunConfig, daily_states, run_experiment
@@ -68,12 +72,24 @@ def record_array(*rows):
 
 
 def reference_day_records(state, targets):
-    """The per-day scorer: every stored day of one state, replayed and scored on its own."""
+    """The per-day, per-pair scorer: every stored day of one state, replayed on its own.
+
+    ``targets`` are the stacked daily targets. Each pair's target is gathered and gets its
+    own overall moments, amnesia baseline and channel split.
+    """
     n = state.day
-    days = tuple(a[:n] for a in targets)
     m = np.arange(1, n + 1)
+    days = tuple(a[m - 1] for a in targets)
     recalled = replay_block([state])[2]
-    return score_recall(recalled, days, state.prior.overall_moments(), m, np.full(n, n))
+    orig = mixture_moments(*days)
+    rec = np.recarray(n, dtype=RECORD_DTYPE)
+    rec.m, rec.n, rec.age = m, n, n - m
+    rec.F_raw = moment_gap(mixture_moments(*recalled), orig)
+    baseline = moment_gap(state.prior.overall_moments(), orig)
+    rec.F_norm = np.divide(rec.F_raw, baseline, out=np.full(n, np.nan), where=baseline > 0.0)
+    channels = decomposed_forgetting(recalled, days) if days[0].shape[1] > 1 else (np.nan,) * 3
+    rec.F_mean, rec.F_cov, rec.F_weight = channels
+    return rec
 
 
 def reference_age_curve(records):
@@ -148,7 +164,7 @@ def test_day_records_guard_zero_baseline():
     state = new_memory(prior, targets[0], 3)
     for t in targets[1:]:
         state = incorporate(state, t)
-    recs = day_records([state], stack_mixtures(targets))
+    recs = day_records([state], run_targets(targets, prior))
     assert np.isnan(recs[1].F_norm)
     for rec in (recs[0], recs[2]):
         baseline = moment_gap(prior.overall_moments(), targets[rec.m - 1].overall_moments())
@@ -283,7 +299,7 @@ def run_small_state(n_days=6, k=2, d=2, L=4):
 
 def test_day_records_shapes_and_flags():
     state, targets = run_small_state()
-    recs = day_records([state], stack_mixtures(targets))
+    recs = day_records([state], run_targets(targets, state.prior))
     n = state.day
     assert len(recs) == n
     assert [r.m for r in recs] == list(range(1, n + 1))
@@ -294,18 +310,18 @@ def test_day_records_shapes_and_flags():
     # multi-component run: decompositions filled in; single-component: NaN
     assert not np.isnan(recs.F_mean).any()
     state, targets = run_small_state(k=1)
-    single = day_records([state], stack_mixtures(targets))
+    single = day_records([state], run_targets(targets, state.prior))
     for field in ("F_mean", "F_cov", "F_weight"):
         assert np.isnan(single[field]).all()
 
 
 def test_day_records_channels_equal_single_pair_decomposition():
     targets = generate(make_config("triangle", n_days=20))
-    stacked = stack_mixtures(targets)
+    scored = run_targets(targets, default_prior(3, 2))
     state = new_memory(default_prior(3, 2), targets[0], 6)
     for target in targets[1:]:
         state = incorporate(state, target)
-        for rec in day_records([state], stacked):
+        for rec in day_records([state], scored):
             want = decomposed_forgetting(parts(replay(state, rec.m)), parts(targets[rec.m - 1]))
             got = (rec.F_mean, rec.F_cov, rec.F_weight)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
@@ -381,13 +397,12 @@ def test_aggregations_equal_reference_loops():
     # a target equal to the prior has a zero baseline on every later day
     targets = generate(make_config("triangle", n_days=30))
     targets[9] = default_prior(3, 2)
-    stacked = stack_mixtures(targets)
     state = new_memory(targets[9], targets[0], 6)
     days = [state]
     for target in targets[1:]:
         state = incorporate(state, target)
         days.append(state)
-    records = day_records(days, stacked)
+    records = day_records(days, run_targets(targets, targets[9]))
     assert np.isnan(records.F_norm).sum() == 21
     assert_aggregations_equal_reference(records)
     # A resumed run's first day brings ages 20..0 in descending order. The
@@ -398,17 +413,64 @@ def test_aggregations_equal_reference_loops():
     assert_aggregations_equal_reference(resumed, shares_rel=60 * np.finfo(float).eps)
 
 
-def test_block_scoring_equals_per_day_reference():
-    # 100 triangle days give 5050 pairs; the resumed run's 3775 span at least three blocks
-    cfg = RunConfig(stream=make_config("triangle"), L=10)
+def assert_block_scoring_equals_per_day_reference(cfg):
+    # 100 days give 5050 pairs; the resumed run's 3775 span at least three blocks
     targets = generate(cfg.stream)
     stacked = stack_mixtures(targets)
     want = np.concatenate([reference_day_records(s, stacked) for s in daily_states(cfg, targets)])
     later = want[want["n"] > 50]
     assert len(later) >= 3 * BLOCK_PAIRS
     assert run_experiment(cfg).records.tobytes() == want.tobytes()
-    day_50 = run_experiment(RunConfig(stream=make_config("triangle", n_days=50), L=10))
+    day_50 = run_experiment(replace(cfg, stream=replace(cfg.stream, n_days=50)))
     assert run_experiment(cfg, day_50.final_state).records.tobytes() == later.tobytes()
     # one block of states equals its days scored one by one
     states = list(daily_states(cfg, targets))[:30]
-    assert day_records(states, stacked).tobytes() == want[want["n"] <= 30].tobytes()
+    scored = run_targets(targets, states[0].prior)
+    assert day_records(states, scored).tobytes() == want[want["n"] <= 30].tobytes()
+
+
+def test_block_scoring_equals_per_day_reference():
+    assert_block_scoring_equals_per_day_reference(RunConfig(stream=make_config("triangle"), L=10))
+
+
+@pytest.mark.parametrize("kind, d", [("embedded", 16), ("rotating_dominance", 12)])
+def test_block_scoring_equals_per_day_reference_in_high_dimension(kind, d):
+    # BLOCK_PARAMS closes their blocks: 80 pairs at d = 16, 139 at d = 12
+    assert_block_scoring_equals_per_day_reference(RunConfig(stream=make_config(kind, d=d), L=10))
+
+
+def test_score_recall_refuses_pairs_outside_the_run():
+    state, targets = run_small_state()
+    scored = run_targets(targets, state.prior)
+    m, n, recalled = replay_block([state])
+    assert score_recall(recalled, scored, m, n).tobytes() == day_records([state], scored).tobytes()
+    for bad in (m - 1, m + 1):  # day 0 would read the last day's row
+        with pytest.raises(ValueError, match="days m"):
+            score_recall(recalled, scored, bad, n)
+    with pytest.raises(ValueError, match="recalled mixtures"):
+        score_recall(recalled, scored, m[1:], n[1:])
+
+
+def test_targets_are_scored_once_per_run(monkeypatch):
+    sizes, blocks = [], []
+    real_moments, real_records = metrics.mixture_moments, harness.day_records
+
+    def moments(weights, means, covs):
+        sizes.append(len(weights))
+        return real_moments(weights, means, covs)
+
+    def records(states, targets):
+        blocks.append(sum(s.day for s in states))
+        return real_records(states, targets)
+
+    monkeypatch.setattr(metrics, "mixture_moments", moments)
+    monkeypatch.setattr(harness, "day_records", records)
+    monkeypatch.setattr(harness, "BLOCK_PAIRS", 100)
+    cfg = RunConfig(stream=make_config("triangle", n_days=40), L=6)
+    harness.run_experiment(cfg)
+    # the 40 targets once, then each block's recalled mixtures
+    assert len(blocks) > 3 and sizes == [40] + blocks
+    sizes.clear()
+    harness.fifo_baseline(cfg)
+    # the targets once for both scorings, then their recall as themselves and as the prior
+    assert sizes == [40, 40, 40]
