@@ -321,17 +321,21 @@ def capacity_diagnostics(lengths, half_lives) -> dict:
 def fifo_baseline(cfg: RunConfig) -> RunResult:
     """Sliding-window reference: perfect recall for L days, then the prior.
 
-    Each day is scored twice, as itself and as the prior; each pair takes one of those rows.
+    Each day is scored once, recalled as the prior, and each pair takes its
+    day's row; a pair within the window recalls its day exactly, so its
+    gaps are written as exact zeros.
     """
     targets = generate(cfg.stream)
     prior = resolve_prior(cfg, targets[0])
     days = np.arange(1, len(targets) + 1)
     scored = run_targets(targets, prior)
-    kept = score_recall(scored.params, scored, days, days)
     lost = score_recall(stack_mixtures([prior] * len(days)), scored, days, days)
     m, n = stored_pairs(days)
     records, recent = lost[m - 1], n - m < cfg.L
-    records[recent] = kept[m[recent] - 1]
+    # score_recall's NaNs stay: F_norm where the baseline is 0, the channels for K = 1
+    for field in ("F_raw", "F_norm", "F_mean", "F_cov", "F_weight"):
+        column = records[field]
+        column[recent & ~np.isnan(column)] = 0.0
     records.n, records.age = n, n - m
     return _result(cfg, [records], None)
 

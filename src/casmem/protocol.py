@@ -78,12 +78,30 @@ def _lerp_nodes(nodes, j, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     j and alpha are numbers or arrays of one shape.
     """
+    return _lerp_rows(nodes, j, j + 1, 1.0 - alpha, alpha)
 
-    def lerp(a):
-        x = alpha if np.ndim(alpha) == 0 else alpha.reshape(alpha.shape + (1,) * (a.ndim - 1))
-        return (1.0 - x) * a[j] + x * a[j + 1]
 
-    return tuple(lerp(a) for a in nodes)
+def _lerp_rows(nodes, near, far, w_near, w_far) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w_near * node near + w_far * node far of each field: _lerp_nodes with its terms given.
+
+    Each field allocates two arrays: both rows are gathered by take, which
+    always copies, and scaled and summed in place. The results are fresh,
+    C-ordered and share no memory with the nodes.
+    """
+    lead = np.shape(w_near)
+    out = []
+    for a in nodes:
+        x, y = a.take(near, axis=0), a.take(far, axis=0)
+        if lead:  # one weight per gathered row, broadcast over the field's axes
+            shape = lead + (1,) * (a.ndim - 1)
+            x *= w_near.reshape(shape)
+            y *= w_far.reshape(shape)
+        else:
+            x *= w_near
+            y *= w_far
+        x += y
+        out.append(x)
+    return tuple(out)
 
 
 def _segment(t, L: int):
@@ -139,6 +157,13 @@ def rebin_indices(L: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(k), _frozen((num - k * L) / L)
 
 
+@cache
+def _rebin_terms(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """smooth's lerp terms (k, k + 1, 1 - alpha, alpha) of rebin_indices(L), read-only."""
+    k, alpha = rebin_indices(L)
+    return k, _frozen(k + 1), _frozen(1.0 - alpha), alpha
+
+
 def rebin_matrix(L: int) -> np.ndarray:
     """Dense (L + 1, L + 2) form of the rebin operator that smooth applies."""
     k, alpha = rebin_indices(L)
@@ -151,7 +176,7 @@ def rebin_matrix(L: int) -> np.ndarray:
 
 def smooth(aug) -> ProtocolGrid:
     """Rebin add's stacked L+2-node path onto L + 1 nodes: one gather-and-lerp."""
-    return ProtocolGrid(*_lerp_nodes(aug, *rebin_indices(len(aug[0]) - 2)))
+    return ProtocolGrid(*_lerp_rows(aug, *_rebin_terms(len(aug[0]) - 2)))
 
 
 def new_memory(prior: GaussianMixture, target1: GaussianMixture, L: int) -> MemoryState:
@@ -175,6 +200,18 @@ def readout_time(L: int, age: int) -> float:
     return (L / (L + 1.0)) ** age
 
 
+@cache
+def _readout_times(L: int, size: int) -> np.ndarray:
+    """readout_time(L, age) of ages 0..size - 1, read-only.
+
+    Each entry is readout_time's own scalar power; a vector power differs
+    from it in the last bit at some ages. replay_block asks for a power of
+    two of at least its oldest age + 1, so one L keeps at most one table
+    per doubling of the run's length.
+    """
+    return _frozen(np.array([readout_time(L, age) for age in range(size)]))
+
+
 def stored_pairs(days) -> tuple[np.ndarray, np.ndarray]:
     """(m, n) of every stored day m = 1, ..., n after each day n of ``days``, in that order."""
     n = np.repeat(np.asarray(days, dtype=np.int64), days)
@@ -189,13 +226,13 @@ def replay_block(states) -> tuple[np.ndarray, np.ndarray, tuple]:
     Returns (m, n, (weights, means, covs)): pair (m, n) recalls day m
     from the state after day n, pairs ordered as ``stored_pairs`` orders
     them. The states share one L. One gather-and-lerp covers every pair,
-    at readout times located as eval_at locates one; readout_time is
-    called once per distinct age.
+    at readout times located as eval_at locates one, read from a table of
+    readout_time built once per L and table length.
     """
     L = states[0].grid.L
     days = [s.day for s in states]
     m, n = stored_pairs(days)
-    times = np.array([readout_time(L, age) for age in range(max(days))])[n - m]
+    times = _readout_times(L, 1 << (max(days) - 1).bit_length())[n - m]
     j, alpha = _segment(times, L)
     # node j of state i is row i (L + 1) + j of the concatenated grids
     j += np.repeat(np.arange(len(states)) * (L + 1), days)

@@ -19,9 +19,9 @@ from casmem.dynamics import (
     shape_current,
 )
 from casmem.errors import NumericalError
-from casmem.gm import GaussianMixture, stack_mixtures
+from casmem.gm import GaussianMixture, _factor, _log_weights, _symmetrize, stack_mixtures
 from casmem.protocol import ProtocolGrid, eval_at, incorporate, new_memory
-from casmem.streams import default_prior, generate, make_config
+from casmem.streams import KINDS, default_prior, generate, make_config
 
 
 def static_slice(gm, weight_rates=None):
@@ -655,6 +655,40 @@ def test_movie_frames_endpoints():
             assert np.array_equal(getattr(frame, f), getattr(want, f))
     with pytest.raises(ValueError):
         movie_frames(grid, 1)
+
+
+def lerp_oracle(grid, times):
+    """(1 - a) * x[j] + a * x[j + 1] of each node field at the times, j and a located as eval_at does."""
+    u = times * grid.L
+    j = np.minimum(u.astype(int), grid.L - 1)
+    a = u - j
+    out = []
+    for x in (grid.weights, grid.means, grid.covs):
+        w = a.reshape(a.shape + (1,) * (x.ndim - 1))
+        out.append((1 - w) * x[j] + w * x[j + 1])
+    return out
+
+
+@pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "file"])
+def test_movie_frames_and_drift_set_up_equal_the_two_term_formula(kind):
+    targets = generate(make_config(kind))[:25]
+    state = new_memory(default_prior(targets[0].k, targets[0].d), targets[0], 7)
+    for t in targets[1:]:
+        state = incorporate(state, t)
+    grid = state.grid
+    times = np.linspace(0.0, 1.0, 23)
+    w, m, c = lerp_oracle(grid, times)
+    for frame, *want in zip(movie_frames(grid, len(times)), w, m, c):
+        assert all(
+            g.tobytes() == x.tobytes() and g.flags.c_contiguous
+            for g, x in zip((frame.weights, frame.means, frame.covs), want)
+        )
+    _, inv, log_norms = _factor(_symmetrize(c))
+    args = list(dyn._step_drift_args(grid, times))
+    assert len(args) == len(times)
+    for i, (kernel, *_) in enumerate(args):
+        want = (_log_weights(w)[i], m[i], inv[i], log_norms[i])
+        assert all(g.tobytes() == x.tobytes() for g, x in zip(kernel, want, strict=True))
 
 
 def test_sample_bulk_points_properties():

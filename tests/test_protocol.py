@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import casmem.protocol as protocol
 from casmem.gm import GaussianMixture, stack_mixtures
-from casmem.harness import RunConfig, restore_state, snapshot_state
+from casmem.harness import RunConfig, daily_states, restore_state, run_experiment, snapshot_state
 from casmem.protocol import (
     MemoryState,
     ProtocolGrid,
@@ -22,7 +23,7 @@ from casmem.protocol import (
     replay_block,
     smooth,
 )
-from casmem.streams import make_config
+from casmem.streams import KINDS, generate, make_config
 
 
 def day_target(m, k=2, d=2):
@@ -152,6 +153,119 @@ def test_rebin_indices_partition_of_unity(L):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1
+
+
+def lerp_oracle(nodes, j, a):
+    """The two-term formula (1 - a) * x[j] + a * x[j + 1] per field, a broadcast over each field."""
+    out = []
+    for x in nodes:
+        w = np.reshape(a, np.shape(a) + (1,) * (x.ndim - 1))
+        out.append((1 - w) * x[j] + w * x[j + 1])
+    return out
+
+
+def same_bytes(got, want):
+    return all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+
+def fresh_c_order(arrays, *sources):
+    return all(
+        a.flags.c_contiguous and not any(np.shares_memory(a, s) for s in sources) for a in arrays
+    )
+
+
+def stream_states(kind):
+    """Every state of the first 25 days of the built-in stream kind at L = 7, with its targets."""
+    cfg = RunConfig(stream=make_config(kind), L=7)
+    targets = generate(cfg.stream)[:25]
+    return list(daily_states(cfg, targets)), targets
+
+
+BUILT_IN_KINDS = [kind for kind in KINDS if kind != "file"]
+
+
+@pytest.mark.parametrize("kind", BUILT_IN_KINDS)
+def test_node_lerp_equals_the_two_term_formula(kind):
+    states, targets = stream_states(kind)
+    L = states[0].grid.L
+    k, alpha = rebin_indices(L)
+    for state, target in zip(states[:-1], targets[1:]):
+        aug = add(state.grid, target)
+        before = [a.copy() for a in aug]
+        assert all(a.flags.writeable for a in aug)
+        grid = smooth(aug)
+        got = (grid.weights, grid.means, grid.covs)
+        assert same_bytes(got, lerp_oracle(aug, k, alpha))
+        # the gather copies: add's writable arrays are left as they were
+        assert same_bytes(aug, before) and fresh_c_order(got, *aug)
+    grid = states[-1].grid
+    nodes = (grid.weights, grid.means, grid.covs)
+    for t in (0.0, 0.3, 0.5, 1 / 7, 0.999, 1.0):
+        j = min(int(t * L), L - 1)
+        gm = eval_at(grid, t)
+        got = (gm.weights, gm.means, gm.covs)
+        assert same_bytes(got, lerp_oracle(nodes, j, t * L - j))
+        assert fresh_c_order(got, *nodes)
+    m, n, got = replay_block(states)
+    want = [[], [], []]
+    for mi, ni in zip(m, n):
+        u = readout_time(L, int(ni - mi)) * L
+        j = min(int(u), L - 1)
+        for field, x in zip(want, lerp_oracle(protocol._nodes(states[ni - 1].grid), j, u - j)):
+            field.append(x)
+    assert same_bytes(got, [np.stack(field) for field in want])
+    assert fresh_c_order(got, *(a for s in states for a in protocol._nodes(s.grid)))
+
+
+def test_node_lerp_leaves_writable_nodes_untouched():
+    nodes = [np.arange(12.0).reshape(4, 3), np.arange(24.0).reshape(4, 3, 2)]
+    before = [a.copy() for a in nodes]
+    # a scalar segment would gather a view by plain indexing; every output must be a copy
+    for j, alpha in ((2, 0.25), (0, 0.0), (2, 1.0), (np.array([0, 2, 1]), np.array([0.5, 0.0, 1.0]))):
+        got = protocol._lerp_nodes(nodes, j, alpha)
+        assert same_bytes(got, lerp_oracle(nodes, j, alpha)) and fresh_c_order(got, *nodes)
+        for a in got:
+            a += 1.0
+        assert same_bytes(nodes, before)
+
+
+@pytest.mark.parametrize("L", [1, 2, 7, 100])
+def test_rebin_terms_are_cached_read_only(L):
+    k, alpha = rebin_indices(L)
+    terms = protocol._rebin_terms(L)
+    assert same_bytes(terms, (k, k + 1, 1.0 - alpha, alpha))
+    again = protocol._rebin_terms(L)
+    assert all(a is b for a, b in zip(terms, again, strict=True))
+    for a in terms:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+def test_readout_table_is_built_once_per_length(monkeypatch):
+    L = 10
+    table = protocol._readout_times(L, 64)
+    # the scalar power of every age, not a vector power, which differs in the last bit
+    assert table.tobytes() == np.array([(L / (L + 1.0)) ** age for age in range(64)]).tobytes()
+    assert protocol._readout_times(L, 64) is table and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.5
+    calls = []
+    real = protocol.readout_time
+
+    def counted(L, age):
+        calls.append(age)
+        return real(L, age)
+
+    monkeypatch.setattr(protocol, "readout_time", counted)
+    protocol._readout_times.cache_clear()
+    cfg = RunConfig(stream=make_config("circular", n_days=300), L=L)
+    run_experiment(cfg)
+    # one table per power of two up to 512: 1023 ages in all, not one per pair's block
+    assert len(calls) <= 2 * 512
+    calls.clear()
+    run_experiment(cfg)
+    assert calls == []
 
 
 def test_rebin_indices_equal_reference_loop():
