@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, check_fields, read_json_object, write_text
-from .gm import GaussianMixture
+from .gm import GaussianMixture, _frozen
 
 
 @dataclass(frozen=True)
@@ -64,60 +64,57 @@ def make_config(kind: str, **overrides) -> StreamConfig:
     return StreamConfig(kind=kind, **{**defaults, **overrides})
 
 
-def _centre(cfg: StreamConfig, m: int) -> np.ndarray:
-    """Circle centre on day m, embedded in the first two coordinates."""
-    phase = 2.0 * np.pi * m / cfg.P
-    c = np.zeros(cfg.d)
-    c[0] = cfg.R * np.cos(phase)
-    c[1] = cfg.R * np.sin(phase)
+def _days(cfg: StreamConfig) -> np.ndarray:
+    return np.arange(1, cfg.n_days + 1)
+
+
+def _phase(cfg: StreamConfig, m) -> np.ndarray:
+    """Phase 2 pi m / P of a day m or of each of an array of days."""
+    return 2.0 * np.pi * np.asarray(m) / cfg.P
+
+
+def _centres(cfg: StreamConfig, phase: np.ndarray) -> np.ndarray:
+    """Circle centres at the given phases, (..., d), in the first two coordinates."""
+    c = np.zeros(np.shape(phase) + (cfg.d,))
+    c[..., 0] = cfg.R * np.cos(phase)
+    c[..., 1] = cfg.R * np.sin(phase)
     return c
 
 
-def linear_mean(cfg: StreamConfig, m: int) -> np.ndarray:
-    # Same per-day speed as the circular default, 2 pi R / P, along axis 0.
-    c = np.zeros(cfg.d)
-    c[0] = 2.0 * np.pi * cfg.R / cfg.P * m
-    return c
+def _isotropic(cfg: StreamConfig, means: np.ndarray):
+    """Equal weights and covariance cov_scale * I for stacked (n, K, d) means."""
+    n, K, d = means.shape
+    covs = np.broadcast_to(cfg.cov_scale * np.eye(d), (n, K, d, d))
+    return np.full((n, K), 1.0 / K), means, covs
 
 
-def _single_target(mean: np.ndarray, cov_scale: float) -> GaussianMixture:
-    d = mean.shape[0]
-    return GaussianMixture(np.ones(1), mean[None, :], cov_scale * np.eye(d)[None, :, :])
-
-
-def circular_stream(cfg: StreamConfig) -> list[GaussianMixture]:
+def circular_stream(cfg: StreamConfig):
     """Single Gaussian whose mean walks a circle of radius R with period P."""
-    return [_single_target(_centre(cfg, m), cfg.cov_scale) for m in range(1, cfg.n_days + 1)]
+    return _isotropic(cfg, _centres(cfg, _phase(cfg, _days(cfg))[:, None]))
 
 
-def linear_stream(cfg: StreamConfig) -> list[GaussianMixture]:
+def linear_stream(cfg: StreamConfig):
     """Single Gaussian drifting at constant speed along the first axis."""
-    return [_single_target(linear_mean(cfg, m), cfg.cov_scale) for m in range(1, cfg.n_days + 1)]
+    means = np.zeros((cfg.n_days, 1, cfg.d))
+    # Same per-day speed as the circular default, 2 pi R / P, along axis 0.
+    means[:, 0, 0] = 2.0 * np.pi * cfg.R / cfg.P * _days(cfg)
+    return _isotropic(cfg, means)
 
 
-def ring_means(cfg: StreamConfig, m: int, radii=None) -> np.ndarray:
-    """K component means on a ring of radius r around the drifting centre.
+def ring_means(cfg: StreamConfig, m, radii=None) -> np.ndarray:
+    """K component means (K, d) on a ring of radius r around the drifting centre, on day m.
 
-    Component k keeps the fixed phase offset 2 pi k / K on every day.
+    m may be an array of days, for one (K, d) block per day; radii, if given,
+    are per component or per day and component. Component k keeps the fixed
+    phase offset 2 pi k / K on every day.
     """
-    if radii is None:
-        radii = np.full(cfg.K, cfg.r)
-    centre = _centre(cfg, m)
-    means = np.tile(centre, (cfg.K, 1))
-    for k in range(cfg.K):
-        theta = 2.0 * np.pi * m / cfg.P + 2.0 * np.pi * k / cfg.K
-        means[k, 0] += radii[k] * np.cos(theta)
-        means[k, 1] += radii[k] * np.sin(theta)
+    phase = _phase(cfg, m)
+    means = np.repeat(_centres(cfg, phase)[..., None, :], cfg.K, axis=-2)
+    theta = phase[..., None] + 2.0 * np.pi * np.arange(cfg.K) / cfg.K
+    r = cfg.r if radii is None else radii
+    means[..., 0] += r * np.cos(theta)
+    means[..., 1] += r * np.sin(theta)
     return means
-
-
-def _ring_target(cfg: StreamConfig, m: int, radii=None, walk=None) -> GaussianMixture:
-    """Equal-weight isotropic ring mixture; walk, if given, sets coordinates 2 and up."""
-    means = ring_means(cfg, m, radii)
-    if walk is not None:
-        means[:, 2:] = walk
-    covs = np.repeat(cfg.cov_scale * np.eye(cfg.d)[None, :, :], cfg.K, axis=0)
-    return GaussianMixture(np.full(cfg.K, 1.0 / cfg.K), means, covs)
 
 
 def crowding_ratio(cfg: StreamConfig) -> float:
@@ -141,7 +138,7 @@ def nuisance_walks(cfg: StreamConfig) -> np.ndarray:
     return walks
 
 
-def ring_stream(cfg: StreamConfig) -> list[GaussianMixture]:
+def ring_stream(cfg: StreamConfig, radii=None):
     """Equal-weight K-component ring around the circular drift, in d dimensions.
 
     Triangle is K = 3, crowding varies K and r, and embedded places the
@@ -149,60 +146,56 @@ def ring_stream(cfg: StreamConfig) -> list[GaussianMixture]:
     chi = r / sqrt(cov_scale) controls component overlap. Coordinates
     beyond the first two are nuisance: zero, or a slow seeded random walk
     shared by all components; covariance is isotropic at the same scale,
-    so d = 2 is the plane ring.
+    so d = 2 is the plane ring. radii are as ring_means takes them.
     """
-    walks = nuisance_walks(cfg)
-    return [_ring_target(cfg, m, walk=walks[m - 1]) for m in range(1, cfg.n_days + 1)]
+    means = ring_means(cfg, _days(cfg), radii)
+    means[:, :, 2:] = nuisance_walks(cfg)[:, None, :]
+    return _isotropic(cfg, means)
 
 
-# Split-merge schedule: (last_day, radii the grid ramps toward). Each phase
-# change is ramped linearly over the five days that follow its boundary.
-_SPLIT_MERGE_PHASES = [
-    (30, (0.8, 0.8, 0.8)),
-    (50, (0.05, 0.05, 0.8)),
-    (80, (0.8, 0.8, 0.8)),
-    (100, (0.1, 0.1, 0.1)),
-]
+# Split-merge schedule: the last day of each phase and the radii the ring
+# ramps toward in it. Each phase change is ramped linearly over the five
+# days that follow its boundary; the first phase ramps from its own radii.
+_SPLIT_MERGE_LAST_DAYS = np.array([30, 50, 80, 100])
+_SPLIT_MERGE_RADII = np.array([(0.8,) * 3, (0.05, 0.05, 0.8), (0.8,) * 3, (0.1,) * 3])
 _RAMP_DAYS = 5
 
 
-def split_merge_radii(day: int) -> np.ndarray:
-    """Per-component ring radii on the given day of the 100-day schedule."""
-    if not 1 <= day <= 100:
+def split_merge_radii(day) -> np.ndarray:
+    """Per-component ring radii on a day, (3,), or on each of an array of days, (n, 3)."""
+    day = np.asarray(day)
+    if np.any((day < 1) | (day > 100)):
         raise ValueError(f"split-merge schedule covers days 1..100, got {day}")
-    prev = np.array(_SPLIT_MERGE_PHASES[0][1])
-    start = 1
-    for last_day, radii in _SPLIT_MERGE_PHASES:
-        radii = np.array(radii)
-        if day <= last_day:
-            if start == 1:
-                return radii
-            step = min((day - start + 1) / _RAMP_DAYS, 1.0)
-            return prev + (radii - prev) * step
-        prev, start = radii, last_day + 1
-    raise AssertionError("unreachable")
+    phase = np.searchsorted(_SPLIT_MERGE_LAST_DAYS, day)
+    start = np.append(1, _SPLIT_MERGE_LAST_DAYS[:-1] + 1)[phase]
+    prev = _SPLIT_MERGE_RADII[np.maximum(phase - 1, 0)]
+    step = np.minimum((day - start + 1) / _RAMP_DAYS, 1.0)
+    return prev + (_SPLIT_MERGE_RADII[phase] - prev) * step[..., None]
 
 
-def split_merge_stream(cfg: StreamConfig) -> list[GaussianMixture]:
+def split_merge_stream(cfg: StreamConfig):
     """100-day merge/split curriculum on the three-component ring."""
-    return [_ring_target(cfg, m, split_merge_radii(m)) for m in range(1, cfg.n_days + 1)]
+    return ring_stream(cfg, split_merge_radii(_days(cfg)))
 
 
-def rotating_weights(cfg: StreamConfig, m: int, k_components: int) -> np.ndarray:
+def rotating_weights(cfg: StreamConfig, m, k_components: int) -> np.ndarray:
+    """Softmax weights on a day m, (k,), or on each of an array of days, (n, k)."""
     logits = cfg.A * np.cos(
-        2.0 * np.pi * m / cfg.P + 2.0 * np.pi * np.arange(k_components) / k_components
+        _phase(cfg, m)[..., None] + 2.0 * np.pi * np.arange(k_components) / k_components
     )
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def rotating_dominance_stream(cfg: StreamConfig) -> list[GaussianMixture]:
+def _repeated(gm: GaussianMixture, weights: np.ndarray):
+    """The given (n, K) weights over gm's means and covariances, repeated as read-only views."""
+    return (weights, *(np.broadcast_to(a, (len(weights), *a.shape)) for a in (gm.means, gm.covs)))
+
+
+def rotating_dominance_stream(cfg: StreamConfig):
     """Fixed component shapes with softmax weights rotating at period P."""
     base = synthetic_class_mixture(cfg.d, cfg.K, seed=cfg.seed + 7)
-    return [
-        GaussianMixture(rotating_weights(cfg, m, base.k), base.means, base.covs)
-        for m in range(1, cfg.n_days + 1)
-    ]
+    return _repeated(base, rotating_weights(cfg, _days(cfg), base.k))
 
 
 def synthetic_class_mixture(d: int = 12, k: int = 3, seed: int = 7) -> GaussianMixture:
@@ -254,15 +247,16 @@ def load_gm_file(path) -> GaussianMixture:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def file_stream(cfg: StreamConfig) -> list[GaussianMixture]:
+def file_stream(cfg: StreamConfig):
     """Constant stream repeating a mixture loaded from disk."""
-    return [load_gm_file(cfg.path)] * cfg.n_days
+    gm = load_gm_file(cfg.path)
+    return _repeated(gm, np.broadcast_to(gm.weights, (cfg.n_days, gm.k)))
 
 
 class _Kind(NamedTuple):
     """A stream kind: its generator, its make_config defaults and its limits."""
 
-    generator: Callable[[StreamConfig], list]
+    generator: Callable[[StreamConfig], tuple]  # stacked (n, K), (n, K, d), (n, K, d, d) days
     defaults: dict
     min_d: int = 1
     K: tuple = ()  # the supported K; empty means any
@@ -292,8 +286,9 @@ KINDS = tuple(_KINDS)
 
 
 def generate(cfg: StreamConfig) -> list[GaussianMixture]:
-    """The stream's daily targets, one per day; day m is at index m - 1."""
-    return _KINDS[cfg.kind].generator(cfg)
+    """The stream's daily targets, day m at index m - 1: rows of read-only stacked arrays."""
+    stacked = [_frozen(a) for a in _KINDS[cfg.kind].generator(cfg)]
+    return [GaussianMixture(*row) for row in zip(*stacked)]
 
 
 def default_prior(k: int, d: int) -> GaussianMixture:

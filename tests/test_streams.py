@@ -233,3 +233,114 @@ def test_generate_is_deterministic():
     b = generate(cfg)
     for x, y in zip(a, b):
         assert np.array_equal(x.means, y.means)
+
+
+# The per-day formulas generate stacks: one mixture at a time, in plain loops.
+
+
+def reference_centre(cfg, m):
+    phase = 2.0 * np.pi * m / cfg.P
+    c = np.zeros(cfg.d)
+    c[0] = cfg.R * np.cos(phase)
+    c[1] = cfg.R * np.sin(phase)
+    return c
+
+
+def reference_ring_means(cfg, m, radii):
+    means = np.tile(reference_centre(cfg, m), (cfg.K, 1))
+    for k in range(cfg.K):
+        theta = 2.0 * np.pi * m / cfg.P + 2.0 * np.pi * k / cfg.K
+        means[k, 0] += radii[k] * np.cos(theta)
+        means[k, 1] += radii[k] * np.sin(theta)
+    return means
+
+
+def reference_split_merge_radii(day):
+    phases = [(30, (0.8,) * 3), (50, (0.05, 0.05, 0.8)), (80, (0.8,) * 3), (100, (0.1,) * 3)]
+    prev, start = np.array(phases[0][1]), 1
+    for last_day, radii in phases:
+        radii = np.array(radii)
+        if day <= last_day:
+            if start == 1:
+                return radii
+            return prev + (radii - prev) * min((day - start + 1) / 5, 1.0)
+        prev, start = radii, last_day + 1
+
+
+def reference_rotating_weights(cfg, m, k):
+    logits = cfg.A * np.cos(2.0 * np.pi * m / cfg.P + 2.0 * np.pi * np.arange(k) / k)
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def reference_day(cfg, m):
+    """Day m's target of the stream cfg, built on its own."""
+    eye = cfg.cov_scale * np.eye(cfg.d)
+    if cfg.kind == "circular":
+        return GaussianMixture(np.ones(1), reference_centre(cfg, m)[None, :], eye[None])
+    if cfg.kind == "linear":
+        mean = np.zeros(cfg.d)
+        mean[0] = 2.0 * np.pi * cfg.R / cfg.P * m
+        return GaussianMixture(np.ones(1), mean[None, :], eye[None])
+    if cfg.kind == "rotating_dominance":
+        base = synthetic_class_mixture(cfg.d, cfg.K, seed=cfg.seed + 7)
+        return GaussianMixture(reference_rotating_weights(cfg, m, base.k), base.means, base.covs)
+    if cfg.kind == "file":
+        return load_gm_file(cfg.path)
+    if cfg.kind == "split_merge":
+        means = reference_ring_means(cfg, m, reference_split_merge_radii(m))
+    else:
+        means = reference_ring_means(cfg, m, np.full(cfg.K, cfg.r))
+        means[:, 2:] = nuisance_walks(cfg)[m - 1]
+    covs = np.repeat(eye[None], cfg.K, axis=0)
+    return GaussianMixture(np.full(cfg.K, 1.0 / cfg.K), means, covs)
+
+
+STACKED_CASES = [
+    *(
+        (kind, dict(P=P, n_days=3000))
+        for kind in ("circular", "linear")
+        for P in (50.0, 7.3)
+    ),
+    ("triangle", {}),
+    *(("crowding", dict(K=K)) for K in (2, 3, 5, 8)),
+    *(
+        ("embedded", dict(d=d, nuisance=nuisance))
+        for d in (2, 8)
+        for nuisance in ("none", "random_walk")
+    ),
+    ("split_merge", {}),
+    ("rotating_dominance", dict(d=4)),
+    ("rotating_dominance", dict(d=12)),
+    ("file", dict(n_days=20)),
+]
+
+
+@pytest.mark.parametrize("kind, fields", STACKED_CASES)
+def test_generate_equals_per_day_formulas(kind, fields, tmp_path):
+    if kind == "file":
+        fields = dict(fields, path=str(tmp_path / "mix.json"))
+        save_gm_file(synthetic_class_mixture(d=4, k=2, seed=3), fields["path"])
+    cfg = make_config(kind, **fields)
+    targets = generate(cfg)
+    assert len(targets) == cfg.n_days
+    for m, target in enumerate(targets, start=1):
+        want = reference_day(cfg, m)
+        for f in ("weights", "means", "covs"):
+            got, expected = getattr(target, f), getattr(want, f)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (m, f)
+
+
+@pytest.mark.parametrize(
+    "kind", ["circular", "crowding", "embedded", "split_merge", "rotating_dominance"]
+)
+def test_generated_targets_are_read_only_c_ordered(kind):
+    # the targets may be row views of one stacked array; none may be written through
+    targets = generate(make_config(kind, n_days=100))
+    for target in targets:
+        for a in (target.weights, target.means, target.covs):
+            assert a.flags.c_contiguous and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+            # nor through the stacked array a row view is cut from
+            assert a.base is None or not a.base.flags.writeable
