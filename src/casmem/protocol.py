@@ -86,23 +86,21 @@ def _lerp_nodes(nodes, j, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _lerp_rows(nodes, near, far, w_near, w_far) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """w_near * node near + w_far * node far of each field: _lerp_nodes with its terms given.
 
-    near and far are row indices or slices. Each field allocates two
-    arrays: indexed rows are gathered by take, which always copies, and
-    scaled in place, sliced rows are scaled into a new array, and the two
-    are summed in place. The results are fresh, C-ordered and share no
-    memory with the nodes.
+    Each field allocates two arrays: both rows are gathered by take, which
+    always copies, and scaled and summed in place. The results are fresh,
+    C-ordered and share no memory with the nodes.
     """
     lead = np.shape(w_near)
     out = []
     for a in nodes:
-        shape = lead + (1,) * (a.ndim - 1)  # one weight per row, broadcast over the field's axes
-        w_x, w_y = (w_near.reshape(shape), w_far.reshape(shape)) if lead else (w_near, w_far)
-        if isinstance(near, slice):
-            x, y = a[near] * w_x, a[far] * w_y
+        x, y = a.take(near, axis=0), a.take(far, axis=0)
+        if lead:  # one weight per gathered row, broadcast over the field's axes
+            shape = lead + (1,) * (a.ndim - 1)
+            x *= w_near.reshape(shape)
+            y *= w_far.reshape(shape)
         else:
-            x, y = a.take(near, axis=0), a.take(far, axis=0)
-            x *= w_x
-            y *= w_y
+            x *= w_near
+            y *= w_far
         x += y
         out.append(x)
     return tuple(out)
@@ -162,10 +160,10 @@ def rebin_indices(L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _rebin_terms(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """smooth's lerp weights (1 - alpha, alpha) of rebin_indices(L), read-only."""
-    alpha = rebin_indices(L)[1]
-    return _frozen(1.0 - alpha), alpha
+def _rebin_terms(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """smooth's lerp terms (k, k + 1, 1 - alpha, alpha) of rebin_indices(L), read-only; k = 0..L."""
+    k, alpha = rebin_indices(L)
+    return k, _frozen(k + 1), _frozen(1.0 - alpha), alpha
 
 
 def rebin_matrix(L: int) -> np.ndarray:
@@ -179,9 +177,8 @@ def rebin_matrix(L: int) -> np.ndarray:
 
 
 def smooth(aug) -> ProtocolGrid:
-    """Rebin add's stacked L+2-node path onto L + 1 nodes: one lerp of its two row slices."""
-    rows = (slice(None, -1), slice(1, None))  # new node j reads augmented nodes j and j + 1
-    return ProtocolGrid(*_lerp_rows(aug, *rows, *_rebin_terms(len(aug[0]) - 2)))
+    """Rebin add's stacked L+2-node path onto L + 1 nodes: one gather-and-lerp."""
+    return ProtocolGrid(*_lerp_rows(aug, *_rebin_terms(len(aug[0]) - 2)))
 
 
 def new_memory(prior: GaussianMixture, target1: GaussianMixture, L: int) -> MemoryState:

@@ -231,9 +231,9 @@ def test_node_lerp_leaves_writable_nodes_untouched():
 
 @pytest.mark.parametrize("L", [1, 2, 7, 100])
 def test_rebin_terms_are_cached_read_only(L):
-    alpha = rebin_indices(L)[1]
+    k, alpha = rebin_indices(L)
     terms = protocol._rebin_terms(L)
-    assert same_bytes(terms, (1.0 - alpha, alpha))
+    assert same_bytes(terms, (k, k + 1, 1.0 - alpha, alpha))
     again = protocol._rebin_terms(L)
     assert all(a is b for a, b in zip(terms, again, strict=True))
     for a in terms:
