@@ -31,8 +31,8 @@ from .protocol import (
     readout_time, rebin_indices, rebin_matrix, replay, replay_block, smooth, stored_pairs,
 )
 from .streams import (
-    StreamConfig, class_prior, default_prior, generate, load_gm_file, make_config, save_gm_file,
-    synthetic_class_mixture,
+    StreamConfig, class_prior, daily_params, default_prior, generate, load_gm_file, make_config,
+    save_gm_file, synthetic_class_mixture,
 )
 
 __all__ = [
@@ -48,8 +48,8 @@ __all__ = [
     "decomposed_forgetting", "half_life", "match_components", "moment_gap", "run_targets",
     "score_recall",
     # streams
-    "StreamConfig", "class_prior", "default_prior", "generate", "load_gm_file", "make_config",
-    "save_gm_file", "synthetic_class_mixture",
+    "StreamConfig", "class_prior", "daily_params", "default_prior", "generate", "load_gm_file",
+    "make_config", "save_gm_file", "synthetic_class_mixture",
     # dynamics
     "PathSlice", "Trajectory", "drift_with_stats", "fp_residual", "integrate_sde",
     "movie_frames", "path_slice", "poisson_psi_grad", "psi_potential", "sample_bulk_points",

@@ -30,7 +30,7 @@ from .harness import (
     sweep,
 )
 from .protocol import eval_at
-from .streams import generate, make_config
+from .streams import daily_params, make_config
 
 
 def _fmt(value) -> str:
@@ -166,10 +166,10 @@ def cmd_drift_check(args) -> int:
 
 def cmd_snapshot(args) -> int:
     cfg = load_run_config(args.config, args)
-    targets = generate(cfg.stream)
-    if not 1 <= args.day <= len(targets):
-        raise ConfigError(f"--day must lie in [1, {len(targets)}], got {args.day}")
-    for state in daily_states(cfg, targets[: args.day]):
+    params = daily_params(cfg.stream)
+    if not 1 <= args.day <= len(params[0]):
+        raise ConfigError(f"--day must lie in [1, {len(params[0])}], got {args.day}")
+    for state in daily_states(cfg, [a[: args.day] for a in params]):
         pass
     print(json.dumps({"day": state.day, "path": snapshot_state(cfg, state, args.out)}))
     return 0

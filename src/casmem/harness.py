@@ -35,7 +35,7 @@ from .metrics import (
     score_recall,
 )
 from .protocol import MemoryState, ProtocolGrid, incorporate, new_memory, stored_pairs
-from .streams import StreamConfig, default_prior, generate, make_config
+from .streams import StreamConfig, daily_params, default_prior, make_config
 
 SUMMARY_KEYS = ("half_life", "theta", "max_Fbar", "mean_share", "cov_share", "weight_share")
 SWEEP_COLUMNS = (
@@ -82,9 +82,9 @@ class RunResult:
     final_state: MemoryState | None  # None for the FIFO baseline, which keeps no memory
 
 
-def resolve_prior(cfg: RunConfig, first_target: GaussianMixture) -> GaussianMixture:
+def resolve_prior(cfg: RunConfig, k: int, d: int) -> GaussianMixture:
+    """The prior cfg names, for a stream of k components in d dimensions."""
     spec = cfg.prior
-    k, d = first_target.k, first_target.d
     if spec == "standard" or spec is None:
         return default_prior(k, d)
     if isinstance(spec, GaussianMixture):
@@ -118,18 +118,20 @@ def _stream_fingerprint(stream: StreamConfig) -> dict:
 
 
 def daily_states(
-    cfg: RunConfig, targets, state: MemoryState | None = None
+    cfg: RunConfig, params, state: MemoryState | None = None
 ) -> Iterator[MemoryState]:
-    """The memory after each day of the stream.
+    """The memory after each day of the stream's stacked (weights, means, covs) (daily_params).
 
     From scratch this starts with day 1; from a given state it continues
-    with the day after it.
+    with the day after it. Each day's GaussianMixture is built only here,
+    where the recursion takes it in.
     """
     if state is None:
-        state = new_memory(resolve_prior(cfg, targets[0]), targets[0], cfg.L)
+        first = GaussianMixture(*(a[0] for a in params))
+        state = new_memory(resolve_prior(cfg, first.k, first.d), first, cfg.L)
         yield state
-    for target in targets[state.day:]:
-        state = incorporate(state, target)
+    for row in zip(*(a[state.day:] for a in params)):
+        state = incorporate(state, GaussianMixture(*row))
         yield state
 
 
@@ -149,15 +151,15 @@ def run_experiment(cfg: RunConfig, state: MemoryState | None = None) -> RunResul
     when the failure is in scoring a block, that block's days are left
     out.
     """
-    targets = generate(cfg.stream)
-    prior = resolve_prior(cfg, targets[0])
+    params = daily_params(cfg.stream)
+    prior = resolve_prior(cfg, *params[1].shape[1:])
     if state is not None:
-        _check_resumable(cfg, targets, state, prior)
-    scored = run_targets(targets, prior)
-    block_pairs = _block_pairs(targets[0])
+        _check_resumable(cfg, len(params[0]), state, prior)
+    scored = run_targets(params, prior)
+    block_pairs = max(1, min(BLOCK_PAIRS, BLOCK_PARAMS // sum(a[0].size for a in params)))
     blocks, pending, pairs = [], [], 0
     try:
-        for state in daily_states(cfg, targets, state):
+        for state in daily_states(cfg, params, state):
             pending.append(state)
             pairs += state.day
             _maybe_snapshot(cfg, state)
@@ -173,12 +175,6 @@ def run_experiment(cfg: RunConfig, state: MemoryState | None = None) -> RunResul
     return _result(cfg, blocks, state)
 
 
-def _block_pairs(target: GaussianMixture) -> int:
-    """Pairs per scoring block for mixtures shaped like target; at least one."""
-    per_pair = target.k * (target.d * target.d + target.d + 1)
-    return max(1, min(BLOCK_PAIRS, BLOCK_PARAMS // per_pair))
-
-
 def _score_pending(pending: list, blocks: list, targets) -> None:
     """Score the pending states as one block onto ``blocks``.
 
@@ -191,16 +187,14 @@ def _score_pending(pending: list, blocks: list, targets) -> None:
         blocks.append(day_records(block, targets))
 
 
-def _check_resumable(cfg: RunConfig, targets, state: MemoryState, prior) -> None:
-    """Refuse a state made under another L or prior (node 0), or past the stream's end.
+def _check_resumable(cfg: RunConfig, n_days: int, state: MemoryState, prior) -> None:
+    """Refuse a state made under another L or prior (node 0), or past the stream's n_days.
 
     ``prior`` is the prior cfg resolves to.
     restore_state has compared a snapshot's stream config with cfg's already.
     """
-    if state.day > len(targets):
-        raise ConfigError(
-            f"snapshot is at day {state.day} but the stream has {len(targets)} days"
-        )
+    if state.day > n_days:
+        raise ConfigError(f"snapshot is at day {state.day} but the stream has {n_days} days")
     if state.grid.L != cfg.L:
         raise ConfigError(f"snapshot was made with L = {state.grid.L}, config has L = {cfg.L}")
     if state.prior.to_dict() != prior.to_dict():
@@ -247,7 +241,7 @@ def _flush_partial(cfg: RunConfig, blocks) -> None:
 
 def build_final_state(cfg: RunConfig) -> MemoryState:
     """Run the recursion only (no metrics); used by movie and drift checks."""
-    for state in daily_states(cfg, generate(cfg.stream)):
+    for state in daily_states(cfg, daily_params(cfg.stream)):
         pass
     return state
 
@@ -325,11 +319,11 @@ def fifo_baseline(cfg: RunConfig) -> RunResult:
     day's row; a pair within the window recalls its day exactly, so its
     gaps are written as exact zeros.
     """
-    targets = generate(cfg.stream)
-    prior = resolve_prior(cfg, targets[0])
-    days = np.arange(1, len(targets) + 1)
-    scored = run_targets(targets, prior)
-    lost = score_recall(stack_mixtures([prior] * len(days)), scored, days, days)
+    params = daily_params(cfg.stream)
+    prior = resolve_prior(cfg, *params[1].shape[1:])
+    days = np.arange(1, len(params[0]) + 1)
+    recalled = [np.repeat(a[None], len(days), 0) for a in (prior.weights, prior.means, prior.covs)]
+    lost = score_recall(recalled, run_targets(params, prior), days, days)
     m, n = stored_pairs(days)
     records, recent = lost[m - 1], n - m < cfg.L
     # score_recall's NaNs stay: F_norm where the baseline is 0, the channels for K = 1

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .gm import GaussianMixture, Moments, mixture_moments, stack_mixtures
+from .gm import GaussianMixture, Moments, _param_arrays, mixture_moments
 from .protocol import replay_block
 
 # One row per (m, n) replay comparison; a missing value is NaN: F_norm on a
@@ -137,9 +137,9 @@ class RunTargets:
     baseline: np.ndarray
 
 
-def run_targets(targets, prior: GaussianMixture) -> RunTargets:
-    """The daily targets (mixtures, day m at index m - 1) stacked and scored against prior."""
-    params = stack_mixtures(targets)
+def run_targets(params, prior: GaussianMixture) -> RunTargets:
+    """The daily targets' stacked (weights, means, covs), day m at row m - 1, scored against prior."""
+    params = _param_arrays(*params, lead=1)
     moments = mixture_moments(*params)
     return RunTargets(params, moments, moment_gap(prior.overall_moments(), moments))
 

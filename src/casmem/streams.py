@@ -248,7 +248,7 @@ def load_gm_file(path) -> GaussianMixture:
 
 
 def file_stream(cfg: StreamConfig):
-    """Constant stream repeating a mixture loaded from disk."""
+    """Constant stream repeating a mixture loaded from disk, as one broadcast row."""
     gm = load_gm_file(cfg.path)
     return _repeated(gm, np.broadcast_to(gm.weights, (cfg.n_days, gm.k)))
 
@@ -285,10 +285,14 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 
+def daily_params(cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stream's daily targets as read-only stacked (weights, means, covs), day m at row m - 1."""
+    return tuple(_frozen(a) for a in _KINDS[cfg.kind].generator(cfg))
+
+
 def generate(cfg: StreamConfig) -> list[GaussianMixture]:
-    """The stream's daily targets, day m at index m - 1: rows of read-only stacked arrays."""
-    stacked = [_frozen(a) for a in _KINDS[cfg.kind].generator(cfg)]
-    return [GaussianMixture(*row) for row in zip(*stacked)]
+    """The stream's daily targets as mixtures, day m at index m - 1: the rows of daily_params."""
+    return [GaussianMixture(*row) for row in zip(*daily_params(cfg))]
 
 
 def default_prior(k: int, d: int) -> GaussianMixture:

@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +32,8 @@ from casmem.metrics import (
 )
 from casmem.protocol import stored_pairs
 from casmem.streams import (
-    class_prior, default_prior, generate, make_config, save_gm_file, synthetic_class_mixture,
+    class_prior, daily_params, default_prior, generate, make_config, save_gm_file,
+    synthetic_class_mixture,
 )
 
 
@@ -57,30 +60,35 @@ def write_cfg(tmp_path, name="cfg.json", **body):
 def test_resolve_prior_forms():
     cfg = small_cfg(kind="triangle")
     first = generate(cfg.stream)[0]
-    std = resolve_prior(cfg, first)
+    std = resolve_prior(cfg, first.k, first.d)
     assert np.array_equal(std.means, np.zeros((3, 2)))
-    assert resolve_prior(RunConfig(stream=cfg.stream, prior=None), first).k == 3
+    assert resolve_prior(RunConfig(stream=cfg.stream, prior=None), first.k, first.d).k == 3
 
     explicit = default_prior(3, 2)
-    assert resolve_prior(RunConfig(stream=cfg.stream, prior=explicit), first) is explicit
+    assert resolve_prior(RunConfig(stream=cfg.stream, prior=explicit), first.k, first.d) is explicit
 
     point = resolve_prior(
         RunConfig(stream=cfg.stream, prior={"kind": "point", "x0": [1.0, 2.0], "var": 1e-10}),
-        first,
+        first.k,
+        first.d,
     )
     assert np.allclose(point.means, [1.0, 2.0])
     assert np.allclose(point.covs[0], 1e-10 * np.eye(2))
 
-    as_dict = resolve_prior(RunConfig(stream=cfg.stream, prior=explicit.to_dict()), first)
+    as_dict = resolve_prior(
+        RunConfig(stream=cfg.stream, prior=explicit.to_dict()), first.k, first.d
+    )
     assert np.array_equal(as_dict.means, explicit.means)
 
     with pytest.raises(ConfigError):
-        resolve_prior(RunConfig(stream=cfg.stream, prior=default_prior(2, 2)), first)
+        resolve_prior(RunConfig(stream=cfg.stream, prior=default_prior(2, 2)), first.k, first.d)
     with pytest.raises(ConfigError):
-        resolve_prior(RunConfig(stream=cfg.stream, prior=42), first)
+        resolve_prior(RunConfig(stream=cfg.stream, prior=42), first.k, first.d)
     with pytest.raises(ConfigError):
         resolve_prior(
-            RunConfig(stream=cfg.stream, prior={"kind": "point", "x0": [1.0, 2.0, 3.0]}), first
+            RunConfig(stream=cfg.stream, prior={"kind": "point", "x0": [1.0, 2.0, 3.0]}),
+            first.k,
+            first.d,
         )
 
 
@@ -336,7 +344,7 @@ def test_fifo_records_are_step_shaped():
 def per_pair_fifo_records(cfg):
     """Every stored (m, n) pair scored as a pair: day m below age L, the prior after."""
     targets = generate(cfg.stream)
-    prior = resolve_prior(cfg, targets[0])
+    prior = resolve_prior(cfg, targets[0].k, targets[0].d)
     m, n = stored_pairs(np.arange(1, len(targets) + 1))
     recalled = stack_mixtures([targets[i - 1] if j - i < cfg.L else prior for i, j in zip(m, n)])
     originals = stack_mixtures([targets[i - 1] for i in m])
@@ -369,6 +377,65 @@ def test_fifo_records_equal_per_pair_scoring(tmp_path, kind, extra):
     assert got.tobytes() == per_pair_fifo_records(cfg).tobytes()
     if kind == "file":
         assert np.isnan(got.F_norm).all()
+
+
+# ---------------------------------------------------------------- stacked stream
+
+
+def forbid_generate(monkeypatch):
+    """Make streams.generate raise, through every casmem module that binds it."""
+
+    def refuse(cfg):
+        raise AssertionError("streams.generate was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "casmem" and getattr(module, "generate", None) is generate:
+            monkeypatch.setattr(module, "generate", refuse)
+
+
+def run_path_outputs(cfg, cfg_path, out):
+    """A CLI snapshot, a fresh, a restored and a FIFO run's records and the final grid, as bytes."""
+    assert cli_main(["snapshot", "--config", cfg_path, "--day", "9", "--out", str(out)]) == 0
+    snap = out / "snapshot_day0009.json"
+    fresh = run_experiment(cfg).records
+    restored = run_experiment(cfg, restore_state(cfg, str(snap))).records
+    assert restored.tobytes() == fresh[fresh.n > 9].tobytes()
+    grid = build_final_state(cfg).grid
+    return [
+        snap.read_bytes(), fresh.tobytes(), restored.tobytes(), fifo_baseline(cfg).records.tobytes(),
+        grid.weights.tobytes(), grid.means.tobytes(), grid.covs.tobytes(),
+    ]
+
+
+def test_run_path_reads_the_stacks_not_generate(tmp_path, monkeypatch):
+    cfg = small_cfg(kind="triangle", n_days=16)
+    cfg_path = write_cfg(tmp_path, stream={"kind": "triangle", "n_days": 16})
+    want = run_path_outputs(cfg, cfg_path, tmp_path / "before")
+    forbid_generate(monkeypatch)
+    with pytest.raises(AssertionError, match="generate was called"):
+        sys.modules["casmem.streams"].generate(cfg.stream)
+    assert run_path_outputs(cfg, cfg_path, tmp_path / "after") == want
+
+
+def test_file_stream_days_are_one_broadcast_mixture(tmp_path, monkeypatch):
+    gm = synthetic_class_mixture(d=16, k=4, seed=3)
+    save_gm_file(gm, tmp_path / "mix.json")
+    stream = make_config("file", path=str(tmp_path / "mix.json"), n_days=500)
+    tracemalloc.start()
+    params = daily_params(stream)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    for got, want in zip(params, (gm.weights, gm.means, gm.covs), strict=True):
+        # every day is the loaded mixture's one block, read-only
+        assert got.shape == (500, *want.shape) and got.strides[0] == 0
+        assert got[0].tobytes() == want.tobytes() and not got.flags.writeable
+    # so building 500 days allocates less than a tenth of one (n, K, d, d) stack
+    assert peak < params[2].size * params[2].itemsize // 10
+    # and a run, FIFO or sweep on a file stream builds no per-day mixture list
+    forbid_generate(monkeypatch)
+    cfg = RunConfig(stream=replace(stream, n_days=40), L=5)
+    assert len(run_experiment(cfg).records) == len(fifo_baseline(cfg).records) == 820
+    assert [row["value"] for row in sweep(cfg, "L", [4, 6]).rows] == [4, 6]
 
 
 # ---------------------------------------------------------------- snapshots

@@ -164,7 +164,7 @@ def test_day_records_guard_zero_baseline():
     state = new_memory(prior, targets[0], 3)
     for t in targets[1:]:
         state = incorporate(state, t)
-    recs = day_records([state], run_targets(targets, prior))
+    recs = day_records([state], run_targets(stack_mixtures(targets), prior))
     assert np.isnan(recs[1].F_norm)
     for rec in (recs[0], recs[2]):
         baseline = moment_gap(prior.overall_moments(), targets[rec.m - 1].overall_moments())
@@ -299,7 +299,7 @@ def run_small_state(n_days=6, k=2, d=2, L=4):
 
 def test_day_records_shapes_and_flags():
     state, targets = run_small_state()
-    recs = day_records([state], run_targets(targets, state.prior))
+    recs = day_records([state], run_targets(stack_mixtures(targets), state.prior))
     n = state.day
     assert len(recs) == n
     assert [r.m for r in recs] == list(range(1, n + 1))
@@ -310,14 +310,14 @@ def test_day_records_shapes_and_flags():
     # multi-component run: decompositions filled in; single-component: NaN
     assert not np.isnan(recs.F_mean).any()
     state, targets = run_small_state(k=1)
-    single = day_records([state], run_targets(targets, state.prior))
+    single = day_records([state], run_targets(stack_mixtures(targets), state.prior))
     for field in ("F_mean", "F_cov", "F_weight"):
         assert np.isnan(single[field]).all()
 
 
 def test_day_records_channels_equal_single_pair_decomposition():
     targets = generate(make_config("triangle", n_days=20))
-    scored = run_targets(targets, default_prior(3, 2))
+    scored = run_targets(stack_mixtures(targets), default_prior(3, 2))
     state = new_memory(default_prior(3, 2), targets[0], 6)
     for target in targets[1:]:
         state = incorporate(state, target)
@@ -402,7 +402,7 @@ def test_aggregations_equal_reference_loops():
     for target in targets[1:]:
         state = incorporate(state, target)
         days.append(state)
-    records = day_records(days, run_targets(targets, targets[9]))
+    records = day_records(days, run_targets(stack_mixtures(targets), targets[9]))
     assert np.isnan(records.F_norm).sum() == 21
     assert_aggregations_equal_reference(records)
     # A resumed run's first day brings ages 20..0 in descending order. The
@@ -417,15 +417,15 @@ def assert_block_scoring_equals_per_day_reference(cfg):
     # 100 days give 5050 pairs; the resumed run's 3775 span at least three blocks
     targets = generate(cfg.stream)
     stacked = stack_mixtures(targets)
-    want = np.concatenate([reference_day_records(s, stacked) for s in daily_states(cfg, targets)])
+    want = np.concatenate([reference_day_records(s, stacked) for s in daily_states(cfg, stacked)])
     later = want[want["n"] > 50]
     assert len(later) >= 3 * BLOCK_PAIRS
     assert run_experiment(cfg).records.tobytes() == want.tobytes()
     day_50 = run_experiment(replace(cfg, stream=replace(cfg.stream, n_days=50)))
     assert run_experiment(cfg, day_50.final_state).records.tobytes() == later.tobytes()
     # one block of states equals its days scored one by one
-    states = list(daily_states(cfg, targets))[:30]
-    scored = run_targets(targets, states[0].prior)
+    states = list(daily_states(cfg, stacked))[:30]
+    scored = run_targets(stacked, states[0].prior)
     assert day_records(states, scored).tobytes() == want[want["n"] <= 30].tobytes()
 
 
@@ -441,7 +441,7 @@ def test_block_scoring_equals_per_day_reference_in_high_dimension(kind, d):
 
 def test_score_recall_refuses_pairs_outside_the_run():
     state, targets = run_small_state()
-    scored = run_targets(targets, state.prior)
+    scored = run_targets(stack_mixtures(targets), state.prior)
     m, n, recalled = replay_block([state])
     assert score_recall(recalled, scored, m, n).tobytes() == day_records([state], scored).tobytes()
     for bad in (m - 1, m + 1):  # day 0 would read the last day's row

@@ -178,7 +178,7 @@ def stream_states(kind):
     """Every state of the first 25 days of the built-in stream kind at L = 7, with its targets."""
     cfg = RunConfig(stream=make_config(kind), L=7)
     targets = generate(cfg.stream)[:25]
-    return list(daily_states(cfg, targets)), targets
+    return list(daily_states(cfg, stack_mixtures(targets))), targets
 
 
 BUILT_IN_KINDS = [kind for kind in KINDS if kind != "file"]

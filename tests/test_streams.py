@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from casmem.errors import ConfigError
-from casmem.gm import GaussianMixture
+from casmem.gm import GaussianMixture, stack_mixtures
+from casmem.metrics import run_targets
 from casmem.streams import (
     KINDS,
     StreamConfig,
     class_prior,
     crowding_ratio,
+    daily_params,
     default_prior,
     generate,
     load_gm_file,
@@ -323,12 +325,24 @@ def test_generate_equals_per_day_formulas(kind, fields, tmp_path):
         save_gm_file(synthetic_class_mixture(d=4, k=2, seed=3), fields["path"])
     cfg = make_config(kind, **fields)
     targets = generate(cfg)
+    params = daily_params(cfg)
     assert len(targets) == cfg.n_days
+    assert all(len(a) == cfg.n_days and not a.flags.writeable for a in params)
     for m, target in enumerate(targets, start=1):
         want = reference_day(cfg, m)
-        for f in ("weights", "means", "covs"):
-            got, expected = getattr(target, f), getattr(want, f)
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (m, f)
+        for f, stacked in zip(("weights", "means", "covs"), params, strict=True):
+            expected = getattr(want, f)
+            for got in (getattr(target, f), stacked[m - 1]):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (m, f)
+    # the stacks need no construction's symmetrizing: they score as the mixtures do
+    prior = default_prior(*params[1].shape[1:])
+    got, want = run_targets(params, prior), run_targets(stack_mixtures(targets), prior)
+    for a, b in zip(
+        (*got.params, got.moments.mean, got.moments.cov, got.baseline),
+        (*want.params, want.moments.mean, want.moments.cov, want.baseline),
+        strict=True,
+    ):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize(
