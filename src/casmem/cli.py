@@ -224,7 +224,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_snapshot)
 
-    p = sub.add_parser("restore", help="resume a snapshot to the end of its stream")
+    p = sub.add_parser(
+        "restore", help="resume a snapshot to the end of its stream",
+        description="Resume a snapshot to the end of its stream. The records, age curve and "
+        "summary cover only the days after the snapshot.",
+    )
     common(p)
     p.add_argument("--state", required=True, help="snapshot file")
     p.set_defaults(func=cmd_run)

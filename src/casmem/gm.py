@@ -82,7 +82,10 @@ class GaussianMixture:
     all arrays are frozen. Construction only checks shapes; use
     :func:`validate` for the probabilistic invariants, which keeps
     construction cheap inside interpolation loops. Methods taking points
-    take an (n, d) batch and return one entry or row per point.
+    take an (n, d) batch and return one entry or row per point; a lone
+    point may differ in the last bit from the same point inside a larger
+    batch, since BLAS takes gemv for one row and gemm for more (the replay
+    SDE sidesteps this in ``dynamics._slice_parts``).
     """
 
     weights: np.ndarray

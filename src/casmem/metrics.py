@@ -103,17 +103,12 @@ def decomposed_forgetting(replayed, original) -> tuple:
     three channels are reported on their own scale; their sum is not the
     overall-moment raw forgetting except in the single-component case.
     """
-    perm = match_components(replayed[1], original[1])
-    matched = (
-        np.take_along_axis(a, perm.reshape(perm.shape + (1,) * (a.ndim - perm.ndim)), perm.ndim - 1)
-        for a in original
-    )
-    return _channels(replayed, *matched)
-
-
-def _channels(replayed, o_w, o_m, o_c) -> tuple:
-    """decomposed_forgetting's channels against original components already matched to replayed's."""
     r_w, r_m, r_c = replayed
+    perm = match_components(r_m, original[1])
+    k = perm.shape[-1]
+    # one flat gather per field: pair i's component perm[i, j] is row i * K + perm[i, j]
+    flat = (perm.reshape(-1, k) + np.arange(0, perm.size, k)[:, None]).ravel()
+    o_w, o_m, o_c = (a.reshape((-1,) + a.shape[perm.ndim:])[flat].reshape(a.shape) for a in original)
     w_bar = np.maximum(r_w, o_w)
     dm = r_m - o_m
     f_mean = np.einsum("...k,...k->...", w_bar, np.einsum("...kd,...kd->...k", dm, dm))
@@ -151,10 +146,10 @@ def score_recall(recalled, targets: RunTargets, m, n) -> np.recarray:
     recalled mixtures, one row per pair; ``targets`` are the run's daily
     targets (run_targets); ``m`` and ``n`` are the pairs' days. Every pair
     is scored at once: raw gaps of the overall moments, normalized by day
-    m's amnesia baseline, and, for K > 1 components, the channel split,
-    whose matching permutes day m's components in one gather. The result
-    is one RECORD_DTYPE array in pair order: F_norm is NaN where the
-    baseline is 0, the channels are NaN for K = 1.
+    m's amnesia baseline, and, for K > 1 components, the channel split
+    (decomposed_forgetting) against day m's components, gathered once.
+    The result is one RECORD_DTYPE array in pair order: F_norm is NaN
+    where the baseline is 0, the channels are NaN for K = 1.
     """
     rows = np.asarray(m) - 1
     count, k = recalled[0].shape
@@ -171,9 +166,8 @@ def score_recall(recalled, targets: RunTargets, m, n) -> np.recarray:
     baseline = targets.baseline[rows]
     rec.F_norm = np.divide(rec.F_raw, baseline, out=np.full(count, np.nan), where=baseline > 0.0)
     if k > 1:
-        perm = match_components(recalled[1], targets.params[1][rows])
-        matched = (a[rows[:, None], perm] for a in targets.params)
-        rec.F_mean, rec.F_cov, rec.F_weight = _channels(recalled, *matched)
+        original = tuple(a[rows] for a in targets.params)
+        rec.F_mean, rec.F_cov, rec.F_weight = decomposed_forgetting(recalled, original)
     else:
         rec.F_mean = rec.F_cov = rec.F_weight = np.nan
     return rec

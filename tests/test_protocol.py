@@ -277,6 +277,20 @@ def test_rebin_indices_equal_reference_loop():
         assert np.array_equal(k, np.arange(L + 1))
 
 
+@pytest.mark.parametrize("L", [1, 2, 5, 10, 30])
+def test_rebin_matrix_blocks(L):
+    W = rebin_matrix(L)
+    # nodes 1..L never draw on the prior
+    assert not W[1:, 0].any()
+    # on the old nodes 1..L the operator is upper bidiagonal, spectral radius 1 - 1 / L
+    A = W[1:, 1:L + 1]
+    assert not np.tril(A, -1).any() and not np.triu(A, 2).any()
+    assert np.array_equal(np.diag(A), 1.0 - np.arange(1, L + 1) / L)
+    # the new day enters through the last node only
+    assert np.array_equal(W[1:, L + 1], np.eye(L)[-1])
+    assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-15
+
+
 @pytest.mark.parametrize("L", [1, 3, 10, 25])
 def test_smooth_direct_equals_matrix(L):
     state = new_memory(standard_prior(), day_target(1), L)
