@@ -190,7 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--L", type=int, default=None, help="segment budget override")
     p.add_argument("--theta", type=float, default=None, help="half-life threshold override")
-    p.add_argument("--snapshot-every", dest="snapshot_every", type=int, default=None)
+    p.add_argument("--snapshot-every", type=int, default=None,
+                   help="write a snapshot every N days into --out; none without --out")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="repeat the run along one config axis")

@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConfigError, NumericalError
 from .gm import DENSITY_FLOOR, DERIVED_WEIGHT_TOL, GaussianMixture, _as_points, _evaluate
 from .gm import _factor, _frozen, _log_weights, _mix, _param_arrays, _symmetrize
-from .protocol import ProtocolGrid, _lerp_nodes, _nodes, _segment, eval_at
+from .protocol import ProtocolGrid, _lerp_nodes, _segment, eval_at
 
 QUAD_REL_TOL = 1e-8
 QUAD_MAX_PANELS = 200
@@ -103,7 +103,7 @@ def path_slice(grid: ProtocolGrid, t: float) -> PathSlice:
 
 def _segment_rates(grid: ProtocolGrid, j: int):
     """Unchecked time rates (weights, means, covs) of the parameters along segment j."""
-    return tuple((a[j + 1] - a[j]) * grid.L for a in _nodes(grid))
+    return tuple((a[j + 1] - a[j]) * grid.L for a in grid)
 
 
 def _slice_parts(pts: np.ndarray, kernel, mean_rates, cov_rates):
@@ -330,7 +330,7 @@ def _step_drift_args(grid: ProtocolGrid, times: np.ndarray):
     starts = np.flatnonzero(np.diff(seg, prepend=-1))
     for a, b in zip(starts, np.append(starts[1:], len(times))):
         wr, mr, cr = _checked_rates(*_segment_rates(grid, seg[a]))
-        w, m, c = _lerp_nodes(_nodes(grid), seg[a:b], alpha[a:b])
+        w, m, c = _lerp_nodes(grid, seg[a:b], alpha[a:b])
         _, inv, log_norms = _factor(_symmetrize(c))
         log_w = _log_weights(w)
         wr = wr if _moving(wr) else None
@@ -402,7 +402,7 @@ def movie_frames(grid: ProtocolGrid, n_frames: int) -> list[GaussianMixture]:
     """Mixtures at n_frames uniformly spaced times, endpoints included."""
     if n_frames < 2:
         raise ValueError(f"need at least 2 frames, got {n_frames}")
-    params = _lerp_nodes(_nodes(grid), *_segment(np.linspace(0.0, 1.0, n_frames), grid.L))
+    params = _lerp_nodes(grid, *_segment(np.linspace(0.0, 1.0, n_frames), grid.L))
     return [GaussianMixture(*p) for p in zip(*params)]
 
 

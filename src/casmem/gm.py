@@ -9,7 +9,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -98,6 +98,10 @@ class GaussianMixture:
         object.__setattr__(self, "means", _frozen(m))
         object.__setattr__(self, "covs", _frozen(_symmetrize(c)))
 
+    def __iter__(self):
+        """The fields themselves, in a ``daily_params`` row's order: w, m, c = gm."""
+        return iter((self.weights, self.means, self.covs))
+
     @property
     def k(self) -> int:
         return self.means.shape[0]
@@ -150,7 +154,7 @@ class GaussianMixture:
 
     @cached_property
     def _moments(self) -> Moments:
-        mom = mixture_moments(self.weights, self.means, self.covs)
+        mom = mixture_moments(*self)
         return Moments(_frozen(mom.mean), _frozen(mom.cov))
 
     def sample(self, n: int, seed) -> np.ndarray:
@@ -172,11 +176,7 @@ class GaussianMixture:
         return self.means[comps] + np.einsum("nij,nj->ni", self._factors[0][comps], z)
 
     def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "means": self.means.tolist(),
-            "covs": self.covs.tolist(),
-        }
+        return {f.name: a.tolist() for f, a in zip(fields(self), self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianMixture":
@@ -234,8 +234,8 @@ def _mix(r: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def stack_mixtures(mixtures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights (n, K), means (n, K, d) and covs (n, K, d, d) of n same-shape mixtures."""
-    return tuple(np.stack([getattr(g, f) for g in mixtures]) for f in ("weights", "means", "covs"))
+    """Weights (n, K), means (n, K, d) and covs (n, K, d, d) of n same-shape mixtures or rows."""
+    return tuple(np.stack(field) for field in zip(*mixtures))
 
 
 def mixture_moments(weights, means, covs) -> Moments:
@@ -282,4 +282,4 @@ def validate_arrays(weights, means, covs) -> str | None:
 
 def validate(gm: GaussianMixture) -> str | None:
     """Check the probabilistic invariants of a mixture; None means valid."""
-    return validate_arrays(gm.weights, gm.means, gm.covs)
+    return validate_arrays(*gm)

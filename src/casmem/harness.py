@@ -123,15 +123,15 @@ def daily_states(
     """The memory after each day of the stream's stacked (weights, means, covs) (daily_params).
 
     From scratch this starts with day 1; from a given state it continues
-    with the day after it. Each day's GaussianMixture is built only here,
-    where the recursion takes it in.
+    with the day after it. Each day goes in as its row of the stacks; no
+    day is built as a GaussianMixture.
     """
     if state is None:
-        first = GaussianMixture(*(a[0] for a in params))
-        state = new_memory(resolve_prior(cfg, first.k, first.d), first, cfg.L)
+        prior = resolve_prior(cfg, *params[1].shape[1:])
+        state = new_memory(prior, [a[0] for a in params], cfg.L)
         yield state
     for row in zip(*(a[state.day:] for a in params)):
-        state = incorporate(state, GaussianMixture(*row))
+        state = incorporate(state, row)
         yield state
 
 
@@ -322,7 +322,7 @@ def fifo_baseline(cfg: RunConfig) -> RunResult:
     params = daily_params(cfg.stream)
     prior = resolve_prior(cfg, *params[1].shape[1:])
     days = np.arange(1, len(params[0]) + 1)
-    recalled = [np.repeat(a[None], len(days), 0) for a in (prior.weights, prior.means, prior.covs)]
+    recalled = [np.broadcast_to(a, (len(days), *a.shape)) for a in prior]
     lost = score_recall(recalled, run_targets(params, prior), days, days)
     m, n = stored_pairs(days)
     records, recent = lost[m - 1], n - m < cfg.L
@@ -355,15 +355,13 @@ def snapshot_state(cfg: RunConfig, state: MemoryState, directory: str) -> str:
     Schema v3: L, day, the prior (node 0 again), the stream config without
     n_days and the grid nodes. Returns the file's path.
     """
-    grid = state.grid
-    nodes = zip(grid.weights, grid.means, grid.covs)
     data = {
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
-        "L": grid.L,
+        "L": state.grid.L,
         "day": state.day,
         "prior": state.prior.to_dict(),
         "stream": _stream_fingerprint(cfg.stream),
-        "nodes": [GaussianMixture(*node).to_dict() for node in nodes],
+        "nodes": [GaussianMixture(*node).to_dict() for node in zip(*state.grid)],
     }
     path = os.path.join(directory, f"snapshot_day{state.day:04d}.json")
     return write_text(path, json.dumps(data) + "\n")

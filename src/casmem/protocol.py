@@ -32,7 +32,7 @@ from .gm import GaussianMixture, _frozen, _param_arrays, stack_mixtures
 
 @dataclass(frozen=True)
 class ProtocolGrid:
-    """L + 1 mixture nodes at times j / L, as stacked frozen parameter arrays."""
+    """L + 1 mixture nodes at times j / L: stacked frozen parameter arrays, iterated as w, m, c."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -44,6 +44,9 @@ class ProtocolGrid:
             raise ValueError(f"need at least 2 nodes, got {len(arrays[0])}")
         for name, a in zip(("weights", "means", "covs"), arrays):
             object.__setattr__(self, name, _frozen(a))
+
+    def __iter__(self):
+        return iter((self.weights, self.means, self.covs))
 
     @property
     def L(self) -> int:
@@ -68,11 +71,7 @@ class MemoryState:
     @cached_property
     def prior(self) -> GaussianMixture:
         """Node 0: the rebin keeps it bit for bit and old recall is interpolated toward it."""
-        return GaussianMixture(self.grid.weights[0], self.grid.means[0], self.grid.covs[0])
-
-
-def _nodes(grid: ProtocolGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return grid.weights, grid.means, grid.covs
+        return GaussianMixture(*(a[0] for a in self.grid))
 
 
 def _lerp_nodes(nodes, j, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,23 +121,24 @@ def eval_at(grid: ProtocolGrid, t: float) -> GaussianMixture:
     """Interpolate node parameters at time t in [0, 1]."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    return GaussianMixture(*_lerp_nodes(_nodes(grid), *_segment(t, grid.L)))
+    return GaussianMixture(*_lerp_nodes(grid, *_segment(t, grid.L)))
 
 
-def add(grid: ProtocolGrid, target: GaussianMixture) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def add(grid: ProtocolGrid, target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Append the new day as node L + 1: the L+2-node path on the (L + 1)-grid.
 
-    Returns the path as stacked (weights, means, covs) arrays, the form
-    stack_mixtures returns; smooth reads it once and it is never a grid.
+    The target is any (weights, means, covs) day, a GaussianMixture or a
+    ``daily_params`` row, read as given. Returns the path as stacked arrays,
+    the form stack_mixtures returns; smooth reads it once and it is never a grid.
     """
-    if target.k != grid.k or target.d != grid.d:
-        raise ValueError(
-            f"target shape ({target.k}, {target.d}) does not match grid ({grid.k}, {grid.d})"
-        )
+    w, m, c = target
+    k, d = grid.means.shape[1:]
+    if w.shape != (k,) or m.shape != (k, d) or c.shape != (k, d, d):
+        raise ValueError(f"day shapes {w.shape}, {m.shape}, {c.shape} do not fit K = {k}, d = {d}")
     return (
-        np.concatenate([grid.weights, target.weights[None]]),
-        np.concatenate([grid.means, target.means[None]]),
-        np.concatenate([grid.covs, target.covs[None]]),
+        np.concatenate([grid.weights, w[None]]),
+        np.concatenate([grid.means, m[None]]),
+        np.concatenate([grid.covs, c[None]]),
     )
 
 
@@ -178,8 +178,8 @@ def smooth(aug) -> ProtocolGrid:
     return ProtocolGrid(*_lerp_rows(aug, *_rebin_terms(len(aug[0]) - 2)))
 
 
-def new_memory(prior: GaussianMixture, target1: GaussianMixture, L: int) -> MemoryState:
-    """State after day 1: the linear ramp from the prior (t = 0) to the first target (t = 1)."""
+def new_memory(prior: GaussianMixture, target1, L: int) -> MemoryState:
+    """State after day 1: the linear ramp from the prior (t = 0) to day 1's triple (t = 1)."""
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     ramp = stack_mixtures((prior, target1))
@@ -187,8 +187,8 @@ def new_memory(prior: GaussianMixture, target1: GaussianMixture, L: int) -> Memo
     return MemoryState(grid, 1)
 
 
-def incorporate(state: MemoryState, target: GaussianMixture) -> MemoryState:
-    """One day of the recursion; returns the next state, inputs untouched."""
+def incorporate(state: MemoryState, target) -> MemoryState:
+    """One day of the recursion on a day triple (see add): the next state, inputs untouched."""
     return MemoryState(smooth(add(state.grid, target)), state.day + 1)
 
 
@@ -235,7 +235,7 @@ def replay_block(states) -> tuple[np.ndarray, np.ndarray, tuple]:
     j, alpha = _segment(times, L)
     # node j of state i is row i (L + 1) + j of the concatenated grids
     j += np.repeat(np.arange(len(states)) * (L + 1), days)
-    nodes = [np.concatenate(a) for a in zip(*(_nodes(s.grid) for s in states))]
+    nodes = [np.concatenate(a) for a in zip(*(s.grid for s in states))]
     return m, n, _lerp_nodes(nodes, j, alpha)
 
 

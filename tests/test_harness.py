@@ -438,6 +438,32 @@ def test_file_stream_days_are_one_broadcast_mixture(tmp_path, monkeypatch):
     assert [row["value"] for row in sweep(cfg, "L", [4, 6]).rows] == [4, 6]
 
 
+@pytest.mark.parametrize("kind, K", [("circular", 1), ("crowding", 5)])
+def test_runs_build_no_mixture_per_day(kind, K, tmp_path, monkeypatch):
+    built = [0]
+    post_init = GaussianMixture.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(GaussianMixture, "__post_init__", counted)
+
+    def snapshot(cfg):
+        path = write_cfg(tmp_path, stream={"kind": kind, "K": K, "n_days": cfg.stream.n_days})
+        day = str(cfg.stream.n_days)
+        assert cli_main(["snapshot", "--config", path, "--day", day, "--out", str(tmp_path)]) == 0
+
+    counts = {}
+    for run in (run_experiment, fifo_baseline, build_final_state, snapshot):
+        for n_days in (30, 60):
+            built[0] = 0
+            run(small_cfg(kind=kind, K=K, n_days=n_days))
+            counts.setdefault(run.__name__, []).append(built[0])
+    # the mixtures built are the prior's and the snapshot's nodes, whatever the run's length
+    assert all(short == long for short, long in counts.values()), counts
+
+
 # ---------------------------------------------------------------- snapshots
 
 

@@ -120,8 +120,15 @@ def test_add_appends_target_at_one():
             ProtocolGrid(*bad)
     # the day's grid ends on the target, bit for bit
     assert same_params(node(incorporate(state, target).grid, grid.L), target)
-    with pytest.raises(ValueError):
-        add(grid, day_target(2, d=3))
+    # a day of another shape is refused, whether a mixture or a row of bare arrays
+    w, m, c = day_target(2)
+    bad_days = (
+        day_target(2, d=3), tuple(day_target(2, k=3)), tuple(day_target(2, d=3)),
+        (w[:1], m, c), (w, m, c[..., :1]), (w, m, c[0]),
+    )
+    for bad in bad_days:
+        with pytest.raises(ValueError, match="do not fit K = 2, d = 2"):
+            add(grid, bad)
 
 
 def reference_rebin_indices(L):
@@ -211,10 +218,10 @@ def test_node_lerp_equals_the_two_term_formula(kind):
     for mi, ni in zip(m, n):
         u = readout_time(L, int(ni - mi)) * L
         j = min(int(u), L - 1)
-        for field, x in zip(want, lerp_oracle(protocol._nodes(states[ni - 1].grid), j, u - j)):
+        for field, x in zip(want, lerp_oracle(states[ni - 1].grid, j, u - j)):
             field.append(x)
     assert same_bytes(got, [np.stack(field) for field in want])
-    assert fresh_c_order(got, *(a for s in states for a in protocol._nodes(s.grid)))
+    assert fresh_c_order(got, *(a for s in states for a in s.grid))
 
 
 def test_node_lerp_leaves_writable_nodes_untouched():

@@ -3,7 +3,9 @@ import pytest
 
 from casmem.errors import ConfigError
 from casmem.gm import GaussianMixture, stack_mixtures
+from casmem.harness import RunConfig, daily_states, resolve_prior
 from casmem.metrics import run_targets
+from casmem.protocol import add, incorporate, new_memory
 from casmem.streams import (
     KINDS,
     StreamConfig,
@@ -318,12 +320,17 @@ STACKED_CASES = [
 ]
 
 
-@pytest.mark.parametrize("kind, fields", STACKED_CASES)
-def test_generate_equals_per_day_formulas(kind, fields, tmp_path):
+def stacked_config(kind, fields, tmp_path):
+    """make_config of a STACKED_CASES entry; the file kind reads a mixture saved under tmp_path."""
     if kind == "file":
         fields = dict(fields, path=str(tmp_path / "mix.json"))
         save_gm_file(synthetic_class_mixture(d=4, k=2, seed=3), fields["path"])
-    cfg = make_config(kind, **fields)
+    return make_config(kind, **fields)
+
+
+@pytest.mark.parametrize("kind, fields", STACKED_CASES)
+def test_generate_equals_per_day_formulas(kind, fields, tmp_path):
+    cfg = stacked_config(kind, fields, tmp_path)
     targets = generate(cfg)
     params = daily_params(cfg)
     assert len(targets) == cfg.n_days
@@ -343,6 +350,34 @@ def test_generate_equals_per_day_formulas(kind, fields, tmp_path):
         strict=True,
     ):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_bytes(xs, ys):
+    return all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys, strict=True)
+    )
+
+
+@pytest.mark.parametrize("kind, fields", STACKED_CASES)
+def test_rows_go_in_as_their_mixtures(kind, fields, tmp_path):
+    cfg = RunConfig(stream=stacked_config(kind, fields, tmp_path), L=7)
+    covs = daily_params(cfg.stream)[2]
+    # a row skips the mixture's symmetrizing, which leaves an exactly symmetric stack as it is
+    assert covs.tobytes() == np.swapaxes(covs, -1, -2).tobytes()
+    params = [a[:60] for a in daily_params(cfg.stream)]
+    targets = generate(cfg.stream)[:60]
+    gm = targets[0]
+    assert all(a is b for a, b in zip(tuple(gm), (gm.weights, gm.means, gm.covs), strict=True))
+    state = new_memory(resolve_prior(cfg, gm.k, gm.d), gm, cfg.L)
+    states = daily_states(cfg, params)
+    assert same_bytes(next(states).grid, state.grid)
+    for row, target, got in zip(zip(*(a[1:] for a in params)), targets[1:], states, strict=True):
+        assert same_bytes(add(state.grid, row), add(state.grid, target))
+        state = incorporate(state, target)
+        assert got.day == state.day and same_bytes(got.grid, state.grid)
+    grid = state.grid
+    stacks = (grid.weights, grid.means, grid.covs)
+    assert all(a is b for a, b in zip(tuple(grid), stacks, strict=True))
 
 
 @pytest.mark.parametrize(
