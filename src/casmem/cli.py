@@ -21,7 +21,6 @@ from .harness import (
     SWEEP_COLUMNS,
     RunConfig,
     build_final_state,
-    daily_states,
     export,
     fifo_baseline,
     restore_state,
@@ -30,7 +29,7 @@ from .harness import (
     sweep,
 )
 from .protocol import eval_at
-from .streams import daily_params, make_config
+from .streams import make_config
 
 
 def _fmt(value) -> str:
@@ -166,11 +165,9 @@ def cmd_drift_check(args) -> int:
 
 def cmd_snapshot(args) -> int:
     cfg = load_run_config(args.config, args)
-    params = daily_params(cfg.stream)
-    if not 1 <= args.day <= len(params[0]):
-        raise ConfigError(f"--day must lie in [1, {len(params[0])}], got {args.day}")
-    for state in daily_states(cfg, [a[: args.day] for a in params]):
-        pass
+    if not 1 <= args.day <= cfg.stream.n_days:
+        raise ConfigError(f"--day must lie in [1, {cfg.stream.n_days}], got {args.day}")
+    state = build_final_state(cfg, args.day)
     print(json.dumps({"day": state.day, "path": snapshot_state(cfg, state, args.out)}))
     return 0
 
@@ -219,10 +216,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("snapshot", help="run to a given day and save the memory state")
-    p.add_argument("--config", required=True)
-    p.add_argument("--day", type=int, required=True)
+    p.add_argument("--config", required=True, help="JSON config file")
+    p.add_argument("--day", type=int, required=True, help="day to save, 1 to the stream's n_days")
     p.add_argument("--out", required=True, help="directory for the snapshot file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="stream / sampling seed")
     p.set_defaults(func=cmd_snapshot)
 
     p = sub.add_parser(

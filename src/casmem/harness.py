@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (
     ConfigError, NumericalError, check_fields, check_value, read_json_object, write_text,
 )
-from .gm import GaussianMixture, has_non_numbers, stack_mixtures, validate
+from .gm import GaussianMixture, _symmetrize, has_non_numbers, stack_mixtures, validate
 from .metrics import (
     RECORD_DTYPE,
     AgeCurve,
@@ -118,16 +118,14 @@ def _stream_fingerprint(stream: StreamConfig) -> dict:
 
 
 def daily_states(
-    cfg: RunConfig, params, state: MemoryState | None = None
+    cfg: RunConfig, params, prior: GaussianMixture, state: MemoryState | None = None
 ) -> Iterator[MemoryState]:
     """The memory after each day of the stream's stacked (weights, means, covs) (daily_params).
 
-    From scratch this starts with day 1; from a given state it continues
-    with the day after it. Each day goes in as its row of the stacks; no
-    day is built as a GaussianMixture.
+    From day 1 on the given prior, or from the day after a given state. Each
+    day goes in as its row of the stacks; no day is built as a GaussianMixture.
     """
     if state is None:
-        prior = resolve_prior(cfg, *params[1].shape[1:])
         state = new_memory(prior, [a[0] for a in params], cfg.L)
         yield state
     for row in zip(*(a[state.day:] for a in params)):
@@ -159,7 +157,7 @@ def run_experiment(cfg: RunConfig, state: MemoryState | None = None) -> RunResul
     block_pairs = max(1, min(BLOCK_PAIRS, BLOCK_PARAMS // sum(a[0].size for a in params)))
     blocks, pending, pairs = [], [], 0
     try:
-        for state in daily_states(cfg, params, state):
+        for state in daily_states(cfg, params, prior, state):
             pending.append(state)
             pairs += state.day
             _maybe_snapshot(cfg, state)
@@ -239,9 +237,10 @@ def _flush_partial(cfg: RunConfig, blocks) -> None:
     write_text(os.path.join(cfg.outputs, "records.partial.csv"), text)
 
 
-def build_final_state(cfg: RunConfig) -> MemoryState:
-    """Run the recursion only (no metrics); used by movie and drift checks."""
-    for state in daily_states(cfg, daily_params(cfg.stream)):
+def build_final_state(cfg: RunConfig, days: int | None = None) -> MemoryState:
+    """The memory after the stream's first ``days`` days (all by default), with no metrics."""
+    params = [a[:days] for a in daily_params(cfg.stream)]
+    for state in daily_states(cfg, params, resolve_prior(cfg, *params[1].shape[1:])):
         pass
     return state
 
@@ -353,15 +352,18 @@ def snapshot_state(cfg: RunConfig, state: MemoryState, directory: str) -> str:
     """Write a state of cfg's stream to snapshot_dayNNNN.json (its day) in directory.
 
     Schema v3: L, day, the prior (node 0 again), the stream config without
-    n_days and the grid nodes. Returns the file's path.
+    n_days and the grid nodes, each as its mixture's to_dict. Returns the file's path.
     """
+    w, m, c = state.grid
+    stacks = {"weights": w.tolist(), "means": m.tolist(), "covs": _symmetrize(c).tolist()}
+    nodes = [dict(zip(stacks, node)) for node in zip(*stacks.values())]
     data = {
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
         "L": state.grid.L,
         "day": state.day,
-        "prior": state.prior.to_dict(),
+        "prior": nodes[0],
         "stream": _stream_fingerprint(cfg.stream),
-        "nodes": [GaussianMixture(*node).to_dict() for node in zip(*state.grid)],
+        "nodes": nodes,
     }
     path = os.path.join(directory, f"snapshot_day{state.day:04d}.json")
     return write_text(path, json.dumps(data) + "\n")

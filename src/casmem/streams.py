@@ -1,4 +1,4 @@
-"""Target-stream curricula: one mixture per day, generated deterministically.
+"""Target-stream curricula: a day is one (weights, means, covs) row, generated deterministically.
 
 Every generator is a pure function of its config, so a run can always be
 reproduced (and resumed) from the config alone.

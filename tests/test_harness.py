@@ -30,9 +30,9 @@ from casmem.harness import (
 from casmem.metrics import (
     RECORD_CSV_HEADER, RECORD_DTYPE, decomposed_forgetting, moment_gap, records_csv_lines,
 )
-from casmem.protocol import stored_pairs
+from casmem.protocol import MemoryState, ProtocolGrid, stored_pairs
 from casmem.streams import (
-    class_prior, daily_params, default_prior, generate, make_config, save_gm_file,
+    KINDS, class_prior, daily_params, default_prior, generate, make_config, save_gm_file,
     synthetic_class_mixture,
 )
 
@@ -440,28 +440,82 @@ def test_file_stream_days_are_one_broadcast_mixture(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kind, K", [("circular", 1), ("crowding", 5)])
 def test_runs_build_no_mixture_per_day(kind, K, tmp_path, monkeypatch):
-    built = [0]
-    post_init = GaussianMixture.__post_init__
+    built, resolved = [0], [0]
+    post_init, resolve = GaussianMixture.__post_init__, harness.resolve_prior
 
     def counted(self):
         built[0] += 1
         post_init(self)
 
+    def counted_resolve(*args):
+        resolved[0] += 1
+        return resolve(*args)
+
     monkeypatch.setattr(GaussianMixture, "__post_init__", counted)
+    monkeypatch.setattr(harness, "resolve_prior", counted_resolve)
 
     def snapshot(cfg):
-        path = write_cfg(tmp_path, stream={"kind": kind, "K": K, "n_days": cfg.stream.n_days})
+        stream = {"kind": kind, "K": K, "n_days": cfg.stream.n_days}
+        path = write_cfg(tmp_path, stream=stream, L=cfg.L)
         day = str(cfg.stream.n_days)
         assert cli_main(["snapshot", "--config", path, "--day", day, "--out", str(tmp_path)]) == 0
 
-    counts = {}
     for run in (run_experiment, fifo_baseline, build_final_state, snapshot):
-        for n_days in (30, 60):
-            built[0] = 0
-            run(small_cfg(kind=kind, K=K, n_days=n_days))
-            counts.setdefault(run.__name__, []).append(built[0])
-    # the mixtures built are the prior's and the snapshot's nodes, whatever the run's length
-    assert all(short == long for short, long in counts.values()), counts
+        for L, n_days in ((5, 30), (20, 60)):
+            built[0] = resolved[0] = 0
+            run(small_cfg(kind=kind, K=K, n_days=n_days, L=L))
+            # the one mixture built is the prior, resolved once: no per-day or per-node mixture
+            assert (built[0], resolved[0]) == (1, 1), (run.__name__, L, built[0], resolved[0])
+
+
+def old_snapshot_bytes(cfg, state):
+    """The snapshot file as written through one GaussianMixture per node and one for the prior."""
+    data = {
+        "schema_version": harness.SNAPSHOT_SCHEMA_VERSION,
+        "L": state.grid.L,
+        "day": state.day,
+        "prior": state.prior.to_dict(),
+        "stream": harness._stream_fingerprint(cfg.stream),
+        "nodes": [GaussianMixture(*node).to_dict() for node in zip(*state.grid)],
+    }
+    return (json.dumps(data) + "\n").encode()
+
+
+def assert_snapshot_writes_node_mixtures(cfg, state, directory):
+    path = snapshot_state(cfg, state, str(directory))
+    assert Path(path).read_bytes() == old_snapshot_bytes(cfg, state)
+
+
+@pytest.mark.parametrize("L", [1, 10])
+@pytest.mark.parametrize("kind", KINDS)
+def test_snapshot_bytes_equal_the_per_node_mixture_form(kind, L, tmp_path):
+    stream = {"nuisance": "random_walk", "seed": 3} if kind == "embedded" else {}
+    if kind == "file":
+        save_gm_file(synthetic_class_mixture(d=4, k=2, seed=5), tmp_path / "mix.json")
+        stream["path"] = str(tmp_path / "mix.json")
+    cfg = RunConfig(stream=make_config(kind, **stream), L=L)
+    params = [a[:12] for a in daily_params(cfg.stream)]
+    k, d = params[1].shape[1:]
+    point = {"kind": "point", "x0": [-0.0] + [0.5] * (d - 1), "var": 0.25}
+    for prior in ("standard", point):
+        run = replace(cfg, prior=prior)
+        for state in harness.daily_states(run, params, resolve_prior(run, k, d)):
+            assert_snapshot_writes_node_mixtures(run, state, tmp_path)
+
+
+def test_snapshot_bytes_of_restored_and_hand_built_states(tmp_path):
+    cfg = small_cfg(kind="triangle", n_days=20, L=6)
+    restored = restore_state(cfg, snapshot_file(cfg, 9, tmp_path))
+    for state in harness.daily_states(cfg, daily_params(cfg.stream), None, restored):
+        assert_snapshot_writes_node_mixtures(cfg, state, tmp_path)
+    # a grid built by hand may hold negative zeros and covariances asymmetric in the last bits
+    w, m, c = (a.copy() for a in build_final_state(cfg).grid)
+    m[:, 0, 0] = -0.0
+    c[..., 0, 1] += 1e-12
+    grid = ProtocolGrid(w, m, c)
+    assert not np.array_equal(grid.covs, np.swapaxes(grid.covs, -1, -2))
+    assert_snapshot_writes_node_mixtures(cfg, MemoryState(grid, 20), tmp_path)
+    assert "-0.0" in (tmp_path / "snapshot_day0020.json").read_text()
 
 
 # ---------------------------------------------------------------- snapshots

@@ -29,7 +29,7 @@ from casmem.metrics import (
     run_targets,
     score_recall,
 )
-from casmem.harness import BLOCK_PAIRS, RunConfig, daily_states, run_experiment
+from casmem.harness import BLOCK_PAIRS, RunConfig, daily_states, resolve_prior, run_experiment
 from casmem.protocol import incorporate, new_memory, replay, replay_block
 from casmem.streams import default_prior, generate, make_config
 
@@ -469,14 +469,16 @@ def assert_block_scoring_equals_per_day_reference(cfg):
     # 100 days give 5050 pairs; the resumed run's 3775 span at least three blocks
     targets = generate(cfg.stream)
     stacked = stack_mixtures(targets)
-    want = np.concatenate([reference_day_records(s, stacked) for s in daily_states(cfg, stacked)])
+    prior = resolve_prior(cfg, targets[0].k, targets[0].d)
+    states = list(daily_states(cfg, stacked, prior))
+    want = np.concatenate([reference_day_records(s, stacked) for s in states])
     later = want[want["n"] > 50]
     assert len(later) >= 3 * BLOCK_PAIRS
     assert run_experiment(cfg).records.tobytes() == want.tobytes()
     day_50 = run_experiment(replace(cfg, stream=replace(cfg.stream, n_days=50)))
     assert run_experiment(cfg, day_50.final_state).records.tobytes() == later.tobytes()
     # one block of states equals its days scored one by one
-    states = list(daily_states(cfg, stacked))[:30]
+    states = states[:30]
     scored = run_targets(stacked, states[0].prior)
     assert day_records(states, scored).tobytes() == want[want["n"] <= 30].tobytes()
 

@@ -7,7 +7,9 @@ import pytest
 
 import casmem.protocol as protocol
 from casmem.gm import GaussianMixture, stack_mixtures
-from casmem.harness import RunConfig, daily_states, restore_state, run_experiment, snapshot_state
+from casmem.harness import (
+    RunConfig, daily_states, resolve_prior, restore_state, run_experiment, snapshot_state,
+)
 from casmem.protocol import (
     MemoryState,
     ProtocolGrid,
@@ -185,7 +187,8 @@ def stream_states(kind):
     """Every state of the first 25 days of the built-in stream kind at L = 7, with its targets."""
     cfg = RunConfig(stream=make_config(kind), L=7)
     targets = generate(cfg.stream)[:25]
-    return list(daily_states(cfg, stack_mixtures(targets))), targets
+    prior = resolve_prior(cfg, targets[0].k, targets[0].d)
+    return list(daily_states(cfg, stack_mixtures(targets), prior)), targets
 
 
 BUILT_IN_KINDS = [kind for kind in KINDS if kind != "file"]

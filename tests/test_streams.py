@@ -368,8 +368,9 @@ def test_rows_go_in_as_their_mixtures(kind, fields, tmp_path):
     targets = generate(cfg.stream)[:60]
     gm = targets[0]
     assert all(a is b for a, b in zip(tuple(gm), (gm.weights, gm.means, gm.covs), strict=True))
-    state = new_memory(resolve_prior(cfg, gm.k, gm.d), gm, cfg.L)
-    states = daily_states(cfg, params)
+    prior = resolve_prior(cfg, gm.k, gm.d)
+    state = new_memory(prior, gm, cfg.L)
+    states = daily_states(cfg, params, prior)
     assert same_bytes(next(states).grid, state.grid)
     for row, target, got in zip(zip(*(a[1:] for a in params)), targets[1:], states, strict=True):
         assert same_bytes(add(state.grid, row), add(state.grid, target))
