@@ -28,7 +28,7 @@ from .metrics import (
 )
 from .protocol import (
     MemoryState, ProtocolGrid, add, eval_at, incorporate, memory_footprint, new_memory,
-    readout_time, rebin_indices, rebin_matrix, replay, replay_block, smooth, stored_pairs,
+    readout_time, rebin_matrix, replay, replay_block, smooth, stored_pairs,
 )
 from .streams import (
     StreamConfig, class_prior, daily_params, default_prior, generate, load_gm_file, make_config,
@@ -41,8 +41,8 @@ __all__ = [
     "validate", "validate_arrays",
     # protocol
     "MemoryState", "ProtocolGrid", "add", "eval_at", "incorporate", "memory_footprint",
-    "new_memory", "readout_time", "rebin_indices", "rebin_matrix", "replay", "replay_block",
-    "smooth", "stored_pairs",
+    "new_memory", "readout_time", "rebin_matrix", "replay", "replay_block", "smooth",
+    "stored_pairs",
     # metrics
     "RECORD_DTYPE", "AgeCurve", "RunTargets", "age_curve", "channel_shares", "day_records",
     "decomposed_forgetting", "half_life", "match_components", "moment_gap", "run_targets",

@@ -165,8 +165,6 @@ def cmd_drift_check(args) -> int:
 
 def cmd_snapshot(args) -> int:
     cfg = load_run_config(args.config, args)
-    if not 1 <= args.day <= cfg.stream.n_days:
-        raise ConfigError(f"--day must lie in [1, {cfg.stream.n_days}], got {args.day}")
     state = build_final_state(cfg, args.day)
     print(json.dumps({"day": state.day, "path": snapshot_state(cfg, state, args.out)}))
     return 0

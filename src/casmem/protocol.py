@@ -70,7 +70,7 @@ class MemoryState:
 
     @cached_property
     def prior(self) -> GaussianMixture:
-        """Node 0: the rebin keeps it bit for bit and old recall is interpolated toward it."""
+        """Node 0, kept by the rebin up to the sign of zero; old recall interpolates toward it."""
         return GaussianMixture(*(a[0] for a in self.grid))
 
 
@@ -79,27 +79,23 @@ def _lerp_nodes(nodes, j, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     j and alpha are numbers or arrays of one shape.
     """
+    alpha = np.asarray(alpha)
     return _lerp_rows(nodes, j, j + 1, 1.0 - alpha, alpha)
 
 
 def _lerp_rows(nodes, near, far, w_near, w_far) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """w_near * node near + w_far * node far of each field: _lerp_nodes with its terms given.
 
-    Each field allocates two arrays: both rows are gathered by take, which
-    always copies, and scaled and summed in place. The results are fresh,
-    C-ordered and share no memory with the nodes.
+    The weights are NumPy arrays or scalars, one per gathered row. Each field allocates
+    two arrays: both rows are gathered by take, which always copies, and scaled and summed
+    in place. The results are fresh, C-ordered and share no memory with the nodes.
     """
-    lead = np.shape(w_near)
     out = []
     for a in nodes:
         x, y = a.take(near, axis=0), a.take(far, axis=0)
-        if lead:  # one weight per gathered row, broadcast over the field's axes
-            shape = lead + (1,) * (a.ndim - 1)
-            x *= w_near.reshape(shape)
-            y *= w_far.reshape(shape)
-        else:
-            x *= w_near
-            y *= w_far
+        shape = w_near.shape + (1,) * (a.ndim - 1)  # broadcast over the field's axes
+        x *= w_near.reshape(shape)
+        y *= w_far.reshape(shape)
         x += y
         out.append(x)
     return tuple(out)
@@ -109,11 +105,11 @@ def _segment(t, L: int):
     """Segment j holding time t in [0, 1] and the position t * L - j within it.
 
     Segments are right-continuous and the last one is closed at t = 1.
-    t is a number or an array; the density and the drift's rates are
-    read on the segment this returns.
+    t is a number or an array; a number gives NumPy scalars. The density
+    and the drift's rates are read on the segment this returns.
     """
-    u = t * L
-    j = np.minimum(u.astype(int), L - 1) if isinstance(u, np.ndarray) else min(int(u), L - 1)
+    u = np.multiply(t, L)
+    j = np.minimum(u.astype(int), L - 1)
     return j, u - j
 
 
@@ -143,33 +139,25 @@ def add(grid: ProtocolGrid, target) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @cache
-def rebin_indices(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Segments k and positions alpha locating each new node on the augmented path.
+def _rebin_terms(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """smooth's lerp terms (k, k + 1, 1 - alpha, alpha): the one source of rebin weights.
 
     New node j lies on augmented segment k = j at alpha = j / L (module
-    docstring). Both arrays have L + 1 entries. They are computed once per
-    L and returned read-only.
+    docstring). Each array has L + 1 entries, computed once per L, read-only.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     k = np.arange(L + 1)
-    return _frozen(k), _frozen(k / L)
-
-
-@cache
-def _rebin_terms(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """smooth's lerp terms (k, k + 1, 1 - alpha, alpha) of rebin_indices(L), read-only; k = 0..L."""
-    k, alpha = rebin_indices(L)
-    return k, _frozen(k + 1), _frozen(1.0 - alpha), alpha
+    alpha = k / L
+    return _frozen(k), _frozen(k + 1), _frozen(1.0 - alpha), _frozen(alpha)
 
 
 def rebin_matrix(L: int) -> np.ndarray:
     """Dense (L + 1, L + 2) form of the rebin operator that smooth applies."""
-    k, alpha = rebin_indices(L)
+    k, far, w_near, w_far = _rebin_terms(L)
     W = np.zeros((L + 1, L + 2))
-    rows = np.arange(L + 1)
-    W[rows, k] = 1.0 - alpha
-    W[rows, k + 1] += alpha
+    W[k, k] = w_near
+    W[k, far] += w_far
     return W
 
 
@@ -179,11 +167,10 @@ def smooth(aug) -> ProtocolGrid:
 
 
 def new_memory(prior: GaussianMixture, target1, L: int) -> MemoryState:
-    """State after day 1: the linear ramp from the prior (t = 0) to day 1's triple (t = 1)."""
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
+    """Day 1: the ramp from the prior (t = 0) to day 1's triple (t = 1), by smooth's weights."""
+    k, _, w_near, w_far = _rebin_terms(L)
     ramp = stack_mixtures((prior, target1))
-    grid = ProtocolGrid(*_lerp_nodes(ramp, np.zeros(L + 1, dtype=int), np.arange(L + 1) / L))
+    grid = ProtocolGrid(*_lerp_rows(ramp, np.zeros_like(k), np.ones_like(k), w_near, w_far))
     return MemoryState(grid, 1)
 
 

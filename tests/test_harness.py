@@ -643,6 +643,14 @@ def test_restore_rejects_garbage(tmp_path):
         run_experiment(cfg, state)  # snapshot is past the end of the stream
 
 
+def test_build_final_state_refuses_days_outside_the_stream():
+    cfg = small_cfg(n_days=8)
+    for days in (0, -5, 9):
+        with pytest.raises(ConfigError, match=r"days must lie in \[1, 8\]"):
+            build_final_state(cfg, days)
+    assert [build_final_state(cfg, days).day for days in (1, 8, None)] == [1, 8, 8]
+
+
 # ---------------------------------------------------------------- CLI
 
 

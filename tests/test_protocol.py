@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import casmem.protocol as protocol
-from casmem.gm import GaussianMixture, stack_mixtures
+from casmem.gm import GaussianMixture, _symmetrize, stack_mixtures
 from casmem.harness import (
-    RunConfig, daily_states, resolve_prior, restore_state, run_experiment, snapshot_state,
+    RunConfig, build_final_state, daily_states, resolve_prior, restore_state, run_experiment,
+    snapshot_state,
 )
 from casmem.protocol import (
     MemoryState,
@@ -19,7 +20,6 @@ from casmem.protocol import (
     memory_footprint,
     new_memory,
     readout_time,
-    rebin_indices,
     rebin_matrix,
     replay,
     replay_block,
@@ -79,6 +79,17 @@ def test_new_memory_ramp():
         new_memory(prior, t1, L=0)
 
 
+@pytest.mark.parametrize("L", [1, 5, 10, 100])
+def test_new_memory_ramp_is_the_two_term_lerp_bit_for_bit(L):
+    # a prior with every field off zero, so that another order of the lerp's terms shows
+    prior, t1 = day_target(50), day_target(1)
+    grid = new_memory(prior, t1, L).grid
+    for j in range(L + 1):
+        alpha = j / L
+        want = [(1.0 - alpha) * p + alpha * x for p, x in zip(prior, t1)]
+        assert same_bytes([a[j] for a in grid], want), j
+
+
 def test_eval_at_endpoints_and_domain():
     grid = new_memory(standard_prior(), day_target(1), L=4).grid
     assert same_params(eval_at(grid, 0.0), node(grid, 0))
@@ -134,7 +145,7 @@ def test_add_appends_target_at_one():
 
 
 def reference_rebin_indices(L):
-    """Per-node loop on Python integers: the reference for rebin_indices."""
+    """Per-node loop on Python integers: the reference for _rebin_terms' k and alpha."""
     out = []
     for j in range(L + 1):
         num = j * (L + 1)
@@ -145,7 +156,7 @@ def reference_rebin_indices(L):
 
 @pytest.mark.parametrize("L", [1, 2, 3, 7, 10, 16])
 def test_rebin_indices_partition_of_unity(L):
-    k, alpha = rebin_indices(L)
+    k, *_, alpha = protocol._rebin_terms(L)
     assert len(k) == len(alpha) == L + 1
     assert (k[0], alpha[0]) == (0, 0.0)
     assert k[-1] == L and alpha[-1] == 1.0
@@ -156,8 +167,8 @@ def test_rebin_indices_partition_of_unity(L):
     # each new node must land at position j*(L+1)/L exactly
     assert k + alpha == pytest.approx(np.arange(L + 1) * (L + 1) / L, abs=1e-12)
     # computed once per L: a repeat call returns the same read-only arrays
-    again = rebin_indices(L)
-    assert again[0] is k and again[1] is alpha
+    again = protocol._rebin_terms(L)
+    assert again[0] is k and again[3] is alpha
     for a in (k, alpha):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -198,7 +209,7 @@ BUILT_IN_KINDS = [kind for kind in KINDS if kind != "file"]
 def test_node_lerp_equals_the_two_term_formula(kind):
     states, targets = stream_states(kind)
     L = states[0].grid.L
-    k, alpha = rebin_indices(L)
+    k, *_, alpha = protocol._rebin_terms(L)
     for state, target in zip(states[:-1], targets[1:]):
         aug = add(state.grid, target)
         before = [a.copy() for a in aug]
@@ -239,10 +250,26 @@ def test_node_lerp_leaves_writable_nodes_untouched():
         assert same_bytes(nodes, before)
 
 
+@pytest.mark.parametrize("L", [1, 3, 10])
+@pytest.mark.parametrize(
+    "stream",
+    [dict(kind="circular"), dict(kind="rotating_dominance", d=4), dict(kind="crowding", K=5)],
+)
+def test_eval_at_locates_as_the_array_path(stream, L):
+    # eval_at's one time goes through the same code as an array of times: row i of that batch
+    grid = build_final_state(RunConfig(stream=make_config(**stream, n_days=30), L=L)).grid
+    nodes = [j / L for j in range(L + 1)]
+    ts = [*np.linspace(0.0, 1.0, 1001).tolist(), *nodes, np.nextafter(1.0, 0.0)]
+    w, m, c = protocol._lerp_nodes(grid, *protocol._segment(np.array(ts), L))
+    c = _symmetrize(c)  # as a mixture stores its covariances
+    for i, t in enumerate(ts):
+        assert same_bytes(eval_at(grid, float(t)), (w[i], m[i], c[i])), t
+
+
 @pytest.mark.parametrize("L", [1, 2, 7, 100])
 def test_rebin_terms_are_cached_read_only(L):
-    k, alpha = rebin_indices(L)
     terms = protocol._rebin_terms(L)
+    k, *_, alpha = terms
     assert same_bytes(terms, (k, k + 1, 1.0 - alpha, alpha))
     again = protocol._rebin_terms(L)
     assert all(a is b for a, b in zip(terms, again, strict=True))
@@ -280,7 +307,7 @@ def test_readout_table_is_built_once_per_length(monkeypatch):
 
 def test_rebin_indices_equal_reference_loop():
     for L in range(1, 401):
-        k, alpha = rebin_indices(L)
+        k, *_, alpha = protocol._rebin_terms(L)
         want_k, want_alpha = np.array(reference_rebin_indices(L)).T
         assert np.array_equal(k, want_k) and np.array_equal(alpha, want_alpha)
         # smooth reads new node j from augmented nodes j and j + 1
@@ -326,8 +353,9 @@ def test_rebin_refuses_fewer_than_one_segment():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         calls = (
-            lambda: rebin_indices(0), lambda: rebin_indices(-2), lambda: rebin_matrix(0),
-            lambda: smooth(two_nodes),
+            lambda: protocol._rebin_terms(0), lambda: protocol._rebin_terms(-2),
+            lambda: rebin_matrix(0), lambda: smooth(two_nodes),
+            lambda: new_memory(standard_prior(), day_target(1), L=0),
         )
         for call in calls:
             with pytest.raises(ValueError, match="L must be >= 1"):
