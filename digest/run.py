@@ -21,11 +21,12 @@ gates; a change to the manifest is a change of its own.
 * ``cli/<config>/<command>/``: the exit code, stdout and result files of
   ``run``, ``fifo``, ``snapshot``, ``restore``, ``sweep`` (L, K, P, theta),
   ``movie --paths`` and ``drift-check`` on the configs of ``CLI_CONFIGS``.
-* ``sde/<grid>/``: the SDE states and ``diverged_at`` of every path on a
-  constant-weight and a moving-weight grid.
-* ``fp_residual/<grid>/...``: Fokker-Planck residuals as numbers, not
-  digests, since a refactor may move them in the last bits on moving
-  weights. ``drift-check``'s residuals are kept as numbers too.
+* ``sde/<grid>/``: the SDE states, log-weights and ``diverged_at`` of every
+  path on a constant-weight and a moving-weight grid at L = 10, and on the
+  ``ingest-movie`` workload's constant-weight L = 100 grid at 40 steps.
+* ``fp_residual/<grid>/...``: Fokker-Planck residuals on the two L = 10
+  grids as numbers, not digests, since a refactor may move them in the last
+  bits on moving weights. ``drift-check``'s residuals are kept as numbers too.
 
 The tree's ``src/`` is imported into this process, and its CLI is run in
 process through ``casmem.cli.main``. The exit code is 0 when the digest is
@@ -69,12 +70,15 @@ SWEEPS = {"L": "5,10,15", "K": "1,3", "P": "25,50", "theta": "0.3,0.5"}  # on ci
 REPLAY_CONFIGS = ("circular", "rotating12")
 MOVIE_ARGS = ["--frames", "5", "--paths", "20", "--steps", "40"]
 DRIFT_ARGS = ["--t", "0.13,0.52,0.93", "--points", "20"]
+# grid name: stream, L and steps
 SDE_GRIDS = {
-    "circular": {"kind": "circular", "n_days": 100},
-    "rotating12": {"kind": "rotating_dominance", "d": 12, "n_days": 100},
+    "circular": ({"kind": "circular", "n_days": 100}, 10, 100),
+    "rotating12": ({"kind": "rotating_dominance", "d": 12, "n_days": 100}, 10, 100),
+    "circular_L100": ({"kind": "circular", "n_days": 1000}, 100, 40),
 }
-SDE_L, SDE_PATHS, SDE_STEPS, SDE_SEED = 10, 100, 100, 0
-FP_TIMES, FP_POINTS = (0.13, 0.31, 0.52, 0.74, 0.93), 50
+SDE_PATHS, SDE_SEED = 100, 0
+# at L = 100 every FP time is a node time, which fp_residual refuses
+FP_GRIDS, FP_TIMES, FP_POINTS = ("circular", "rotating12"), (0.13, 0.31, 0.52, 0.74, 0.93), 50
 
 
 def sha(data) -> str:
@@ -195,16 +199,18 @@ def sde(entries: dict, smoke: bool) -> None:
     from casmem.protocol import eval_at
     from casmem.streams import make_config
 
-    paths, steps = (10, 20) if smoke else (SDE_PATHS, SDE_STEPS)
     grids = {"circular": SDE_GRIDS["circular"]} if smoke else SDE_GRIDS
-    for name, stream in grids.items():
-        grid = build_final_state(RunConfig(stream=make_config(**stream), L=SDE_L)).grid
-        trajs = integrate_sde(grid, paths, steps, SDE_SEED)
-        states = hashlib.sha256()
-        for tr in trajs:
-            states.update(np.ascontiguousarray(tr.states, dtype=float).tobytes())
-        entries[f"sde/{name}/states"] = states.hexdigest()
+    for name, (stream, L, steps) in grids.items():
+        grid = build_final_state(RunConfig(stream=make_config(**stream), L=L)).grid
+        trajs = integrate_sde(grid, 10 if smoke else SDE_PATHS, 20 if smoke else steps, SDE_SEED)
+        for field in ("states", "log_weight"):
+            digest = hashlib.sha256()
+            for tr in trajs:
+                digest.update(np.ascontiguousarray(getattr(tr, field), dtype=float).tobytes())
+            entries[f"sde/{name}/{field}"] = digest.hexdigest()
         entries[f"sde/{name}/diverged_at"] = sha(json.dumps([tr.diverged_at for tr in trajs]))
+        if name not in FP_GRIDS:
+            continue
         for t in FP_TIMES[:1] if smoke else FP_TIMES:
             pts = sample_bulk_points(eval_at(grid, t), FP_POINTS, seed=SDE_SEED)
             entries[f"fp_residual/{name}/t={t}"] = float(fp_residual(grid, t, pts))

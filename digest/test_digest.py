@@ -31,6 +31,7 @@ def test_smoke_digest_is_repeatable_and_well_formed(tmp_path):
     assert DIGEST.match(entries["cli/circular/restore/records.csv"])
     assert DIGEST.match(entries["cli/circular/snapshot/snapshot_day0020.json"])
     assert DIGEST.match(entries["sde/circular/states"])
+    assert DIGEST.match(entries["sde/circular/log_weight"])
     assert 0.0 <= entries["fp_residual/circular/t=0.13"] < 1e-3
 
 

@@ -25,8 +25,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, NumericalError
-from .gm import DENSITY_FLOOR, DERIVED_WEIGHT_TOL, GaussianMixture, _as_points, _evaluate
-from .gm import _factor, _frozen, _log_weights, _mix, _param_arrays, _symmetrize
+from .gm import DENSITY_FLOOR, DERIVED_WEIGHT_TOL, GaussianMixture, _as_points, _evaluate, _factor
+from .gm import _check_probabilities, _frozen, _log_weights, _mix, _param_arrays, _symmetrize
 from .protocol import ProtocolGrid, _lerp_nodes, _segment, eval_at
 
 QUAD_REL_TOL = 1e-8
@@ -293,8 +293,7 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
     """
     pts = _as_points(pts, grid.d)
     n, d = pts.shape
-    dt = 1e-5
-    h = 1e-4
+    dt, h = 1e-5, 1e-4
     if not dt < t < 1.0 - dt or _segment(t - dt, grid.L)[0] != _segment(t + dt, grid.L)[0]:
         raise ValueError(f"t = {t!r} is not inside a segment interior at time step {dt}")
     dpdt = (eval_at(grid, t + dt).density(pts) - eval_at(grid, t - dt).density(pts)) / (2.0 * dt)
@@ -317,25 +316,20 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
     return float(rel.max())
 
 
-def _step_drift_args(grid: ProtocolGrid, times: np.ndarray):
-    """Yield the point kernel, the mean and cov rates and the weight rates (None while the
-    weights do not move) for each of the ascending times.
+def _step_kernels(grid: ProtocolGrid, times: np.ndarray):
+    """The ``gm._evaluate`` kernels of the ascending times, stacked, and each time's rates.
 
-    Each segment's times are interpolated in one gather, their covariances
-    symmetrized as GaussianMixture does and factored in one batched call; its
-    rates are checked once, as PathSlice checks them. No step builds a mixture
-    or a PathSlice.
+    The kernels are log-weights (S, K), means (S, K, d), inverse Cholesky factors (S, K, d, d)
+    and log-normalizers (S, K); the rates are S (mean, cov, weight or None while the weights
+    do not move) tuples, checked once per segment as PathSlice checks them. All times are
+    lerped in one gather, symmetrized as GaussianMixture does and factored in one call.
     """
     seg, alpha = _segment(times, grid.L)
-    starts = np.flatnonzero(np.diff(seg, prepend=-1))
-    for a, b in zip(starts, np.append(starts[1:], len(times))):
-        wr, mr, cr = _checked_rates(*_segment_rates(grid, seg[a]))
-        w, m, c = _lerp_nodes(grid, seg[a:b], alpha[a:b])
-        _, inv, log_norms = _factor(_symmetrize(c))
-        log_w = _log_weights(w)
-        wr = wr if _moving(wr) else None
-        for i in range(b - a):
-            yield (log_w[i], m[i], inv[i], log_norms[i]), mr, cr, wr
+    w, m, c = _lerp_nodes(grid, seg, alpha)
+    _, inv, log_norms = _factor(_symmetrize(c))
+    rates = {j: _checked_rates(*_segment_rates(grid, j)) for j in np.unique(seg).tolist()}
+    rates = {j: (mr, cr, wr if _moving(wr) else None) for j, (wr, mr, cr) in rates.items()}
+    return (_log_weights(w), m, inv, log_norms), [rates[j] for j in seg.tolist()]
 
 
 def integrate_sde(
@@ -356,36 +350,37 @@ def integrate_sde(
     there on. Repeat calls reproduce a path bit for bit, as do other n_paths
     (``_slice_parts``).
 
-    Each segment is gathered and factored once (``_step_drift_args``), so a
-    step does point work only; its drift equals ``drift_with_stats`` bit for
-    bit on ``path_slice(grid, t)`` with the weight rates zeroed.
+    Every step's mixture is factored in one pass (``_step_kernels``) before the paths are
+    allocated; it keeps steps K d^2 floats beside their n_paths (steps + 1) d. A step does
+    point work only (its drift is ``drift_with_stats``'s on ``path_slice(grid, t)`` with zeroed
+    weight rates, bit for bit) and reads rows for non-finite values once a whole-array test fails.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     times = np.linspace(0.0, 1.0, steps + 1)
-    dt = 1.0 / steps
-    u = np.empty(n_paths)
-    states = np.empty((n_paths, steps + 1, grid.d))
+    dt, sqrt_dt = 1.0 / steps, np.sqrt(1.0 / steps)
+    start = eval_at(grid, 0.0)
+    _check_probabilities(start.weights)  # before any other step's weights reach a log
+    kernels, rates = _step_kernels(grid, times[:-1])
+    u, states = np.empty(n_paths), np.empty((n_paths, steps + 1, grid.d))
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
         rng = np.random.default_rng(child)
         u[i] = rng.random()
         rng.standard_normal(out=states[i])
-    x = eval_at(grid, 0.0)._sample_from(u, states[:, 0])
-    states[:, 0] = x
-    log_w, lw, weighted = np.zeros((n_paths, steps + 1)), np.zeros(n_paths), False
+    states[:, 0] = x = start._sample_from(u, states[:, 0])
+    log_w, lw, weighted, dead = np.zeros((n_paths, steps + 1)), np.zeros(n_paths), False, False
     diverged = np.full(n_paths, -1)
-    for s, (kernel, mr, cr, wr) in enumerate(_step_drift_args(grid, times[:-1])):
+    for s, (kernel, (mr, cr, wr)) in enumerate(zip(zip(*kernels), rates)):
         vel, _, logd, _, logg = _drift(x, kernel, mr, cr)
-        x = x + vel * dt + np.sqrt(dt) * states[:, s + 1]
-        ok = np.isfinite(x).all(axis=1)
+        x = x + vel * dt + sqrt_dt * states[:, s + 1]
         if wr is not None:
             lw = lw + (np.exp(logg - logd[:, None]) * wr).sum(axis=1) * dt
-            ok &= np.isfinite(lw)
             weighted = True
-        dead = not ok.all()
+        dead = dead or not (np.isfinite(x).all() and np.isfinite(lw).all())
         if dead:  # NaN, not inf, so that no later drift computes inf - inf
+            ok = np.isfinite(x).all(axis=1) & np.isfinite(lw)
             diverged[~ok & (diverged < 0)] = s + 1
             x[~ok] = lw[~ok] = np.nan
         states[:, s + 1] = x

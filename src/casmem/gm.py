@@ -167,10 +167,7 @@ class GaussianMixture:
     def _sample_from(self, u: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Samples from uniforms u (n,) and normals z (n, d), picking components as
         ``Generator.choice`` does: the first whose weight CDF exceeds u."""
-        w = self.weights
-        if np.any(w < 0.0) or not abs(w.sum() - 1.0) <= DERIVED_WEIGHT_TOL:
-            raise ValueError(f"weights are not probabilities: {w.tolist()}")
-        cdf = w.cumsum()
+        cdf = _check_probabilities(self.weights).cumsum()
         cdf /= cdf[-1]
         comps = cdf.searchsorted(u, side="right")
         return self.means[comps] + np.einsum("nij,nj->ni", self._factors[0][comps], z)
@@ -200,6 +197,13 @@ def _factor(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     chols = np.linalg.cholesky(covs)
     logdets = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
     return chols, np.linalg.inv(chols), -0.5 * (covs.shape[-1] * _LOG_2PI + logdets)
+
+
+def _check_probabilities(weights: np.ndarray) -> np.ndarray:
+    """The weights if they are probabilities up to DERIVED_WEIGHT_TOL; ValueError otherwise."""
+    if np.any(weights < 0.0) or not abs(weights.sum() - 1.0) <= DERIVED_WEIGHT_TOL:
+        raise ValueError(f"weights are not probabilities: {weights.tolist()}")
+    return weights
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:

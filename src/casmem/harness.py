@@ -239,6 +239,7 @@ def _flush_partial(cfg: RunConfig, blocks) -> None:
 
 def build_final_state(cfg: RunConfig, days: int | None = None) -> MemoryState:
     """The memory after the stream's first ``days`` days (all by default), with no metrics."""
+    days = check_value("days", days, "int | None")
     if days is not None and not 1 <= days <= cfg.stream.n_days:
         raise ConfigError(f"days must lie in [1, {cfg.stream.n_days}], got {days}")
     params = [a[:days] for a in daily_params(cfg.stream)]

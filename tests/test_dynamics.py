@@ -389,20 +389,30 @@ def reference_integrate_sde(grid, n_paths, steps, seed):
     return states, log_w, diverged
 
 
+# steps each segment holds: at L = 4 and 30 steps 7 or 8, and step 15 falls on node
+# time 0.5 exactly; at L = 10 and 7 steps most segments hold none; L = 50 and 200
+# steps is the ingest layout, 4 a segment, or 3 and 5 where a node time rounds below its node
+STEPS_PER_SEGMENT = {(4, 30): {7, 8}, (10, 7): {0, 1}, (50, 200): {3, 4, 5}}
+
+
 @pytest.mark.parametrize(
     "kind, kw, L, steps",
-    # L = 4 does not divide 30 steps, so segments hold 7 or 8 steps, and
-    # step 15 falls on node time 0.5 exactly
     [
         ("circular", {}, 4, 30),
         ("triangle", {}, 4, 30),
         ("rotating_dominance", {"d": 3}, 4, 30),
         ("rotating_dominance", {"d": 12}, 4, 30),
+        ("circular", {}, 10, 7),
+        ("rotating_dominance", {"d": 3}, 10, 7),
+        ("circular", {}, 50, 200),
     ],
 )
 def test_integrate_sde_equals_plain_step_loop(kind, kw, L, steps):
-    grid = small_grid(kind, n_days=8, L=L, **kw)
-    assert float(np.linspace(0.0, 1.0, steps + 1)[15]) * L == 2.0
+    grid = small_grid(kind, n_days=max(8, L + 2), L=L, **kw)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    per_segment = np.bincount(dyn._segment(times[:-1], L)[0], minlength=L)
+    assert set(per_segment.tolist()) == STEPS_PER_SEGMENT[L, steps]
+    assert steps != 30 or float(times[15]) * L == 2.0
     states, log_w, diverged = reference_integrate_sde(grid, 12, steps, seed=7)
     trajs = integrate_sde(grid, n_paths=12, steps=steps, seed=7)
     assert [t.diverged_at for t in trajs] == [None if f < 0 else int(f) for f in diverged]
@@ -413,12 +423,15 @@ def test_integrate_sde_equals_plain_step_loop(kind, kw, L, steps):
 
 
 def test_integrate_sde_sets_up_each_moving_segment_once(monkeypatch):
-    # on moving weights the steps build no mixture or PathSlice (the start's
-    # mixture is the one built) and run no Poisson quadrature
-    grid = small_grid("rotating_dominance", n_days=8, L=4, d=3)
-    assert all(dyn._moving(dyn._segment_rates(grid, j)[0]) for j in range(grid.L))
-    want = integrate_sde(grid, n_paths=8, steps=30, seed=2)
-    counts = {"GaussianMixture": 0, "PathSlice": 0, "_psi_terms": 0}
+    # on moving and on constant weights the steps build no mixture or PathSlice
+    # (the start's mixture is the one built), run no Poisson quadrature, and
+    # every step's covariances are factored in one call
+    layouts = (("rotating_dominance", {"d": 3}), ("circular", {}))
+    grids = [small_grid(kind, n_days=8, L=4, **kw) for kind, kw in layouts]
+    for grid, moving in zip(grids, (True, False)):
+        assert [dyn._moving(dyn._segment_rates(grid, j)[0]) for j in range(4)] == [moving] * 4
+    wants = [integrate_sde(grid, n_paths=8, steps=30, seed=2) for grid in grids]
+    counts = {}
     for cls in (GaussianMixture, PathSlice):
         post_init = cls.__post_init__
 
@@ -427,19 +440,21 @@ def test_integrate_sde_sets_up_each_moving_segment_once(monkeypatch):
             _post_init(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
-    psi_terms = dyn._psi_terms
+    for name in ("_psi_terms", "_factor"):
 
-    def counted_psi_terms(*args):
-        counts["_psi_terms"] += 1
-        return psi_terms(*args)
+        def counted_call(*args, _real=getattr(dyn, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
 
-    monkeypatch.setattr(dyn, "_psi_terms", counted_psi_terms)
-    got = integrate_sde(grid, n_paths=8, steps=30, seed=2)
-    assert counts == {"GaussianMixture": 1, "PathSlice": 0, "_psi_terms": 0}
-    for a, b in zip(want, got):
-        assert a.diverged_at is None and b.diverged_at is None
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.log_weight, b.log_weight)
+        monkeypatch.setattr(dyn, name, counted_call)
+    for grid, want in zip(grids, wants):
+        counts.update(GaussianMixture=0, PathSlice=0, _psi_terms=0, _factor=0)
+        got = integrate_sde(grid, n_paths=8, steps=30, seed=2)
+        assert counts == {"GaussianMixture": 1, "PathSlice": 0, "_psi_terms": 0, "_factor": 1}
+        for a, b in zip(want, got):
+            assert a.diverged_at is None and b.diverged_at is None
+            assert np.array_equal(a.states, b.states)
+            assert np.array_equal(a.log_weight, b.log_weight)
 
 
 def test_integrate_sde_weights_a_component_born_from_zero():
@@ -684,11 +699,10 @@ def test_movie_frames_and_drift_set_up_equal_the_two_term_formula(kind):
             for g, x in zip((frame.weights, frame.means, frame.covs), want)
         )
     _, inv, log_norms = _factor(_symmetrize(c))
-    args = list(dyn._step_drift_args(grid, times))
-    assert len(args) == len(times)
-    for i, (kernel, *_) in enumerate(args):
-        want = (_log_weights(w)[i], m[i], inv[i], log_norms[i])
-        assert all(g.tobytes() == x.tobytes() for g, x in zip(kernel, want, strict=True))
+    kernels, rates = dyn._step_kernels(grid, times)
+    assert len(rates) == len(times)
+    want = (_log_weights(w), m, inv, log_norms)
+    assert all(g.tobytes() == x.tobytes() for g, x in zip(kernels, want, strict=True))
 
 
 def test_sample_bulk_points_properties():

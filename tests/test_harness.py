@@ -651,6 +651,15 @@ def test_build_final_state_refuses_days_outside_the_stream():
     assert [build_final_state(cfg, days).day for days in (1, 8, None)] == [1, 8, 8]
 
 
+def test_build_final_state_refuses_days_that_are_no_int():
+    # check_value's rule: a bool is no number, and a float or a string is no int
+    cfg = small_cfg(n_days=8)
+    for days in (True, 5.0, "5"):
+        with pytest.raises(ConfigError, match=r"days must be int \| None"):
+            build_final_state(cfg, days)
+    assert build_final_state(cfg, np.int64(5)).day == 5
+
+
 # ---------------------------------------------------------------- CLI
 
 
