@@ -26,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, NumericalError
 from .gm import DENSITY_FLOOR, DERIVED_WEIGHT_TOL, GaussianMixture, _as_points, _evaluate, _factor
-from .gm import _check_probabilities, _frozen, _log_weights, _mix, _param_arrays, _symmetrize
+from .gm import _check_probabilities, _frozen, _log_weights, _mix, _param_arrays, _rows, _symmetrize
 from .protocol import ProtocolGrid, _lerp_nodes, _segment, eval_at
 
 QUAD_REL_TOL = 1e-8
@@ -107,18 +107,13 @@ def _segment_rates(grid: ProtocolGrid, j: int):
 
 
 def _slice_parts(pts: np.ndarray, kernel, mean_rates, cov_rates):
-    """``gm._evaluate``'s outputs and the (K, n, d) component velocities for the drift.
+    """``gm._evaluate``'s outputs at points pts (d, n) and the (K, d, n) component velocities.
 
-    ``kernel`` is the mixture as ``gm._evaluate`` takes it after the points. A lone point
-    goes through as a doubled batch, as numpy's matmul hands one row to gemv; a row then
-    matches any batch bit for bit if gemm sums rows alike at every count (OpenBLAS 0.3.31 does).
+    ``kernel`` is the mixture as ``gm._evaluate`` takes it after the points. The points are
+    columns as ``gm._as_points`` gives them, so its lone-point rule covers this matmul too.
     """
-    if len(pts) == 1:
-        parts = _slice_parts(np.concatenate([pts, pts]), kernel, mean_rates, cov_rates)
-        return tuple(a[:, :1] if a.ndim == 3 else a[:1] for a in parts)
     logg, logd, r, siy = _evaluate(pts, *kernel)
-    vel = mean_rates[:, None, :] + 0.5 * (siy @ np.swapaxes(cov_rates, 1, 2))
-    return logg, logd, r, siy, vel
+    return logg, logd, r, siy, mean_rates[:, :, None] + 0.5 * (cov_rates @ siy)
 
 
 def shape_current(sl: PathSlice, x) -> np.ndarray:
@@ -126,7 +121,7 @@ def shape_current(sl: PathSlice, x) -> np.ndarray:
     + Sigmadot_k Sigma_k^{-1} (x - m_k) / 2)."""
     pts = _as_points(x, sl.gm.d)
     _, logd, r, _, vel = _slice_parts(pts, sl.gm._kernel, sl.mean_rates, sl.cov_rates)
-    return _mix(np.exp(logd)[:, None] * r, vel)
+    return _rows(_mix(np.exp(logd) * r, vel), len(x))
 
 
 def _adaptive_integral(f, tol: float, max_panels: int):
@@ -174,7 +169,7 @@ def _adaptive_integral(f, tol: float, max_panels: int):
 
 
 def _psi_terms(pts: np.ndarray, poisson, with_potential: bool):
-    """Quadrature for grad psi (n, d) and, optionally, psi itself (n,).
+    """Quadrature for grad psi (d, n) and, optionally, psi itself (n,) at points pts (d, n).
 
     ``poisson`` is one instant's ``_poisson_of``; both are zero, and no quadrature
     runs, when it is None. One batched matmul projects the points onto every moving
@@ -182,11 +177,10 @@ def _psi_terms(pts: np.ndarray, poisson, with_potential: bool):
     interval; the gradient rotates back afterwards. Only the kernel and the denominators
     depend on the node, so the rule weights fold into the small (P, d, q) inverse
     denominators: one batched (P, 2 d, q) @ (P, q, n) matmul gives both rules' sums of
-    kernel / den, z multiplies them, and no (q, n, d) node tensor is built. The columns are
-    dimension-major, (d, n).
+    kernel / den, z multiplies them, and no (q, n, d) node tensor is built.
     """
-    n, d = pts.shape
-    grad = np.zeros((n, d))
+    d, n = pts.shape
+    grad = np.zeros((d, n))
     pot = np.zeros(n) if with_potential else None
     if poisson is None:
         return grad, pot
@@ -194,9 +188,9 @@ def _psi_terms(pts: np.ndarray, poisson, with_potential: bool):
         raise ValueError("the potential integral diverges for d <= 2; use the gradient")
     norm = (2.0 * np.pi) ** (-0.5 * d)
     rates, means, lams, bases = poisson
-    projected = (pts[None, :, :] - means[:, None, :]) @ bases
+    projected = np.swapaxes(bases, 1, 2) @ (pts[None, :, :] - means[:, :, None])
     for k, (lam, q_basis, z) in enumerate(zip(lams, bases, projected)):
-        z_t, zz_t = z.T, z.T * z.T
+        zz = z * z
         lmax = float(lam[-1])
 
         def integrand(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -204,12 +198,12 @@ def _psi_terms(pts: np.ndarray, poisson, with_potential: bool):
             inv = 1.0 / (lam + 2.0 * (lmax * u / (1.0 - u))[:, :, None])
             # log of the Jacobian lmax / (1 - u)^2 times det(den)^(-1/2)
             log_c = np.log(lmax / (1.0 - u) ** 2) + 0.5 * np.log(inv).sum(axis=2)
-            kernel = (-0.5 * inv) @ zz_t
+            kernel = (-0.5 * inv) @ zz
             kernel += log_c[:, :, None]
             np.exp(kernel, out=kernel)
             w_inv = w[:, :, None, :] * inv.transpose(0, 2, 1)[:, None]
             sums = (w_inv.reshape(p, 2 * d, q) @ kernel).reshape(p, 2, d, n)
-            sums *= z_t
+            sums *= z
             out = sums.reshape(p, 2, d * n)
             if with_potential:
                 out = np.concatenate([out, w @ kernel], axis=2)
@@ -217,7 +211,7 @@ def _psi_terms(pts: np.ndarray, poisson, with_potential: bool):
 
         total = _adaptive_integral(integrand, QUAD_REL_TOL, QUAD_MAX_PANELS)
         rate = float(rates[k])
-        grad += rate * norm * total[: n * d].reshape(d, n).T @ q_basis.T
+        grad += q_basis @ (rate * norm * total[: n * d].reshape(d, n))
         if with_potential:
             pot -= rate * norm * total[n * d :]
     return grad, pot
@@ -238,7 +232,7 @@ def poisson_psi_grad(sl: PathSlice, x) -> np.ndarray:
     Zero whenever the weight rates vanish; otherwise one adaptive
     quadrature per component with a nonzero rate, batched over points.
     """
-    return _psi_terms(_as_points(x, sl.gm.d), _poisson_of(sl), False)[0]
+    return _rows(_psi_terms(_as_points(x, sl.gm.d), _poisson_of(sl), False)[0], len(x))
 
 
 def psi_potential(sl: PathSlice, x) -> np.ndarray:
@@ -247,7 +241,7 @@ def psi_potential(sl: PathSlice, x) -> np.ndarray:
     Defined up to an additive constant, which the drift never sees; this
     particular normalization decays to zero at infinity.
     """
-    return _psi_terms(_as_points(x, sl.gm.d), _poisson_of(sl), True)[1]
+    return _rows(_psi_terms(_as_points(x, sl.gm.d), _poisson_of(sl), True)[1], len(x))
 
 
 def drift_with_stats(sl: PathSlice, x) -> tuple[np.ndarray, int]:
@@ -258,13 +252,15 @@ def drift_with_stats(sl: PathSlice, x) -> tuple[np.ndarray, int]:
     through responsibilities and never divide by the density; only the
     Poisson term needs the division, clamped at the floor in far tails.
     """
-    pts = _as_points(x, sl.gm.d)
-    return _drift(pts, sl.gm._kernel, sl.mean_rates, sl.cov_rates, _poisson_of(sl))[:2]
+    pts, poisson, n = _as_points(x, sl.gm.d), _poisson_of(sl), len(x)
+    vel, logd = _drift(pts, sl.gm._kernel, sl.mean_rates, sl.cov_rates, poisson)[:2]
+    clamped = 0 if poisson is None else np.count_nonzero(np.exp(logd[:n]) < DENSITY_FLOOR)
+    return _rows(vel, n), int(clamped)
 
 
 def _drift(pts, kernel, mean_rates, cov_rates, poisson=None):
-    """Drift (n, d), density clamp count, log density (n,), score (n, d) and component log
-    densities (n, K) at points (n, d).
+    """Drift (d, n), log density (n,), score (d, n) and component log densities (K, n) at
+    points pts (d, n).
 
     ``kernel`` is the mixture as ``gm._evaluate`` takes it after the points,
     and the rates are a PathSlice's. ``poisson`` is the Poisson term's arrays
@@ -274,12 +270,9 @@ def _drift(pts, kernel, mean_rates, cov_rates, poisson=None):
     logg, logd, r, siy, vel = _slice_parts(pts, kernel, mean_rates, cov_rates)
     score = -_mix(r, siy)
     out = _mix(r, vel) + 0.5 * score
-    clamped = 0
     if poisson is not None:
-        dens = np.exp(logd)
-        clamped = int(np.count_nonzero(dens < DENSITY_FLOOR))
-        out -= _psi_terms(pts, poisson, False)[0] / np.maximum(dens, DENSITY_FLOOR)[:, None]
-    return out, clamped, logd, score, logg
+        out -= _psi_terms(pts, poisson, False)[0] / np.maximum(np.exp(logd), DENSITY_FLOOR)
+    return out, logd, score, logg
 
 
 def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
@@ -291,25 +284,21 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
     drift call so the quadrature error is common mode and cancels in
     the differences.
     """
-    pts = _as_points(pts, grid.d)
-    n, d = pts.shape
-    dt, h = 1e-5, 1e-4
+    x, dt, h = _as_points(pts, grid.d), 1e-5, 1e-4
+    d, n = x.shape
     if not dt < t < 1.0 - dt or _segment(t - dt, grid.L)[0] != _segment(t + dt, grid.L)[0]:
         raise ValueError(f"t = {t!r} is not inside a segment interior at time step {dt}")
     dpdt = (eval_at(grid, t + dt).density(pts) - eval_at(grid, t - dt).density(pts)) / (2.0 * dt)
 
-    sl = path_slice(grid, t)
-    offsets = h * np.eye(d)
+    sl, offsets = path_slice(grid, t), h * np.eye(d)
     stencil = np.concatenate(
-        [pts[:, None, :] + offsets[None, :, :], pts[:, None, :] - offsets[None, :, :]], axis=1
-    ).reshape(-1, d)
-    vel, _, logd, score, _ = _drift(
-        stencil, sl.gm._kernel, sl.mean_rates, sl.cov_rates, _poisson_of(sl)
-    )
-    current = np.exp(logd)[:, None] * (vel - 0.5 * score)
-    current = current.reshape(n, 2 * d, d)
+        [x[:, :, None] + offsets[:, None, :], x[:, :, None] - offsets[:, None, :]], axis=2
+    ).reshape(d, -1)
+    poisson = _poisson_of(sl)
+    vel, logd, score, _ = _drift(stencil, sl.gm._kernel, sl.mean_rates, sl.cov_rates, poisson)
+    current = (np.exp(logd) * (vel - 0.5 * score)).reshape(d, n, 2 * d)
     idx = np.arange(d)
-    div = (current[:, idx, idx] - current[:, d + idx, idx]).sum(axis=1) / (2.0 * h)
+    div = (current[idx, :, idx] - current[idx, :, d + idx]).sum(axis=0) / (2.0 * h)
 
     scale = float(sl.gm.density(pts).max())
     rel = np.abs(dpdt + div) / np.maximum(np.abs(dpdt), scale)
@@ -345,15 +334,16 @@ def integrate_sde(
     dt sum_k pidot_k g_k(x) / p(x) at its start to the path's log-weight,
     which starts at 0; if no step's weights move, every path shares one
     read-only row of zeros. A marginal is the average with weights
-    exp(log_weight) normalised over the paths. All paths step as one array;
-    a path whose state or log-weight turns non-finite is flagged and NaN from
-    there on. Repeat calls reproduce a path bit for bit, as do other n_paths
-    (``_slice_parts``).
+    exp(log_weight) normalised over the paths. All paths step as one (d, n_paths)
+    array of ``gm._as_points`` columns, read from and written to the normal blocks
+    through one swapped view; a path whose state or log-weight turns non-finite
+    is flagged and NaN from there on. Repeat calls reproduce a path bit for bit,
+    as do other n_paths (a lone path steps as two equal columns).
 
     Every step's mixture is factored in one pass (``_step_kernels``) before the paths are
     allocated; it keeps steps K d^2 floats beside their n_paths (steps + 1) d. A step does
     point work only (its drift is ``drift_with_stats``'s on ``path_slice(grid, t)`` with zeroed
-    weight rates, bit for bit) and reads rows for non-finite values once a whole-array test fails.
+    weight rates, bit for bit) and tests columns once a whole-array test finds a non-finite value.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -369,27 +359,29 @@ def integrate_sde(
         rng = np.random.default_rng(child)
         u[i] = rng.random()
         rng.standard_normal(out=states[i])
-    states[:, 0] = x = start._sample_from(u, states[:, 0])
-    log_w, lw, weighted, dead = np.zeros((n_paths, steps + 1)), np.zeros(n_paths), False, False
-    diverged = np.full(n_paths, -1)
+    states[:, 0] = start._sample_from(u, states[:, 0])
+    x, columns = _as_points(states[:, 0], grid.d), states.transpose(1, 2, 0)
+    lw, weighted, dead, diverged = np.zeros(x.shape[1]), False, False, np.full(x.shape[1], -1)
+    log_w = np.zeros((len(lw), steps + 1))
     for s, (kernel, (mr, cr, wr)) in enumerate(zip(zip(*kernels), rates)):
-        vel, _, logd, _, logg = _drift(x, kernel, mr, cr)
-        x = x + vel * dt + sqrt_dt * states[:, s + 1]
+        vel, logd, _, logg = _drift(x, kernel, mr, cr)
+        x += vel * dt
+        x += sqrt_dt * columns[s + 1]
         if wr is not None:
-            lw = lw + (np.exp(logg - logd[:, None]) * wr).sum(axis=1) * dt
+            lw = lw + (np.exp(logg - logd) * wr[:, None]).sum(axis=0) * dt
             weighted = True
         dead = dead or not (np.isfinite(x).all() and np.isfinite(lw).all())
         if dead:  # NaN, not inf, so that no later drift computes inf - inf
-            ok = np.isfinite(x).all(axis=1) & np.isfinite(lw)
+            ok = np.isfinite(x).all(axis=0) & np.isfinite(lw)
             diverged[~ok & (diverged < 0)] = s + 1
-            x[~ok] = lw[~ok] = np.nan
-        states[:, s + 1] = x
+            x[:, ~ok] = lw[~ok] = np.nan
+        columns[s + 1] = x[:, :n_paths]
         if weighted or dead:  # otherwise every log-weight is still 0
             log_w[:, s + 1] = lw
     log_w = log_w if weighted else [_frozen(np.zeros(steps + 1))] * n_paths
     return [
         Trajectory(times, states[i], log_w[i], i, None if flag < 0 else int(flag))
-        for i, flag in enumerate(diverged)
+        for i, flag in enumerate(diverged[:n_paths])
     ]
 
 

@@ -58,11 +58,19 @@ def has_non_numbers(a) -> bool:
 
 
 def _as_points(x, d: int) -> np.ndarray:
-    """x as a float (n, d) batch of points; ValueError on any other shape, a lone (d,) point too."""
+    """Points x (n, d) as the point kernel's C-ordered (d, n) columns; ValueError on any other
+    shape, a lone (d,) point too. The lone-point rule: one point comes back as two equal columns,
+    as numpy sends one column to gemv and sums its axes pairwise; so a point gets the bits it
+    gets in any batch wherever gemm sums a column alike at every count (OpenBLAS 0.3.31 does)."""
     a = np.asarray(x, dtype=float)
     if a.ndim != 2 or a.shape[1] != d:
         raise ValueError(f"expected points of shape (n, {d}), got {a.shape}")
-    return a
+    return np.ascontiguousarray(np.concatenate([a, a]).T if len(a) == 1 else a.T)
+
+
+def _rows(a: np.ndarray, n: int) -> np.ndarray:
+    """The first n columns of a point kernel output (..., m) as C-ordered rows (n, ...)."""
+    return np.ascontiguousarray(a[..., :n].T)
 
 
 @dataclass(frozen=True)
@@ -82,10 +90,9 @@ class GaussianMixture:
     all arrays are frozen. Construction only checks shapes; use
     :func:`validate` for the probabilistic invariants, which keeps
     construction cheap inside interpolation loops. Methods taking points
-    take an (n, d) batch and return one entry or row per point; a lone
-    point may differ in the last bit from the same point inside a larger
-    batch, since BLAS takes gemv for one row and gemm for more (the replay
-    SDE sidesteps this in ``dynamics._slice_parts``).
+    take an (n, d) batch and return C-ordered rows, one entry or row per
+    point; the kernel runs on (d, n) columns and never on a lone one
+    (``_as_points``), so a point alone gets the bits it gets in a batch.
     """
 
     weights: np.ndarray
@@ -122,10 +129,10 @@ class GaussianMixture:
         return (_log_weights(self.weights), self.means, *self._factors[1:])
 
     def component_log_density(self, x) -> np.ndarray:
-        return _evaluate(_as_points(x, self.d), *self._kernel)[0]
+        return _rows(_evaluate(_as_points(x, self.d), *self._kernel)[0], len(x))
 
     def log_density(self, x) -> np.ndarray:
-        return _evaluate(_as_points(x, self.d), *self._kernel)[1]
+        return _rows(_evaluate(_as_points(x, self.d), *self._kernel)[1], len(x))
 
     def density(self, x) -> np.ndarray:
         """Mixture density; underflows smoothly to 0.0 far from all components."""
@@ -137,7 +144,7 @@ class GaussianMixture:
         Stays well defined arbitrarily far into the tails, where the
         density itself underflows.
         """
-        return _evaluate(_as_points(x, self.d), *self._kernel)[2]
+        return _rows(_evaluate(_as_points(x, self.d), *self._kernel)[2], len(x))
 
     def score(self, x) -> np.ndarray:
         """Gradient of log density at x.
@@ -146,7 +153,7 @@ class GaussianMixture:
         and the result stays finite wherever the quadratic forms do.
         """
         _, _, r, siy = _evaluate(_as_points(x, self.d), *self._kernel)
-        return -_mix(r, siy)
+        return _rows(-_mix(r, siy), len(x))
 
     def overall_moments(self) -> Moments:
         """First two moments of the full mixture (law of total covariance)."""
@@ -213,28 +220,29 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(pts, log_weights, means, inv_chols, log_norms):
-    """The point kernel of a K-component mixture at points pts (n, d).
+    """The point kernel of a K-component mixture at points pts (d, n), dimension-major.
 
-    Returns per-component log densities (n, K), the log density (n,), the
-    responsibilities (n, K) and the solves Sigma_k^{-1}(x - m_k) (K, n, d), in
+    Returns per-component log densities (K, n), the log density (n,), the
+    responsibilities (K, n) and the solves Sigma_k^{-1}(x - m_k) (K, d, n), in
     one log-space pass. The mixture comes as raw arrays: log weights (K,),
     means (K, d), inverse Cholesky factors (K, d, d) and log-normalizers (K,),
-    as ``_log_weights`` and ``_factor`` give them. Component-major: with
-    y = x - m_k (K, n, d), z = y L^{-T} and then z L^{-1} are one batched
-    matmul each.
+    as ``_log_weights`` and ``_factor`` give them. With y = x - m_k (K, d, n),
+    z = L^{-1} y and then L^{-T} z are one batched matmul each, and the
+    quadratic form adds the z_i^2 in coordinate order. The points come from
+    ``_as_points``, whose lone-point rule keeps a point's bits those of a batch.
     """
-    z = (pts[None, :, :] - means[:, None, :]) @ np.swapaxes(inv_chols, 1, 2)
-    logg = log_norms[None, :] - 0.5 * np.einsum("kni,kni->nk", z, z)
-    lw = log_weights[None, :] + logg
-    peak = lw.max(axis=1, keepdims=True)
+    z = inv_chols @ (pts[None, :, :] - means[:, :, None])
+    logg = log_norms[:, None] - 0.5 * np.einsum("kdn,kdn->kn", z, z)
+    lw = log_weights[:, None] + logg
+    peak = lw.max(axis=0)
     r = np.exp(lw - peak)
-    total = r.sum(axis=1, keepdims=True)
-    return logg, (peak + np.log(total))[:, 0], r / total, z @ inv_chols
+    total = r.sum(axis=0)
+    return logg, peak + np.log(total), r / total, np.swapaxes(inv_chols, 1, 2) @ z
 
 
 def _mix(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Responsibility-weighted sum sum_k r_k v_k (n, d) of component-major values v (K, n, d)."""
-    return np.einsum("nk,knd->nd", r, v)
+    """Responsibility-weighted sum sum_k r_k v_k (d, n) of dimension-major v (K, d, n), r (K, n)."""
+    return np.einsum("kn,kdn->dn", r, v)
 
 
 def stack_mixtures(mixtures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -347,6 +348,40 @@ def test_integrate_sde_is_deterministic_per_path():
     assert np.array_equal(lone.states, batch[0].states)
     assert np.array_equal(lone.log_weight, batch[0].log_weight)
     assert lone.log_weight[0] == 0.0 and np.all(lone.log_weight[1:] != 0.0)
+    # the benchmark's layout, rotating_dominance d = 12: path i is bit-equal at every n_paths
+    rot12 = small_grid("rotating_dominance", n_days=12, L=10, d=12)
+    runs = {m: integrate_sde(rot12, n_paths=m, steps=30, seed=9) for m in (1, 2, 7, 64)}
+    assert any(np.any(t.log_weight != 0.0) for t in runs[64])
+    for m, trajs in runs.items():
+        assert len(trajs) == m
+        for tr, want in zip(trajs, runs[64]):
+            assert tr.diverged_at == want.diverged_at
+            assert tr.states.flags.c_contiguous and tr.states.shape == (31, 12)
+            assert np.array_equal(tr.states, want.states, equal_nan=True)
+            assert np.array_equal(tr.log_weight, want.log_weight, equal_nan=True)
+
+
+@pytest.mark.parametrize("d", [3, 12])
+def test_a_lone_point_gets_the_bits_of_its_row(d):
+    # the kernel never sees a lone column (gm._as_points), so a point's bits
+    # do not depend on how many points share its call
+    grid = small_grid("rotating_dominance", n_days=8, L=4, d=d)
+    sl = path_slice(grid, 0.3)
+    x = sl.gm.sample(50, seed=d)
+    funcs = {
+        "component_log_density": sl.gm.component_log_density,
+        "log_density": sl.gm.log_density,
+        "responsibilities": sl.gm.responsibilities,
+        "score": sl.gm.score,
+        "shape_current": partial(shape_current, sl),
+    }
+    for name, f in funcs.items():
+        batch = f(x)
+        assert batch.flags.c_contiguous and batch.shape[0] == len(x)
+        for i in range(len(x)):
+            lone = f(x[i : i + 1])
+            assert lone.flags.c_contiguous and lone.shape == (1,) + batch.shape[1:]
+            assert lone.tobytes() == batch[i : i + 1].tobytes(), (name, i)
 
 
 def reference_integrate_sde(grid, n_paths, steps, seed):
@@ -539,12 +574,12 @@ def test_integrate_sde_flags_a_non_finite_log_weight(monkeypatch):
     real, calls = dyn._drift, []
 
     def poisoned(x, *args):
-        vel, clamped, logd, score, logg = real(x, *args)
-        calls.append(len(x))
+        vel, logd, score, logg = real(x, *args)
+        calls.append(x.shape[1])
         if len(calls) == 4:
             logg = logg.copy()
-            logg[1, 0] = np.inf
-        return vel, clamped, logd, score, logg
+            logg[0, 1] = np.inf
+        return vel, logd, score, logg
 
     monkeypatch.setattr(dyn, "_drift", poisoned)
     trajs = integrate_sde(grid, n_paths=3, steps=10, seed=1)
@@ -569,9 +604,9 @@ def test_integrate_sde_flags_a_path_before_the_weights_move(monkeypatch):
 
     def one_bad(x, *args):
         vel, *rest = real(x, *args)
-        calls.append(len(x))
+        calls.append(x.shape[1])
         if len(calls) == 2:
-            vel[1] = np.inf
+            vel[:, 1] = np.inf
         return vel, *rest
 
     monkeypatch.setattr(dyn, "_drift", one_bad)
@@ -630,9 +665,9 @@ def test_integrate_sde_single_divergence_leaves_the_other_paths_alone(monkeypatc
 
     def one_bad(x, *args):
         vel, *rest = real(x, *args)
-        sizes.append(len(x))
+        sizes.append(x.shape[1])
         if len(sizes) == 6:
-            vel[7] = np.inf
+            vel[:, 7] = np.inf
         return vel, *rest
 
     monkeypatch.setattr(dyn, "_drift", one_bad)

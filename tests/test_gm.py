@@ -8,6 +8,8 @@ from casmem.errors import ConfigError
 from casmem.gm import (
     GaussianMixture,
     Moments,
+    _as_points,
+    _evaluate,
     validate,
     validate_arrays,
 )
@@ -128,6 +130,48 @@ def test_point_functions_take_batches_only(name):
     assert (out[0] if name == "drift_with_stats" else out).shape[0] == 1
     with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
         f(np.zeros(gm.d))
+
+
+POINT_FUNCTION_SHAPES = {  # each public point function's output shape at n points, d = 3, K = 3
+    "component_log_density": (3,), "log_density": (), "density": (), "responsibilities": (3,),
+    "score": (3,), "shape_current": (3,), "poisson_psi_grad": (3,), "psi_potential": (),
+    "drift_with_stats": (3,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_FUNCTION_SHAPES))
+def test_point_functions_return_c_ordered_rows(name):
+    # the kernel works on (d, n) columns; every public point function hands back
+    # C-ordered rows, so sums over its output do not depend on how it was stored
+    gm = random_mixture(np.random.default_rng(5))
+    if hasattr(gm, name):
+        f = getattr(gm, name)
+    else:
+        rates = (np.array([0.2, -0.2, 0.0]), np.full((3, 3), 0.1), 0.05 * np.eye(3)[None].repeat(3, 0))
+        f = partial(getattr(dynamics, name), dynamics.PathSlice(gm, *rates))
+    for n in (1, 2, 7):
+        pts = np.asfortranarray(np.random.default_rng(n).normal(size=(n, gm.d)))
+        out = f(pts)[0] if name == "drift_with_stats" else f(pts)
+        assert out.shape == (n,) + POINT_FUNCTION_SHAPES[name]
+        assert out.flags.c_contiguous and out.dtype == float
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 12])
+def test_evaluate_adds_the_quadratic_form_in_coordinate_order(d):
+    # one summation order at every d: a per-component loop over the solves
+    # z = L^{-1}(x - m_k) that adds z_1^2, z_2^2, ... in coordinate order
+    rng = np.random.default_rng(20 + d)
+    gm = random_mixture(rng, k=4, d=d)
+    x = rng.normal(0.0, 2.0, (40, d))
+    _, means, inv_chols, log_norms = gm._kernel
+    logg = _evaluate(_as_points(x, d), *gm._kernel)[0]
+    assert logg.shape == (gm.k, len(x)) and logg.flags.c_contiguous
+    for k in range(gm.k):
+        z = inv_chols[k] @ np.ascontiguousarray((x - means[k]).T)
+        quad = z[0] * z[0]
+        for i in range(1, d):
+            quad = quad + z[i] * z[i]
+        assert (log_norms[k] - 0.5 * quad).tobytes() == logg[k].tobytes()
 
 
 def test_log_density_far_tail_is_finite():
