@@ -24,13 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_value
 from .gm import DENSITY_FLOOR, DERIVED_WEIGHT_TOL, GaussianMixture, _as_points, _evaluate, _factor
 from .gm import _check_probabilities, _frozen, _log_weights, _mix, _param_arrays, _rows, _symmetrize
 from .protocol import ProtocolGrid, _lerp_nodes, _segment, eval_at
 
 QUAD_REL_TOL = 1e-8
 QUAD_MAX_PANELS = 200
+_BLOCK_STEPS = 16  # replay steps whose normals and states share one contiguous window
 
 # The 15- and 7-point Gauss-Legendre rules on [-1, 1] as one node vector
 # and a (2, 22) weight matrix; each row is zero on the other rule's nodes.
@@ -60,23 +61,24 @@ class PathSlice:
             object.__setattr__(self, name, _frozen(a))
 
 
-def _checked_rates(weight_rates, mean_rates, cov_rates):
-    """Rates in the mixture shape rule, with cov rates symmetrized; ValueError unless the
-    weight rates sum to zero."""
-    wr, mr, cr = _param_arrays(weight_rates, mean_rates, cov_rates)
-    if abs(wr.sum()) > DERIVED_WEIGHT_TOL:
-        raise ValueError(f"weight rates must sum to zero, got {wr.sum()!r}")
+def _checked_rates(weight_rates, mean_rates, cov_rates, lead: int = 0):
+    """Rates in the mixture shape rule with ``lead`` leading axes (one row per segment), cov
+    rates symmetrized; ValueError unless every row's weight rates sum to zero."""
+    wr, mr, cr = _param_arrays(weight_rates, mean_rates, cov_rates, lead)
+    sums = wr.sum(axis=-1)
+    if np.any(np.abs(sums) > DERIVED_WEIGHT_TOL):
+        raise ValueError(f"weight rates must sum to zero, got {sums.tolist()!r}")
     return wr, mr, _symmetrize(cr)
 
 
-def _moving(weight_rates: np.ndarray) -> bool:
-    """Whether the weights move enough for the Poisson term and the log-weights to be on.
+def _moving(weight_rates: np.ndarray):
+    """Whether the weights move enough for the Poisson term and the log-weights to be on, per row.
 
     Nodes whose weights agree up to the simplex rounding of valid inputs leave rates of
     order L SIMPLEX_TOL, not zeros; the threshold is the bound _checked_rates puts on the
     rates' sum, so such segments stay constant.
     """
-    return np.abs(weight_rates).sum() > DERIVED_WEIGHT_TOL
+    return np.abs(weight_rates).sum(axis=-1) > DERIVED_WEIGHT_TOL
 
 
 @dataclass(frozen=True)
@@ -97,13 +99,14 @@ def path_slice(grid: ProtocolGrid, t: float) -> PathSlice:
     linear, so the drift may jump at node times and a convention is
     needed there.
     """
-    gm = eval_at(grid, t)
-    return PathSlice(gm, *_segment_rates(grid, _segment(t, grid.L)[0]))
+    gm, j = eval_at(grid, t), _segment(t, grid.L)[0]
+    return PathSlice(gm, *(a[j] for a in _segment_rates(grid)))
 
 
-def _segment_rates(grid: ProtocolGrid, j: int):
-    """Unchecked time rates (weights, means, covs) of the parameters along segment j."""
-    return tuple((a[j + 1] - a[j]) * grid.L for a in grid)
+def _segment_rates(grid: ProtocolGrid):
+    """Unchecked time rates of the parameters, weights (L, K), means (L, K, d) and covs
+    (L, K, d, d): row j is segment j's (a[j + 1] - a[j]) L, one array pass per field."""
+    return tuple(np.diff(a, axis=0) * grid.L for a in grid)
 
 
 def _slice_parts(pts: np.ndarray, kernel, mean_rates, cov_rates):
@@ -310,15 +313,17 @@ def _step_kernels(grid: ProtocolGrid, times: np.ndarray):
 
     The kernels are log-weights (S, K), means (S, K, d), inverse Cholesky factors (S, K, d, d)
     and log-normalizers (S, K); the rates are S (mean, cov, weight or None while the weights
-    do not move) tuples, checked once per segment as PathSlice checks them. All times are
-    lerped in one gather, symmetrized as GaussianMixture does and factored in one call.
+    do not move) tuples, rows of ``_segment_rates``. All times are lerped in one gather,
+    symmetrized as GaussianMixture does and factored in one call, and the segments the times
+    read are checked as PathSlice checks them, in one ``_checked_rates`` call.
     """
     seg, alpha = _segment(times, grid.L)
     w, m, c = _lerp_nodes(grid, seg, alpha)
     _, inv, log_norms = _factor(_symmetrize(c))
-    rates = {j: _checked_rates(*_segment_rates(grid, j)) for j in np.unique(seg).tolist()}
-    rates = {j: (mr, cr, wr if _moving(wr) else None) for j, (wr, mr, cr) in rates.items()}
-    return (_log_weights(w), m, inv, log_norms), [rates[j] for j in seg.tolist()]
+    used, index = np.unique(seg, return_inverse=True)
+    wr, mr, cr = _checked_rates(*(a[used] for a in _segment_rates(grid)), lead=1)
+    rates = list(zip(mr, cr, [r if on else None for r, on in zip(wr, _moving(wr))]))
+    return (_log_weights(w), m, inv, log_norms), [rates[i] for i in index.tolist()]
 
 
 def integrate_sde(
@@ -335,16 +340,19 @@ def integrate_sde(
     which starts at 0; if no step's weights move, every path shares one
     read-only row of zeros. A marginal is the average with weights
     exp(log_weight) normalised over the paths. All paths step as one (d, n_paths)
-    array of ``gm._as_points`` columns, read from and written to the normal blocks
-    through one swapped view; a path whose state or log-weight turns non-finite
-    is flagged and NaN from there on. Repeat calls reproduce a path bit for bit,
-    as do other n_paths (a lone path steps as two equal columns).
+    array of ``gm._as_points`` columns; a path whose state or log-weight turns
+    non-finite is flagged and NaN from there on. Repeat calls reproduce a path bit
+    for bit, as do other n_paths (a lone path steps as two equal columns).
 
     Every step's mixture is factored in one pass (``_step_kernels``) before the paths are
     allocated; it keeps steps K d^2 floats beside their n_paths (steps + 1) d. A step does
     point work only (its drift is ``drift_with_stats``'s on ``path_slice(grid, t)`` with zeroed
     weight rates, bit for bit) and tests columns once a whole-array test finds a non-finite value.
+    The steps run in blocks of ``_BLOCK_STEPS``: one pass copies a block's normals times
+    sqrt(dt) into a contiguous (block, d, n_paths) window, each step adds and overwrites its
+    window row, and one transposing pass writes the window back into the paths' blocks.
     """
+    n_paths, steps = check_value("n_paths", n_paths, "int"), check_value("steps", steps, "int")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if steps < 1:
@@ -363,21 +371,28 @@ def integrate_sde(
     x, columns = _as_points(states[:, 0], grid.d), states.transpose(1, 2, 0)
     lw, weighted, dead, diverged = np.zeros(x.shape[1]), False, False, np.full(x.shape[1], -1)
     log_w = np.zeros((len(lw), steps + 1))
-    for s, (kernel, (mr, cr, wr)) in enumerate(zip(zip(*kernels), rates)):
-        vel, logd, _, logg = _drift(x, kernel, mr, cr)
-        x += vel * dt
-        x += sqrt_dt * columns[s + 1]
-        if wr is not None:
-            lw = lw + (np.exp(logg - logd) * wr[:, None]).sum(axis=0) * dt
-            weighted = True
-        dead = dead or not (np.isfinite(x).all() and np.isfinite(lw).all())
-        if dead:  # NaN, not inf, so that no later drift computes inf - inf
-            ok = np.isfinite(x).all(axis=0) & np.isfinite(lw)
-            diverged[~ok & (diverged < 0)] = s + 1
-            x[:, ~ok] = lw[~ok] = np.nan
-        columns[s + 1] = x[:, :n_paths]
-        if weighted or dead:  # otherwise every log-weight is still 0
-            log_w[:, s + 1] = lw
+    window = np.empty((min(_BLOCK_STEPS, steps), grid.d, n_paths))
+    step_iter = enumerate(zip(zip(*kernels), rates))  # each block's zip takes its steps from it
+    for b in range(0, steps, _BLOCK_STEPS):
+        block = columns[b + 1 : b + 1 + _BLOCK_STEPS]
+        noise = np.multiply(block, sqrt_dt, out=window[: len(block)])
+        for row, (s, (kernel, (mr, cr, wr))) in zip(noise, step_iter):
+            vel, logd, _, logg = _drift(x, kernel, mr, cr)
+            vel *= dt
+            x += vel
+            x += row
+            if wr is not None:
+                lw = lw + (np.exp(logg - logd) * wr[:, None]).sum(axis=0) * dt
+                weighted = True
+            dead = dead or not (np.isfinite(x).all() and np.isfinite(lw).all())
+            if dead:  # NaN, not inf, so that no later drift computes inf - inf
+                ok = np.isfinite(x).all(axis=0) & np.isfinite(lw)
+                diverged[~ok & (diverged < 0)] = s + 1
+                x[:, ~ok] = lw[~ok] = np.nan
+            row[...] = x[:, :n_paths]
+            if weighted or dead:  # otherwise every log-weight is still 0
+                log_w[:, s + 1] = lw
+        block[...] = noise
     log_w = log_w if weighted else [_frozen(np.zeros(steps + 1))] * n_paths
     return [
         Trajectory(times, states[i], log_w[i], i, None if flag < 0 else int(flag))
@@ -387,7 +402,7 @@ def integrate_sde(
 
 def movie_frames(grid: ProtocolGrid, n_frames: int) -> list[GaussianMixture]:
     """Mixtures at n_frames uniformly spaced times, endpoints included."""
-    if n_frames < 2:
+    if check_value("n_frames", n_frames, "int") < 2:
         raise ValueError(f"need at least 2 frames, got {n_frames}")
     params = _lerp_nodes(grid, *_segment(np.linspace(0.0, 1.0, n_frames), grid.L))
     return [GaussianMixture(*p) for p in zip(*params)]
@@ -401,7 +416,7 @@ def sample_bulk_points(
     Rejection from the mixture's own samples; the peak is estimated over
     the candidate batch.
     """
-    if n < 1:
+    if check_value("n", n, "int") < 1:
         raise ConfigError(f"bulk sampling needs n >= 1 points, got n = {n}")
     rng = np.random.default_rng(seed)
     kept: list[np.ndarray] = []

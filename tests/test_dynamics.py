@@ -19,7 +19,7 @@ from casmem.dynamics import (
     sample_bulk_points,
     shape_current,
 )
-from casmem.errors import NumericalError
+from casmem.errors import ConfigError, NumericalError
 from casmem.gm import GaussianMixture, _factor, _log_weights, _symmetrize, stack_mixtures
 from casmem.protocol import ProtocolGrid, eval_at, incorporate, new_memory
 from casmem.streams import KINDS, default_prior, generate, make_config
@@ -426,8 +426,16 @@ def reference_integrate_sde(grid, n_paths, steps, seed):
 
 # steps each segment holds: at L = 4 and 30 steps 7 or 8, and step 15 falls on node
 # time 0.5 exactly; at L = 10 and 7 steps most segments hold none; L = 50 and 200
-# steps is the ingest layout, 4 a segment, or 3 and 5 where a node time rounds below its node
-STEPS_PER_SEGMENT = {(4, 30): {7, 8}, (10, 7): {0, 1}, (50, 200): {3, 4, 5}}
+# steps is the ingest layout, 4 a segment, or 3 and 5 where a node time rounds below its node.
+# One step is one short block; at L = 2, two blocks of steps are one block a segment.
+BLOCK = dyn._BLOCK_STEPS
+STEPS_PER_SEGMENT = {
+    (4, 30): {7, 8},
+    (10, 7): {0, 1},
+    (50, 200): {3, 4, 5},
+    (4, 1): {0, 1},
+    (2, 2 * BLOCK): {BLOCK},
+}
 
 
 @pytest.mark.parametrize(
@@ -440,6 +448,9 @@ STEPS_PER_SEGMENT = {(4, 30): {7, 8}, (10, 7): {0, 1}, (50, 200): {3, 4, 5}}
         ("circular", {}, 10, 7),
         ("rotating_dominance", {"d": 3}, 10, 7),
         ("circular", {}, 50, 200),
+        ("rotating_dominance", {"d": 3}, 4, 1),
+        ("circular", {}, 2, 2 * BLOCK),
+        ("rotating_dominance", {"d": 3}, 2, 2 * BLOCK),
     ],
 )
 def test_integrate_sde_equals_plain_step_loop(kind, kw, L, steps):
@@ -457,6 +468,43 @@ def test_integrate_sde_equals_plain_step_loop(kind, kw, L, steps):
     assert np.any(log_w != 0.0) == (kind == "rotating_dominance")
 
 
+@pytest.mark.parametrize("L, steps", sorted(STEPS_PER_SEGMENT))
+def test_step_kernels_rates_equal_path_slice_at_every_step(L, steps):
+    # one pass sets up every segment's rates; each step's are path_slice's bits, the
+    # node-time steps that round into the previous segment included (L = 50, 200 steps),
+    # and the weight rate is None exactly where the weights do not move (segment 0 here)
+    grid = small_grid("rotating_dominance", n_days=max(8, L + 2), L=L, d=3)
+    w = grid.weights.copy()
+    w[1] = w[0]
+    grid = ProtocolGrid(w, grid.means, grid.covs)
+    times = np.linspace(0.0, 1.0, steps + 1)[:-1]
+    if (L, steps) == (50, 200):
+        assert dyn._segment(times[116], L)[0] == 28 and float(times[116]) == 0.58
+    rates = dyn._step_kernels(grid, times)[1]
+    assert len(rates) == steps
+    moving = []
+    for t, (mr, cr, wr) in zip(times, rates):
+        sl = path_slice(grid, float(t))
+        assert mr.tobytes() == sl.mean_rates.tobytes()
+        assert cr.tobytes() == sl.cov_rates.tobytes()
+        assert (wr is None) == (not dyn._moving(sl.weight_rates))
+        assert wr is None or wr.tobytes() == sl.weight_rates.tobytes()
+        moving.append(wr is not None)
+    assert not moving[0] and any(moving) == (steps > 1)
+
+
+def test_integrate_sde_refuses_weight_rates_that_do_not_sum_to_zero_in_the_last_segment():
+    grid = small_grid("triangle", n_days=6, L=3)
+    w = grid.weights.copy()
+    w[-1] *= 1.01
+    grid = ProtocolGrid(w, grid.means, grid.covs)
+    path_slice(grid, 0.5)  # the other segments pass the check
+    with pytest.raises(ValueError, match="sum to zero"):
+        path_slice(grid, 0.9)
+    with pytest.raises(ValueError, match="sum to zero"):
+        integrate_sde(grid, n_paths=3, steps=5)
+
+
 def test_integrate_sde_sets_up_each_moving_segment_once(monkeypatch):
     # on moving and on constant weights the steps build no mixture or PathSlice
     # (the start's mixture is the one built), run no Poisson quadrature, and
@@ -464,7 +512,7 @@ def test_integrate_sde_sets_up_each_moving_segment_once(monkeypatch):
     layouts = (("rotating_dominance", {"d": 3}), ("circular", {}))
     grids = [small_grid(kind, n_days=8, L=4, **kw) for kind, kw in layouts]
     for grid, moving in zip(grids, (True, False)):
-        assert [dyn._moving(dyn._segment_rates(grid, j)[0]) for j in range(4)] == [moving] * 4
+        assert [dyn._moving(wr) for wr in dyn._segment_rates(grid)[0]] == [moving] * 4
     wants = [integrate_sde(grid, n_paths=8, steps=30, seed=2) for grid in grids]
     counts = {}
     for cls in (GaussianMixture, PathSlice):
@@ -656,9 +704,11 @@ def test_integrate_sde_refuses_start_weights_off_the_simplex(weights):
         integrate_sde(ProtocolGrid(w, grid.means, grid.covs), n_paths=3, steps=5)
 
 
-def test_integrate_sde_single_divergence_leaves_the_other_paths_alone(monkeypatch):
-    # path 7 turns non-finite at step 5 and is NaN from there; every step's
-    # drift still takes all 30 rows, and the other 29 are bit for bit as before
+@pytest.mark.parametrize("call", [6, BLOCK + 1])
+def test_integrate_sde_single_divergence_leaves_the_other_paths_alone(monkeypatch, call):
+    # path 7 turns non-finite at the poisoned drift call's step (step 5, or the second
+    # block's first step) and is NaN from there; every step's drift still takes all
+    # 30 rows, and the other 29 are bit for bit as before
     grid = small_grid("triangle", n_days=10, L=4)
     clean = integrate_sde(grid, n_paths=30, steps=20, seed=4)
     real, sizes = dyn._drift, []
@@ -666,7 +716,7 @@ def test_integrate_sde_single_divergence_leaves_the_other_paths_alone(monkeypatc
     def one_bad(x, *args):
         vel, *rest = real(x, *args)
         sizes.append(x.shape[1])
-        if len(sizes) == 6:
+        if len(sizes) == call:
             vel[:, 7] = np.inf
         return vel, *rest
 
@@ -674,9 +724,9 @@ def test_integrate_sde_single_divergence_leaves_the_other_paths_alone(monkeypatc
     trajs = integrate_sde(grid, n_paths=30, steps=20, seed=4)
     assert sizes == [30] * 20
     bad = trajs[7]
-    assert bad.diverged_at == 6
-    assert np.array_equal(bad.states[:6], clean[7].states[:6])
-    assert np.isnan(bad.states[6:]).all()
+    assert bad.diverged_at == call
+    assert np.array_equal(bad.states[:call], clean[7].states[:call])
+    assert np.isnan(bad.states[call:]).all()
     for i, (a, b) in enumerate(zip(clean, trajs)):
         if i != 7:
             assert b.diverged_at is None and np.array_equal(a.states, b.states)
@@ -688,6 +738,27 @@ def test_integrate_sde_validates_arguments():
         integrate_sde(grid, n_paths=0)
     with pytest.raises(ValueError):
         integrate_sde(grid, steps=0)
+
+
+def test_dynamics_counts_must_be_ints():
+    # a bool is no count and a float is no int: each is a ConfigError (CLI exit 2)
+    grid, gm = small_grid("circular", n_days=6, L=3), default_prior(2, 2)
+    bad_calls = [
+        partial(integrate_sde, grid, 3, True),
+        partial(integrate_sde, grid, True, 5),
+        partial(integrate_sde, grid, 2.0, 5),
+        partial(integrate_sde, grid, 3, 5.0),
+        partial(movie_frames, grid, 3.0),
+        partial(sample_bulk_points, gm, True),
+        partial(sample_bulk_points, gm, 4.0),
+    ]
+    for call in bad_calls:
+        with pytest.raises(ConfigError, match="must be int"):
+            call()
+    trajs = integrate_sde(grid, np.int64(2), np.int64(3))
+    assert len(trajs) == 2 and trajs[0].states.shape == (4, 2)
+    assert len(movie_frames(grid, np.int64(3))) == 3
+    assert sample_bulk_points(gm, np.int64(4)).shape == (4, 2)
 
 
 def test_movie_frames_endpoints():
