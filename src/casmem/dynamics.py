@@ -62,7 +62,7 @@ class PathSlice:
 
 
 def _checked_rates(weight_rates, mean_rates, cov_rates, lead: int = 0):
-    """Rates in the mixture shape rule with ``lead`` leading axes (one row per segment), cov
+    """Rates in the mixture shape rule with ``lead`` leading axes (one row per step), cov
     rates symmetrized; ValueError unless every row's weight rates sum to zero."""
     wr, mr, cr = _param_arrays(weight_rates, mean_rates, cov_rates, lead)
     sums = wr.sum(axis=-1)
@@ -76,7 +76,7 @@ def _moving(weight_rates: np.ndarray):
 
     Nodes whose weights agree up to the simplex rounding of valid inputs leave rates of
     order L SIMPLEX_TOL, not zeros; the threshold is the bound _checked_rates puts on the
-    rates' sum, so such segments stay constant.
+    rates' sum, so such segments and the steps inside them stay constant.
     """
     return np.abs(weight_rates).sum(axis=-1) > DERIVED_WEIGHT_TOL
 
@@ -95,18 +95,12 @@ class Trajectory:
 def path_slice(grid: ProtocolGrid, t: float) -> PathSlice:
     """Parameters and segment rates at time t.
 
-    Rates are right-derivatives (left at t = 1): the path is piecewise
-    linear, so the drift may jump at node times and a convention is
+    Rates are right-derivatives (left at t = 1), segment j's (node j + 1 - node j) L: the
+    path is piecewise linear, so the drift may jump at node times and a convention is
     needed there.
     """
     gm, j = eval_at(grid, t), _segment(t, grid.L)[0]
-    return PathSlice(gm, *(a[j] for a in _segment_rates(grid)))
-
-
-def _segment_rates(grid: ProtocolGrid):
-    """Unchecked time rates of the parameters, weights (L, K), means (L, K, d) and covs
-    (L, K, d, d): row j is segment j's (a[j + 1] - a[j]) L, one array pass per field."""
-    return tuple(np.diff(a, axis=0) * grid.L for a in grid)
+    return PathSlice(gm, *((a[j + 1] - a[j]) * grid.L for a in grid))
 
 
 def _slice_parts(pts: np.ndarray, kernel, mean_rates, cov_rates):
@@ -309,21 +303,22 @@ def fp_residual(grid: ProtocolGrid, t: float, pts) -> float:
 
 
 def _step_kernels(grid: ProtocolGrid, times: np.ndarray):
-    """The ``gm._evaluate`` kernels of the ascending times, stacked, and each time's rates.
+    """The ``gm._evaluate`` kernels of the steps between the S + 1 uniform times on [0, 1],
+    stacked, and each step's secant rates.
 
-    The kernels are log-weights (S, K), means (S, K, d), inverse Cholesky factors (S, K, d, d)
-    and log-normalizers (S, K); the rates are S (mean, cov, weight or None while the weights
-    do not move) tuples, rows of ``_segment_rates``. All times are lerped in one gather,
-    symmetrized as GaussianMixture does and factored in one call, and the segments the times
-    read are checked as PathSlice checks them, in one ``_checked_rates`` call.
+    The kernels are step starts' log-weights (S, K), means (S, K, d), inverse Cholesky factors
+    (S, K, d, d) and log-normalizers (S, K); step s's rates are the (mean, cov, weight or None
+    while the weights do not move) tuple (row s + 1 - row s) S of the lerped parameters. All
+    times are lerped in one gather and symmetrized as GaussianMixture does, so the rates are
+    secants of eval_at's mixtures bit for bit; the starts are factored in one call and every
+    step's rates checked as PathSlice checks them, in one ``_checked_rates`` call.
     """
-    seg, alpha = _segment(times, grid.L)
-    w, m, c = _lerp_nodes(grid, seg, alpha)
-    _, inv, log_norms = _factor(_symmetrize(c))
-    used, index = np.unique(seg, return_inverse=True)
-    wr, mr, cr = _checked_rates(*(a[used] for a in _segment_rates(grid)), lead=1)
-    rates = list(zip(mr, cr, [r if on else None for r, on in zip(wr, _moving(wr))]))
-    return (_log_weights(w), m, inv, log_norms), [rates[i] for i in index.tolist()]
+    w, m, c = _lerp_nodes(grid, *_segment(times, grid.L))
+    c, steps = _symmetrize(c), len(times) - 1
+    wr, mr, cr = _checked_rates(*(np.diff(a, axis=0) * steps for a in (w, m, c)), lead=1)
+    _, inv, log_norms = _factor(c[:-1])
+    rates = zip(mr, cr, [r if on else None for r, on in zip(wr, _moving(wr))])
+    return (_log_weights(w[:-1]), m[:-1], inv, log_norms), list(rates)
 
 
 def integrate_sde(
@@ -344,10 +339,12 @@ def integrate_sde(
     non-finite is flagged and NaN from there on. Repeat calls reproduce a path bit
     for bit, as do other n_paths (a lone path steps as two equal columns).
 
+    Step s's rates are secants, (theta(t_{s+1}) - theta(t_s)) / dt of the lerped parameters,
+    steps across node times included, so where the drift is linear in x (K = 1) the paths'
+    mean at every t_s is eval_at's at any number of steps (Kloeden & Platen 1992, ch. 14).
     Every step's mixture is factored in one pass (``_step_kernels``) before the paths are
     allocated; it keeps steps K d^2 floats beside their n_paths (steps + 1) d. A step does
-    point work only (its drift is ``drift_with_stats``'s on ``path_slice(grid, t)`` with zeroed
-    weight rates, bit for bit) and tests columns once a whole-array test finds a non-finite value.
+    point work only and tests columns once a whole-array test finds a non-finite value.
     The steps run in blocks of ``_BLOCK_STEPS``: one pass copies a block's normals times
     sqrt(dt) into a contiguous (block, d, n_paths) window, each step adds and overwrites its
     window row, and one transposing pass writes the window back into the paths' blocks.
@@ -361,7 +358,7 @@ def integrate_sde(
     dt, sqrt_dt = 1.0 / steps, np.sqrt(1.0 / steps)
     start = eval_at(grid, 0.0)
     _check_probabilities(start.weights)  # before any other step's weights reach a log
-    kernels, rates = _step_kernels(grid, times[:-1])
+    kernels, rates = _step_kernels(grid, times)
     u, states = np.empty(n_paths), np.empty((n_paths, steps + 1, grid.d))
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
         rng = np.random.default_rng(child)

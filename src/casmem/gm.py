@@ -17,8 +17,9 @@ import numpy as np
 from .errors import ConfigError
 
 SIMPLEX_TOL = 1e-12
-# Simplex bound for weights derived from valid ones: lerps, and L-scaled node
-# differences, which sum to 0 within 2 L SIMPLEX_TOL (covered up to L of about 7,000).
+# Simplex bound for weights derived from valid ones: lerps, and L-scaled node differences
+# or the replay's step secants of lerps, which sum to 0 within 2 L SIMPLEX_TOL (covered up
+# to L of about 7,000), secants with K eps steps of rounding on top.
 DERIVED_WEIGHT_TOL = float(np.sqrt(np.finfo(float).eps))
 SYMMETRY_TOL = 1e-10
 # Positive-definiteness is judged relative to the largest eigenvalue, so

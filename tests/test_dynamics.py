@@ -20,7 +20,8 @@ from casmem.dynamics import (
     shape_current,
 )
 from casmem.errors import ConfigError, NumericalError
-from casmem.gm import GaussianMixture, _factor, _log_weights, _symmetrize, stack_mixtures
+from casmem.gm import DERIVED_WEIGHT_TOL, GaussianMixture, _factor, _log_weights, _symmetrize
+from casmem.gm import stack_mixtures
 from casmem.protocol import ProtocolGrid, eval_at, incorporate, new_memory
 from casmem.streams import KINDS, default_prior, generate, make_config
 
@@ -347,7 +348,10 @@ def test_integrate_sde_is_deterministic_per_path():
     assert lone.diverged_at is None
     assert np.array_equal(lone.states, batch[0].states)
     assert np.array_equal(lone.log_weight, batch[0].log_weight)
-    assert lone.log_weight[0] == 0.0 and np.all(lone.log_weight[1:] != 0.0)
+    # step 0 starts on the default prior, whose components are identical, so its
+    # increment dt sum_k pidot_k is 0 up to the rates' rounding
+    assert lone.log_weight[0] == 0.0 and abs(lone.log_weight[1]) <= 1e-15
+    assert np.all(lone.log_weight[2:] != 0.0)
     # the benchmark's layout, rotating_dominance d = 12: path i is bit-equal at every n_paths
     rot12 = small_grid("rotating_dominance", n_days=12, L=10, d=12)
     runs = {m: integrate_sde(rot12, n_paths=m, steps=30, seed=9) for m in (1, 2, 7, 64)}
@@ -384,9 +388,16 @@ def test_a_lone_point_gets_the_bits_of_its_row(d):
             assert lone.tobytes() == batch[i : i + 1].tobytes(), (name, i)
 
 
+def secant_slice(grid, times, s):
+    """PathSlice of step s on the uniform times: eval_at at its start, and the secant rates
+    (eval_at(t_{s+1}) - eval_at(t_s)) / dt, dt = 1 / steps."""
+    a, b = eval_at(grid, float(times[s])), eval_at(grid, float(times[s + 1]))
+    return PathSlice(a, *((y - x) * (len(times) - 1) for x, y in zip(a, b)))
+
+
 def reference_integrate_sde(grid, n_paths, steps, seed):
     """States, log-weights and diverged_at of a plain weighted step loop: per step, one
-    path_slice, the drift of its copy with the weights frozen, and the log-weight rate
+    secant_slice, the drift of its copy with the weights frozen, and the log-weight rate
     sum_k pidot_k g_k / p from the slice's mixture."""
     times, dt = np.linspace(0.0, 1.0, steps + 1), 1.0 / steps
     u = np.empty(n_paths)
@@ -401,13 +412,16 @@ def reference_integrate_sde(grid, n_paths, steps, seed):
     diverged = np.full(n_paths, -1)
     rows, alive = np.arange(n_paths), slice(None)
     for s in range(steps):
-        sl = path_slice(grid, float(times[s]))
-        moved |= bool(np.any(sl.weight_rates != 0.0))
+        sl = secant_slice(grid, times, s)
+        # secants of constant weights are rounding, within the simplex bound: no move
+        moving = np.abs(sl.weight_rates).sum() > DERIVED_WEIGHT_TOL
+        moved |= bool(moving)
         frozen = PathSlice(sl.gm, np.zeros(sl.gm.k), sl.mean_rates, sl.cov_rates)
         xa = x[alive]
         vel, _ = drift_with_stats(frozen, xa)
         ratios = np.exp(sl.gm.component_log_density(xa) - sl.gm.log_density(xa)[:, None])
-        lw[alive] = lw[alive] + (ratios * sl.weight_rates).sum(axis=1) * dt
+        if moving:
+            lw[alive] = lw[alive] + (ratios * sl.weight_rates).sum(axis=1) * dt
         x[alive] = xa + vel * dt + np.sqrt(dt) * states[alive, s + 1]
         ok = np.isfinite(x[alive]).all(axis=1) & np.isfinite(lw[alive])
         if not ok.all():
@@ -469,28 +483,29 @@ def test_integrate_sde_equals_plain_step_loop(kind, kw, L, steps):
 
 
 @pytest.mark.parametrize("L, steps", sorted(STEPS_PER_SEGMENT))
-def test_step_kernels_rates_equal_path_slice_at_every_step(L, steps):
-    # one pass sets up every segment's rates; each step's are path_slice's bits, the
-    # node-time steps that round into the previous segment included (L = 50, 200 steps),
-    # and the weight rate is None exactly where the weights do not move (segment 0 here)
+def test_step_kernels_rates_are_secants_at_every_step(L, steps):
+    # one pass sets up every step's rates; each step's are the bits of eval_at's secant over
+    # the step, the steps that straddle a node time included (at L = 50, 200 steps, node time
+    # 0.58 rounds into the previous segment), and the weight rate is None exactly where the
+    # weights do not move (steps inside segment 0 here)
     grid = small_grid("rotating_dominance", n_days=max(8, L + 2), L=L, d=3)
     w = grid.weights.copy()
     w[1] = w[0]
     grid = ProtocolGrid(w, grid.means, grid.covs)
-    times = np.linspace(0.0, 1.0, steps + 1)[:-1]
+    times = np.linspace(0.0, 1.0, steps + 1)
     if (L, steps) == (50, 200):
         assert dyn._segment(times[116], L)[0] == 28 and float(times[116]) == 0.58
     rates = dyn._step_kernels(grid, times)[1]
     assert len(rates) == steps
     moving = []
-    for t, (mr, cr, wr) in zip(times, rates):
-        sl = path_slice(grid, float(t))
+    for s, (mr, cr, wr) in enumerate(rates):
+        sl = secant_slice(grid, times, s)
         assert mr.tobytes() == sl.mean_rates.tobytes()
         assert cr.tobytes() == sl.cov_rates.tobytes()
         assert (wr is None) == (not dyn._moving(sl.weight_rates))
         assert wr is None or wr.tobytes() == sl.weight_rates.tobytes()
         moving.append(wr is not None)
-    assert not moving[0] and any(moving) == (steps > 1)
+    assert moving[0] == (steps < L) and any(moving)
 
 
 def test_integrate_sde_refuses_weight_rates_that_do_not_sum_to_zero_in_the_last_segment():
@@ -512,7 +527,7 @@ def test_integrate_sde_sets_up_each_moving_segment_once(monkeypatch):
     layouts = (("rotating_dominance", {"d": 3}), ("circular", {}))
     grids = [small_grid(kind, n_days=8, L=4, **kw) for kind, kw in layouts]
     for grid, moving in zip(grids, (True, False)):
-        assert [dyn._moving(wr) for wr in dyn._segment_rates(grid)[0]] == [moving] * 4
+        assert [dyn._moving(wr) for wr in np.diff(grid.weights, axis=0)] == [moving] * 4
     wants = [integrate_sde(grid, n_paths=8, steps=30, seed=2) for grid in grids]
     counts = {}
     for cls in (GaussianMixture, PathSlice):
@@ -544,6 +559,7 @@ def test_integrate_sde_weights_a_component_born_from_zero():
     # a mixture file may hold a weight of exactly 0; here component 0 grows
     # from 0 to 0.6. The log-weight rate sum_k pidot_k g_k / p divides by the
     # density only, so it stays finite, and at t = 0 (p = g_1) it is
+    # pidot_0 g_0 / g_1 + pidot_1 with eval_at's secant rates over step 0, about
     # 0.6 (g_0 / g_1 - 1): positive on component 0's side, where mass is born
     covs = np.stack([np.eye(2), np.eye(2)])
     means = np.array([[0.0, 0.0], [1.5, 0.0]])
@@ -558,7 +574,8 @@ def test_integrate_sde_weights_a_component_born_from_zero():
     assert np.isfinite(log_w).all()
     x0 = np.stack([t.states[0] for t in trajs])
     ratio = multivariate_normal.pdf(x0, means[0]) / multivariate_normal.pdf(x0, means[1])
-    want = 0.6 * (ratio - 1.0) / steps
+    pidot = secant_slice(grid, np.linspace(0.0, 1.0, steps + 1), 0).weight_rates
+    want = (pidot[0] * ratio + pidot[1]) / steps
     assert np.allclose(log_w[:, 1], want, rtol=1e-12, atol=0.0)
     born = x0[:, 0] < 0.75  # nearer component 0's mean
     assert born.sum() > 100 and np.all(log_w[born, 1] > 0.0)
@@ -569,6 +586,90 @@ def test_integrate_sde_weights_a_component_born_from_zero():
     mean = w @ terminal
     se = np.sqrt(w @ (terminal - mean) ** 2 * (w @ w))
     assert np.all(np.abs(mean - eval_at(grid, 1.0).overall_moments().mean) < 4.0 * se)
+
+
+def em_moments(grid, steps):
+    """Exact mean and covariance of K = 1 Euler-Maruyama replay paths at the steps + 1 times,
+    from eval_at's parameters alone.
+
+    The drift mdot + B (x - m), B = (Sigmadot - I) Sigma^{-1} / 2, is linear in x, so a step
+    maps the paths' mean mu to mu + dt (mdot + B (mu - m)) and their covariance P to
+    (I + dt B) P (I + dt B)^T + dt I (Kloeden & Platen 1992, ch. 14). The rates are eval_at's
+    secants over the step. Returns the eval_at mixtures, the means (steps + 1, d) and the
+    covariances (steps + 1, d, d).
+    """
+    dt, eye = 1.0 / steps, np.eye(grid.d)
+    params = [eval_at(grid, float(t)) for t in np.linspace(0.0, 1.0, steps + 1)]
+    mus, covs = [params[0].means[0]], [params[0].covs[0]]
+    for a, b in zip(params, params[1:]):
+        mdot, sdot = (b.means[0] - a.means[0]) * steps, (b.covs[0] - a.covs[0]) * steps
+        B = 0.5 * (sdot - eye) @ np.linalg.inv(a.covs[0])
+        mus.append(mus[-1] + dt * (mdot + B @ (mus[-1] - a.means[0])))
+        covs.append((eye + dt * B) @ covs[-1] @ (eye + dt * B).T + dt * eye)
+    return params, np.array(mus), np.array(covs)
+
+
+class ZeroNormals:
+    """A stand-in for np.random.default_rng whose normals are all 0: with it a K = 1 path
+    starts on the mean and steps with the drift alone, which is the paths' exact mean."""
+
+    def __init__(self, seed):
+        pass
+
+    def random(self):
+        return 0.5
+
+    def standard_normal(self, out):
+        out[...] = 0.0
+        return out
+
+
+@pytest.mark.parametrize(
+    "n_days, L, steps",
+    [(60, 10, 25), (60, 10, 35), (60, 10, 45), (60, 10, 50), (60, 10, 400), (60, 10, 405),
+     (1000, 100, 400)],
+)
+def test_k1_replay_mean_is_eval_at_at_every_step(monkeypatch, n_days, L, steps):
+    # with secant step rates the Euler-Maruyama mean is exact: the moment recursion's, and
+    # integrate_sde's noise-free path, equal eval_at's mean at every step, whether or not
+    # L divides the steps (circular is K = 1; L = 100, 400 steps is the ingest-movie layout)
+    grid = small_grid("circular", n_days=n_days, L=L)
+    assert grid.weights.shape[1] == 1
+    params, mus, _ = em_moments(grid, steps)
+    want = np.array([p.means[0] for p in params])
+    assert np.abs(mus - want).max() <= 1e-12
+    monkeypatch.setattr(np.random, "default_rng", ZeroNormals)
+    path = integrate_sde(grid, n_paths=1, steps=steps, seed=0)[0]
+    assert np.abs(path.states - want).max() <= 1e-12
+
+
+def test_k1_replay_covariance_error_is_first_order():
+    # the recursion is the paths' exact covariance, so halving the step halves its error
+    grid = small_grid("circular", n_days=60, L=10)
+    errors = []
+    for steps in (100, 200, 400):
+        params, _, covs = em_moments(grid, steps)
+        errors.append(np.abs(covs[-1] - params[-1].covs[0]).max())
+    assert all(abs(e / f - 2.0) <= 0.05 for e, f in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("steps", [25, 50, 400])
+def test_k1_replay_paths_follow_the_moment_recursion(steps):
+    # integrate_sde's path mean and covariance lie within 4 standard errors of the recursion's
+    # at every step; the weights do not move, so every log-weight is 0 and the paths count alike
+    grid, n = small_grid("circular", n_days=60, L=10), 6000
+    _, mus, covs = em_moments(grid, steps)
+    trajs = integrate_sde(grid, n_paths=n, steps=steps, seed=0)
+    assert all(t.diverged_at is None and not np.any(t.log_weight) for t in trajs)
+    x = np.stack([t.states for t in trajs], axis=1)  # (steps + 1, n, d)
+    mean = x.mean(axis=1)
+    se_mean = np.sqrt(np.diagonal(covs, axis1=1, axis2=2) / n)
+    assert np.all(np.abs(mean - mus) < 4.0 * se_mean)
+    centred = x - mean[:, None]
+    for i, j in zip(*np.triu_indices(grid.d)):
+        prod = centred[..., i] * centred[..., j]
+        se_cov = prod.std(axis=1) / np.sqrt(n)
+        assert np.all(np.abs(prod.mean(axis=1) - covs[:, i, j]) < 4.0 * se_cov)
 
 
 def test_integrate_sde_stationary_mixture():
@@ -686,7 +787,7 @@ def test_integrate_sde_draws_follow_each_paths_generator():
         rng = np.random.default_rng(child)
         x0 = start.sample_with(rng, 1)
         z = rng.standard_normal((steps, grid.d))
-        vel, _ = drift_with_stats(path_slice(grid, 0.0), x0)
+        vel, _ = drift_with_stats(secant_slice(grid, trajs[i].times, 0), x0)
         assert np.array_equal(trajs[i].states[0], x0[0])
         assert np.array_equal(trajs[i].states[1], (x0 + vel * dt + np.sqrt(dt) * z[:1])[0])
         comps.add(int(start.responsibilities(x0)[0].argmax()))
@@ -804,10 +905,11 @@ def test_movie_frames_and_drift_set_up_equal_the_two_term_formula(kind):
             g.tobytes() == x.tobytes() and g.flags.c_contiguous
             for g, x in zip((frame.weights, frame.means, frame.covs), want)
         )
-    _, inv, log_norms = _factor(_symmetrize(c))
+    # the kernels are the steps' starts, every time but the last
+    _, inv, log_norms = _factor(_symmetrize(c[:-1]))
     kernels, rates = dyn._step_kernels(grid, times)
-    assert len(rates) == len(times)
-    want = (_log_weights(w), m, inv, log_norms)
+    assert len(rates) == len(times) - 1
+    want = (_log_weights(w[:-1]), m[:-1], inv, log_norms)
     assert all(g.tobytes() == x.tobytes() for g, x in zip(kernels, want, strict=True))
 
 
