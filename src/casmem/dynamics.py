@@ -326,18 +326,19 @@ def integrate_sde(
 ) -> list[Trajectory]:
     """Weighted Euler-Maruyama replay paths from t = 0 to t = 1, unit diffusion.
 
-    Path i has its own generator, the i-th spawn of the seed. It draws a
-    uniform that picks the start component, then a (steps + 1, d) normal
-    block: row 0 places the start in that component, row s + 1 is step
-    s's increment. Each row is overwritten by the state it leads to. The
-    drift is the component transport plus the half-score; step s adds
-    dt sum_k pidot_k g_k(x) / p(x) at its start to the path's log-weight,
-    which starts at 0; if no step's weights move, every path shares one
-    read-only row of zeros. A marginal is the average with weights
-    exp(log_weight) normalised over the paths. All paths step as one (d, n_paths)
-    array of ``gm._as_points`` columns; a path whose state or log-weight turns
-    non-finite is flagged and NaN from there on. Repeat calls reproduce a path bit
-    for bit, as do other n_paths (a lone path steps as two equal columns).
+    The seed, an int >= 0, spawns two generators. The first draws the n_paths uniforms
+    that pick the start components, path i's the i-th; the second fills the path-major
+    (n_paths, steps + 1, d) states in C order, so path i's (steps + 1, d) normal block lies
+    at offset i (steps + 1) d of one stream, whatever n_paths is. Row 0 of the block places
+    the start in its component, row s + 1 is step s's increment, and each row is
+    overwritten by the state it leads to. The drift is the component transport plus the
+    half-score; step s adds dt sum_k pidot_k g_k(x) / p(x) at its start to the path's
+    log-weight, which starts at 0; if no step's weights move, every path shares one
+    read-only row of zeros. A marginal is the average with weights exp(log_weight)
+    normalised over the paths. All paths step as one (d, n_paths) array of
+    ``gm._as_points`` columns; a path whose state or log-weight turns non-finite is flagged
+    and NaN from there on. Repeat calls reproduce a path bit for bit, as do other n_paths
+    (a lone path steps as two equal columns).
 
     Step s's rates are secants, (theta(t_{s+1}) - theta(t_s)) / dt of the lerped parameters,
     steps across node times included, so where the drift is linear in x (K = 1) the paths'
@@ -349,22 +350,17 @@ def integrate_sde(
     sqrt(dt) into a contiguous (block, d, n_paths) window, each step adds and overwrites its
     window row, and one transposing pass writes the window back into the paths' blocks.
     """
-    n_paths, steps = check_value("n_paths", n_paths, "int"), check_value("steps", steps, "int")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    for name, value, low in (("n_paths", n_paths, 1), ("steps", steps, 1), ("seed", seed, 0)):
+        if check_value(name, value, "int") < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
     times = np.linspace(0.0, 1.0, steps + 1)
     dt, sqrt_dt = 1.0 / steps, np.sqrt(1.0 / steps)
     start = eval_at(grid, 0.0)
     _check_probabilities(start.weights)  # before any other step's weights reach a log
     kernels, rates = _step_kernels(grid, times)
-    u, states = np.empty(n_paths), np.empty((n_paths, steps + 1, grid.d))
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
-        rng = np.random.default_rng(child)
-        u[i] = rng.random()
-        rng.standard_normal(out=states[i])
-    states[:, 0] = start._sample_from(u, states[:, 0])
+    uniforms, normals = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    states = normals.standard_normal((n_paths, steps + 1, grid.d))
+    states[:, 0] = start._sample_from(uniforms.random(n_paths), states[:, 0])
     x, columns = _as_points(states[:, 0], grid.d), states.transpose(1, 2, 0)
     lw, weighted, dead, diverged = np.zeros(x.shape[1]), False, False, np.full(x.shape[1], -1)
     log_w = np.zeros((len(lw), steps + 1))
@@ -415,6 +411,8 @@ def sample_bulk_points(
     """
     if check_value("n", n, "int") < 1:
         raise ConfigError(f"bulk sampling needs n >= 1 points, got n = {n}")
+    if check_value("seed", seed, "int") < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     kept: list[np.ndarray] = []
     have = 0

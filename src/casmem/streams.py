@@ -37,9 +37,9 @@ class StreamConfig:
         spec = _KINDS.get(self.kind)
         if spec is None:
             raise ConfigError(f"unknown stream kind {self.kind!r}; choose from {KINDS}")
-        for name in ("n_days", "K"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"stream needs {name} >= 1, got {getattr(self, name)}")
+        for name, low in (("n_days", 1), ("K", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"stream needs {name} >= {low}, got {getattr(self, name)}")
         if self.P == 0 or self.cov_scale <= 0:
             raise ConfigError(
                 f"stream needs P != 0 and cov_scale > 0, got {self.P} and {self.cov_scale}"

@@ -400,12 +400,9 @@ def reference_integrate_sde(grid, n_paths, steps, seed):
     secant_slice, the drift of its copy with the weights frozen, and the log-weight rate
     sum_k pidot_k g_k / p from the slice's mixture."""
     times, dt = np.linspace(0.0, 1.0, steps + 1), 1.0 / steps
-    u = np.empty(n_paths)
-    states = np.empty((n_paths, steps + 1, grid.d))
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
-        rng = np.random.default_rng(child)
-        u[i] = rng.random()
-        rng.standard_normal(out=states[i])
+    uniforms, normals = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2))
+    u = uniforms.random(n_paths)
+    states = normals.standard_normal((n_paths, steps + 1, grid.d))
     x = eval_at(grid, 0.0)._sample_from(u, states[:, 0])
     states[:, 0] = x
     log_w, lw, moved = np.zeros((n_paths, steps + 1)), np.zeros(n_paths), False
@@ -616,12 +613,11 @@ class ZeroNormals:
     def __init__(self, seed):
         pass
 
-    def random(self):
-        return 0.5
+    def random(self, n):
+        return np.full(n, 0.5)
 
-    def standard_normal(self, out):
-        out[...] = 0.0
-        return out
+    def standard_normal(self, shape):
+        return np.zeros(shape)
 
 
 @pytest.mark.parametrize(
@@ -769,11 +765,11 @@ def test_integrate_sde_flags_a_path_before_the_weights_move(monkeypatch):
         assert trajs[i].log_weight[-1] != 0.0
 
 
-def test_integrate_sde_draws_follow_each_paths_generator():
-    # path i's generator draws the uniform that picks the start component,
-    # then the start's normals, then one row of normals per step: the start
-    # is what sample_with draws from that generator, and the first step adds
-    # the drift times dt and the next normal row times sqrt(dt)
+def test_integrate_sde_draws_follow_the_two_streams():
+    # the seed's first spawn draws path i's start uniform, the i-th of its stream; its second
+    # spawn draws one stream of normals, path i's (steps + 1, d) block from offset
+    # i (steps + 1) d: row 0 places the start in the component the uniform picks, and the
+    # first step adds the drift times dt and row 1 times sqrt(dt)
     w = np.array([0.2, 0.5, 0.3])
     covs = np.stack([0.3 * np.eye(2), np.diag([0.2, 0.5]), 0.4 * np.eye(2)])
     means = np.array([[-6.0, 0.0], [0.0, 6.0], [6.0, -1.0]])
@@ -782,19 +778,35 @@ def test_integrate_sde_draws_follow_each_paths_generator():
     n, steps, seed = 40, 20, 11
     trajs = integrate_sde(grid, n_paths=n, steps=steps, seed=seed)
     start, dt = eval_at(grid, 0.0), 1.0 / steps
+    uniforms, normals = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2))
+    blocks = normals.standard_normal(n * (steps + 1) * grid.d).reshape(n, steps + 1, grid.d)
     comps = set()
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
-        rng = np.random.default_rng(child)
-        x0 = start.sample_with(rng, 1)
-        z = rng.standard_normal((steps, grid.d))
+    for i in range(n):
+        u = uniforms.random(1)  # one at a time: the i-th uniform of the stream
+        z = blocks[i]  # offset i (steps + 1) d of one flat stream
+        x0 = start._sample_from(u, z[:1])
         vel, _ = drift_with_stats(secant_slice(grid, trajs[i].times, 0), x0)
         assert np.array_equal(trajs[i].states[0], x0[0])
-        assert np.array_equal(trajs[i].states[1], (x0 + vel * dt + np.sqrt(dt) * z[:1])[0])
+        assert np.array_equal(trajs[i].states[1], (x0 + vel * dt + np.sqrt(dt) * z[1:2])[0])
         comps.add(int(start.responsibilities(x0)[0].argmax()))
     assert comps == {0, 1, 2}
     # a path does not depend on how many siblings were drawn
     for m in (1, 17):
         assert np.array_equal(integrate_sde(grid, m, steps, seed)[-1].states, trajs[m - 1].states)
+
+
+@pytest.mark.parametrize("kind, kw", [("circular", {}), ("rotating_dominance", {"d": 3})])
+def test_integrate_sde_path_i_is_a_prefix_of_the_streams(kind, kw):
+    # path i at n_paths = 1000 is bit for bit path i at n_paths = i + 1, the last path there,
+    # on constant weights and on moving ones (log-weights and flags included)
+    grid = small_grid(kind, n_days=8, L=4, **kw)
+    full = integrate_sde(grid, n_paths=1000, steps=30, seed=13)
+    assert any(np.any(t.log_weight != 0.0) for t in full) == (kind == "rotating_dominance")
+    for i in (0, 499, 999):
+        part = integrate_sde(grid, n_paths=i + 1, steps=30, seed=13)[i]
+        assert part.states.tobytes() == full[i].states.tobytes()
+        assert part.log_weight.tobytes() == full[i].log_weight.tobytes()
+        assert part.diverged_at == full[i].diverged_at and part.path_id == i
 
 
 @pytest.mark.parametrize("weights", [[0.5, 0.5, 1e-6], [-0.1, 0.6, 0.5], [np.nan, 0.5, 0.5]])
@@ -924,3 +936,21 @@ def test_sample_bulk_points_properties():
         sample_bulk_points(gm, 5, seed=6, floor_ratio=2.0)
     with pytest.raises(ValueError, match="n = 0"):
         sample_bulk_points(gm, 0, seed=6)
+
+
+def test_seeds_must_be_non_negative_ints():
+    # a bool, None (fresh OS entropy, so no run repeats) and a float are no seed, and a
+    # negative seed is refused by name: each is a ConfigError (CLI exit 2)
+    grid, gm = small_grid("circular", n_days=6, L=3), default_prior(2, 2)
+    for seed in (True, None, 1.5):
+        for call in (partial(integrate_sde, grid, 3, 5), partial(sample_bulk_points, gm, 4)):
+            with pytest.raises(ConfigError, match="seed must be int"):
+                call(seed=seed)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        integrate_sde(grid, 3, 5, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        sample_bulk_points(gm, 4, seed=-1)
+    with pytest.raises(ConfigError, match="stream needs seed >= 0, got -1"):
+        make_config("circular", seed=-1)
+    assert len(integrate_sde(grid, 3, 5, seed=np.int64(1))) == 3
+    assert sample_bulk_points(gm, 4, seed=np.uint32(2)).shape == (4, 2)

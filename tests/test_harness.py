@@ -674,6 +674,15 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert json.loads((out / "summary.json").read_text())["theta"] == 0.5
 
 
+def test_cli_refuses_a_negative_seed(tmp_path, capsys):
+    # the stream config refuses it by name before any command draws from it
+    cfg = write_cfg(tmp_path)
+    for argv in (["run"], ["movie", "--frames", "3", "--paths", "3", "--steps", "5"]):
+        assert cli_main([*argv, "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert "stream needs seed >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_flags_override_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, L=5, theta=0.5, stream={"kind": "circular", "n_days": 40})
     assert cli_main(["run", "--config", cfg]) == 0
